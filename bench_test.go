@@ -149,23 +149,6 @@ func BenchmarkEvaluatorSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateWithPerCall is the deprecated path over the same grid:
-// every call re-simulates its workload's baseline and runs serially. The
-// Evaluator sweep above must beat it.
-func BenchmarkEvaluateWithPerCall(b *testing.B) {
-	jobs := sweepBenchJobs(b)
-	opts := prophet.DefaultOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, j := range jobs {
-			if _, err := prophet.EvaluateWith(j.Workload, j.Scheme, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // --- micro-benchmarks of the core structures ---
 
 // BenchmarkSimulatorThroughput measures raw simulation speed (records/sec)

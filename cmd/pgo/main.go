@@ -1,25 +1,16 @@
-// Command pgo closes the repository's profile-guided-optimization loop: it
-// folds CPU profiles captured from prophetd and prophetbench into the single
-// default.pgo the compiler consumes, and verifies that a PGO build actually
-// beats the plain build.
+// Command pgo is the acceptance gate of the repository's
+// profile-guided-optimization loop: it verifies that a PGO build actually
+// beats the plain build. Capturing, merging and inspecting profiles use the
+// Go toolchain directly (see docs/PROFILING.md):
 //
-// Merge mode (the default) combines .pprof files — explicit arguments,
-// a -dir of captures, or both — into one profile:
+//	go tool pprof -proto a.pprof b.pprof > default.pgo   # merge
+//	go tool pprof -top default.pgo                       # inspect
 //
-//	pgo -o default.pgo profiles/*.pprof
-//	pgo -dir profiles -o default.pgo
-//	pgo -info default.pgo                 # summarize without merging
-//
-// Merging follows the pprof tool's semantics (implemented natively by
-// internal/pcapture, no external tooling): symbol tables deduplicate,
-// samples with identical stacks sum, durations add. All inputs must be CPU
-// profiles.
-//
-// Verify mode compares two prophetbench JSON reports — the plain build's and
+// -verify compares two prophetbench JSON reports — the plain build's and
 // the PGO build's, measured on the same machine and matrix — and exits
 // non-zero unless the PGO build wins the ns/op geomean by more than -min-win
 // percent (default 0: any win passes, any loss fails). CI's pgo job runs
-// exactly this; see docs/PROFILING.md for the full loop.
+// exactly this.
 //
 //	pgo -verify bench-plain.json bench-pgo.json
 //	pgo -verify -min-win 1.5 bench-plain.json bench-pgo.json
@@ -31,20 +22,12 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
-	"time"
 
 	"prophet"
-
-	"prophet/internal/pcapture"
 )
 
 func main() {
 	var (
-		out         = flag.String("o", "default.pgo", "merged profile output path")
-		dir         = flag.String("dir", "", "also merge every *.pprof under this directory")
-		info        = flag.Bool("info", false, "summarize the input profiles instead of merging")
 		verify      = flag.Bool("verify", false, "compare two prophetbench reports (plain, pgo) and require a PGO win")
 		minWin      = flag.Float64("min-win", 0, "with -verify: minimum geomean ns/op improvement percent the PGO build must show")
 		showVersion = flag.Bool("version", false, "print version and exit")
@@ -54,76 +37,15 @@ func main() {
 		fmt.Println("pgo", prophet.Version())
 		return
 	}
-
-	if *verify {
-		if flag.NArg() != 2 {
-			fatalf("-verify takes exactly two arguments: <plain report.json> <pgo report.json>")
-		}
-		if err := verifyWin(flag.Arg(0), flag.Arg(1), *minWin); err != nil {
-			fatalf("%v", err)
-		}
-		return
+	if !*verify {
+		fatalf("usage: pgo -verify [-min-win P] <plain report.json> <pgo report.json> (merge profiles with go tool pprof -proto)")
 	}
-
-	paths := append([]string{}, flag.Args()...)
-	if *dir != "" {
-		found, err := filepath.Glob(filepath.Join(*dir, "*.pprof"))
-		if err != nil {
-			fatalf("scanning %s: %v", *dir, err)
-		}
-		sort.Strings(found)
-		paths = append(paths, found...)
+	if flag.NArg() != 2 {
+		fatalf("-verify takes exactly two arguments: <plain report.json> <pgo report.json>")
 	}
-	if len(paths) == 0 {
-		fatalf("no input profiles (pass .pprof files, or -dir <profiles>)")
-	}
-
-	if *info {
-		for _, path := range paths {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			pi, err := pcapture.ReadInfo(data)
-			if err != nil {
-				fatalf("%s: %v", path, err)
-			}
-			printInfo(path, pi)
-		}
-		return
-	}
-
-	merged, err := pcapture.MergeFiles(paths...)
-	if err != nil {
+	if err := verifyWin(flag.Arg(0), flag.Arg(1), *minWin); err != nil {
 		fatalf("%v", err)
 	}
-	if err := os.WriteFile(*out, merged, 0o644); err != nil {
-		fatalf("%v", err)
-	}
-	pi, err := pcapture.ReadInfo(merged)
-	if err != nil {
-		fatalf("reading back %s: %v", *out, err)
-	}
-	fmt.Printf("merged %d profiles into %s (%d bytes)\n", len(paths), *out, len(merged))
-	printInfo(*out, pi)
-}
-
-func printInfo(path string, pi pcapture.Info) {
-	fmt.Printf("%s: %d samples, %d functions, %d locations, %v profiled, %v CPU [%s]\n",
-		path, pi.Samples, pi.Functions, pi.Locations,
-		pi.Duration.Round(time.Millisecond), pi.TotalCPU.Round(time.Millisecond),
-		joinTypes(pi.SampleTypes))
-}
-
-func joinTypes(ts []string) string {
-	out := ""
-	for i, t := range ts {
-		if i > 0 {
-			out += ", "
-		}
-		out += t
-	}
-	return out
 }
 
 // benchReport is the subset of cmd/prophetbench's JSON schema the verify

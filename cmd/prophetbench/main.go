@@ -14,8 +14,9 @@
 // baseline, so hot-path regressions fail the build.
 //
 // -cpuprofile captures the whole matrix run as one CPU profile — the raw
-// material for the repository's PGO loop: per-workload runs are merged by
-// cmd/pgo into the checked-in default.pgo (see docs/PROFILING.md).
+// material for the repository's PGO loop: runs are merged with
+// `go tool pprof -proto` into the checked-in default.pgo (see
+// docs/PROFILING.md).
 //
 // Timing semantics per cell:
 //
@@ -36,6 +37,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"testing"
 	"time"
@@ -43,7 +45,6 @@ import (
 	"prophet"
 
 	"prophet/internal/cliutil"
-	"prophet/internal/pcapture"
 )
 
 // schemaVersion identifies the JSON layout; bump on incompatible change.
@@ -147,10 +148,13 @@ func main() {
 	// With -cpuprofile the whole matrix runs inside one capture window, so
 	// the profile weights each cell by its real measurement cost — exactly
 	// the mix a PGO build of this binary will execute.
-	var capt *pcapture.Capturer
+	var prof *os.File
 	if *cpuprofile != "" {
-		capt = pcapture.New(pcapture.Options{})
-		if err := capt.Start("prophetbench"); err != nil {
+		var err error
+		if prof, err = os.Create(*cpuprofile); err != nil {
+			fatalf("creating %s: %v", *cpuprofile, err)
+		}
+		if err := pprof.StartCPUProfile(prof); err != nil {
 			fatalf("start CPU profile: %v", err)
 		}
 	}
@@ -172,15 +176,12 @@ func main() {
 		}
 	}
 
-	if capt != nil {
-		cap, err := capt.Stop()
-		if err != nil {
-			fatalf("stop CPU profile: %v", err)
-		}
-		if err := os.WriteFile(*cpuprofile, cap.Data, 0o644); err != nil {
+	if prof != nil {
+		pprof.StopCPUProfile()
+		if err := prof.Close(); err != nil {
 			fatalf("writing %s: %v", *cpuprofile, err)
 		}
-		fmt.Fprintf(os.Stderr, "cpu profile (%d bytes) written to %s\n", len(cap.Data), *cpuprofile)
+		fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", *cpuprofile)
 	}
 
 	printTable(rep)

@@ -15,8 +15,6 @@
 //	prophetd -peers http://w1:8373,http://w2:8373   # coordinate a fleet
 //	prophetd -scheduler least-loaded -peer-ttl 15s  # load-aware coordinator
 //	prophetd -join http://coord:8373 -advertise http://w3:8373  # elastic worker
-//	prophetd -profile-dir profiles            # persist CPU captures
-//	prophetd -profile-dir profiles -capture-on-shutdown
 //	prophetd -version
 //
 // With -store the daemon keeps a durable, content-addressed result store on
@@ -46,15 +44,9 @@
 // added or removed mid-run without restarting the coordinator.
 //
 // The daemon is also its own profiling subject (the PGO loop in
-// docs/PROFILING.md). /debug/pprof/* serves the standard ad-hoc profiles,
-// and POST /v1/profile/{start,stop} drives an explicit CPU capture window;
-// with -profile-dir every capture is persisted as a named, timestamped
-// .pprof file. On Unix, SIGUSR1 toggles a capture window without any HTTP
-// involvement, and -capture-on-shutdown opens a window at startup that is
-// emitted when the daemon exits — a whole-lifetime profile for free. All
-// surfaces share the runtime's single CPU-profile window, so in
-// -capture-on-shutdown mode the HTTP start endpoint answers 409 and a stop
-// (or SIGUSR1) closes the lifetime window early; pick one mode per daemon.
+// docs/PROFILING.md): /debug/pprof/* serves the standard net/http/pprof
+// profiles, so `curl -o cpu.pprof 'localhost:8373/debug/pprof/profile?seconds=30'`
+// captures a CPU profile of whatever the daemon is serving.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: intake stops, open
 // connections drain, queued jobs are cancelled.
@@ -77,9 +69,16 @@ import (
 	"prophet"
 
 	"prophet/internal/cliutil"
-	"prophet/internal/pcapture"
 	"prophet/internal/resultstore"
 	"prophet/internal/server"
+)
+
+// Connection limits for the listener. A client gets readHeaderTimeout to
+// send its request headers, and an idle keep-alive connection is closed
+// after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -105,8 +104,6 @@ func main() {
 	join := flag.String("join", "", "comma-separated coordinator base URLs to join as a worker (requires -advertise)")
 	advertise := flag.String("advertise", "", "this daemon's base URL as coordinators reach it (e.g. http://host:8373)")
 	joinInterval := flag.Duration("join-interval", 5*time.Second, "heartbeat interval for -join (keep well inside the coordinator's -peer-ttl)")
-	profileDir := flag.String("profile-dir", "", "persist CPU captures (POST /v1/profile, SIGUSR1, shutdown) as .pprof files here")
-	captureOnShutdown := flag.Bool("capture-on-shutdown", false, "profile the daemon's whole lifetime, emitted at shutdown (requires -profile-dir)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -163,10 +160,6 @@ func main() {
 			*storePath, ss.Entries, ss.Bytes, ss.CorruptSkipped, ss.Resets)
 		ev.UseResultStore(store)
 	}
-	if *captureOnShutdown && *profileDir == "" {
-		log.Fatal("-capture-on-shutdown requires -profile-dir (the capture has nowhere to go)")
-	}
-	capt := pcapture.New(pcapture.Options{Dir: *profileDir, Logf: log.Printf})
 	srv := server.New(server.Config{
 		Evaluator:    ev,
 		CacheEntries: *cacheEntries,
@@ -175,28 +168,20 @@ func main() {
 		QueueDepth:   *queueDepth,
 		JobRetention: *jobRetention,
 		Store:        store,
-		Capturer:     capt,
 		PeerTTL:      *peerTTL,
 		Logf:         log.Printf,
 	})
+	// No WriteTimeout: streamed sweeps and /debug/pprof/profile?seconds=N
+	// hold a response open for as long as the work or capture lasts.
 	httpSrv := &http.Server{
-		Addr:    *addr,
-		Handler: srv.Handler(),
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *profileDir != "" {
-		// SIGUSR1 (where the platform has it) toggles a capture window:
-		// first signal opens, second closes and persists.
-		capt.HandleSignals(ctx, profileSignals...)
-	}
-	if *captureOnShutdown {
-		if err := capt.Start("lifetime"); err != nil {
-			log.Fatalf("start lifetime capture: %v", err)
-		}
-	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
@@ -228,13 +213,6 @@ func main() {
 	}
 	if err := srv.Close(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("job drain: %v", err)
-	}
-	// Emit any still-open capture window (the -capture-on-shutdown lifetime
-	// profile, or a window a client started and never stopped).
-	if cap, ok, err := capt.Close(); err != nil {
-		log.Printf("shutdown capture: %v", err)
-	} else if ok {
-		log.Printf("shutdown capture %q persisted to %s (%d bytes)", cap.Name, cap.Path, len(cap.Data))
 	}
 	log.Printf("bye")
 }

@@ -219,8 +219,10 @@ func TestUnknownWorkloadSurfacesAsError(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesDeprecatedPipeline: the shim and the Session produce
-// identical results for the same flow.
+// TestSessionMatchesDeprecatedPipeline: the one-input Figure 5 flow through
+// a Session (profile, optimize, run on the same input) is bit-identical to
+// the one-shot prophet scheme, the flow the removed Pipeline type also
+// reproduced.
 func TestSessionMatchesDeprecatedPipeline(t *testing.T) {
 	w, _ := prophet.Find("omnetpp")
 	w = w.WithRecords(80_000)
@@ -236,25 +238,30 @@ func TestSessionMatchesDeprecatedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pl := prophet.NewPipeline(prophet.DefaultOptions())
-	pl.ProfileInput(w)
-	want := pl.RunBinary(pl.Optimize(), w)
-	if err := pl.Err(); err != nil {
+	want, err := prophet.New(prophet.WithWorkers(1)).Run(context.Background(), w, prophet.Prophet)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("Session diverged from Pipeline shim:\n session  %+v\n pipeline %+v", got, want)
+		t.Fatalf("Session diverged from the prophet scheme:\n session %+v\n scheme  %+v", got, want)
 	}
 	if hints := bin.Hints(); len(hints) != bin.PCHints {
 		t.Fatalf("Binary.Hints returned %d entries, PCHints says %d", len(hints), bin.PCHints)
 	}
 }
 
-// TestDeprecatedPipelineErrNoPanic: the old panic path now records an error.
+// TestDeprecatedPipelineErrNoPanic: an unknown workload is an error from
+// every Session step that resolves one, never a panic.
 func TestDeprecatedPipelineErrNoPanic(t *testing.T) {
-	pl := prophet.NewPipeline(prophet.DefaultOptions())
-	pl.ProfileInput(prophet.Workload{Name: "not_a_workload"})
-	if pl.Err() == nil {
-		t.Fatal("ProfileInput swallowed the unknown-workload error")
+	s := prophet.New().NewSession()
+	bad := prophet.Workload{Name: "not_a_workload"}
+	if err := s.Profile(bad); err == nil {
+		t.Fatal("Session.Profile swallowed the unknown-workload error")
+	}
+	if s.Loops() != 0 {
+		t.Fatalf("failed Profile still counted a loop: Loops = %d", s.Loops())
+	}
+	if _, err := s.Run(context.Background(), s.Optimize(), bad); err == nil {
+		t.Fatal("Session.Run swallowed the unknown-workload error")
 	}
 }

@@ -13,15 +13,16 @@ import (
 	"prophet/internal/learning"
 	"prophet/internal/mem"
 	"prophet/internal/pmu"
-	"prophet/internal/rpg2"
 	"prophet/internal/sim"
 	"prophet/internal/triage"
 	"prophet/internal/triangel"
 
 	// Registered for their scheme-registry side effects: every binary that
-	// evaluates through the pipeline can resolve "gaze" and "adaptive".
+	// evaluates through the pipeline can resolve "gaze", "adaptive" and
+	// "rpg2".
 	_ "prophet/internal/adaptive"
 	_ "prophet/internal/gaze"
+	_ "prophet/internal/rpg2"
 )
 
 // SourceFactory produces a fresh deterministic trace for each run.
@@ -44,27 +45,6 @@ func RunTriage(cfg sim.Config, tcfg triage.Config, src mem.Source) sim.Stats {
 // RunTriangel runs the Triangel hardware prefetcher.
 func RunTriangel(cfg sim.Config, tcfg triangel.Config, src mem.Source) sim.Stats {
 	return sim.Run(cfg, triangel.New(tcfg), nil, nil, nil, src)
-}
-
-// --- RPG2 flow ---
-
-// RPG2Result carries the RPG2 evaluation outcome.
-type RPG2Result struct {
-	Stats    sim.Stats
-	Kernels  int
-	Distance int
-}
-
-// RunRPG2 performs the full RPG2 methodology: profile to find stride
-// kernels, tune the prefetch distance by binary search (on a shortened
-// trace), then run with the best distance. With no qualifying kernels the
-// scheme degenerates to the baseline, as on most SPEC workloads.
-//
-// Deprecated: the flow lives in rpg2.Evaluate and runs through the scheme
-// registry; use an Evaluator with the "rpg2" scheme instead.
-func RunRPG2(cfg sim.Config, factory SourceFactory, tuneRecords uint64) RPG2Result {
-	res := rpg2.Evaluate(cfg, sim.Opts{}, factory, tuneRecords, nil)
-	return RPG2Result{Stats: res.Stats, Kernels: res.Kernels, Distance: res.Distance}
 }
 
 // --- Prophet flow (Figure 5) ---

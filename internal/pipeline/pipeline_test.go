@@ -5,6 +5,8 @@ import (
 
 	"prophet/internal/core"
 	"prophet/internal/mem"
+	"prophet/internal/rpg2"
+	"prophet/internal/sim"
 	"prophet/internal/triage"
 	"prophet/internal/triangel"
 	"prophet/internal/workloads"
@@ -131,7 +133,7 @@ func TestRPG2NoKernelsFallsBackToBaseline(t *testing.T) {
 		Records:  30_000,
 	}}
 	f := func() mem.Source { return w.Source(0) }
-	res := RunRPG2(cfg.Sim, f, 10_000)
+	res := rpg2.Evaluate(cfg.Sim, sim.Opts{}, f, 10_000, nil)
 	if res.Kernels != 0 {
 		t.Fatalf("pointer chase yielded %d kernels", res.Kernels)
 	}
@@ -150,7 +152,7 @@ func TestRPG2FindsStrideKernels(t *testing.T) {
 		Records:  40_000,
 	}}
 	f := func() mem.Source { return w.Source(0) }
-	res := RunRPG2(cfg.Sim, f, 20_000)
+	res := rpg2.Evaluate(cfg.Sim, sim.Opts{}, f, 20_000, nil)
 	if res.Kernels == 0 {
 		t.Fatal("strided kernel not identified")
 	}

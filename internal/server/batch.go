@@ -22,8 +22,7 @@ import (
 // the coordinator treats as a batch failure and retries or fails over.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req prophet.BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {

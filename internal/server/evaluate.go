@@ -65,8 +65,7 @@ type EvaluateResponse struct {
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	req.canonicalize()
@@ -180,8 +179,7 @@ type SweepAccepted struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	jobs := req.jobs()

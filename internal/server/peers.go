@@ -181,8 +181,7 @@ func (s *Server) handlePeersList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePeerJoin(w http.ResponseWriter, r *http.Request) {
 	s.reapPeers()
 	var req PeerJoinRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	u, err := normalizePeerURL(req.URL)

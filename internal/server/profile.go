@@ -1,103 +1,20 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
-
-	"prophet/internal/pcapture"
 )
 
-// registerProfileRoutes mounts the profiling surface:
-//
-//   - /debug/pprof/* is the standard net/http/pprof family (heap, goroutine,
-//     block, mutex, the 30-second CPU profile, execution traces) for ad-hoc
-//     inspection with `go tool pprof`;
-//   - POST /v1/profile/{start,stop} drives the explicit capture window the
-//     PGO loop uses: start opens a named window, stop closes it and returns
-//     the raw pprof bytes (and persists them when prophetd runs with
-//     -profile-dir). One window at a time — a second start is a 409, as is
-//     a stop with no window open.
-//
-// The ad-hoc /debug/pprof/profile endpoint and the capture window share the
-// runtime's single CPU profiler, so using one while the other is active
-// fails cleanly rather than corrupting either capture.
+// registerProfileRoutes mounts the standard net/http/pprof family under
+// /debug/pprof/ (heap, goroutine, block, mutex, CPU profile, execution
+// trace). GET /debug/pprof/profile?seconds=N is the capture step of the
+// PGO loop in docs/PROFILING.md; its output feeds `go tool pprof`
+// directly.
 func (s *Server) registerProfileRoutes(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/profile/start", s.handleProfileStart)
-	mux.HandleFunc("POST /v1/profile/stop", s.handleProfileStop)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// ProfileStartRequest is the optional POST /v1/profile/start body. An empty
-// body starts an anonymous window (persisted as "capture-…" when a profile
-// directory is configured).
-type ProfileStartRequest struct {
-	// Name labels the window; it prefixes the persisted file name after
-	// sanitization, so use the workload mix being exercised
-	// (e.g. "mcf-prophet-4x4").
-	Name string `json:"name"`
-}
-
-// ProfileStartResponse is the POST /v1/profile/start body.
-type ProfileStartResponse struct {
-	Started bool   `json:"started"`
-	Name    string `json:"name"`
-}
-
-func (s *Server) handleProfileStart(w http.ResponseWriter, r *http.Request) {
-	var req ProfileStartRequest
-	if r.ContentLength != 0 {
-		if err := decodeJSON(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	if err := s.capt.Start(req.Name); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, pcapture.ErrActive) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err.Error())
-		return
-	}
-	name, _, _ := s.capt.Active()
-	writeJSON(w, http.StatusOK, ProfileStartResponse{Started: true, Name: name})
-}
-
-// handleProfileStop closes the active window and streams the raw pprof bytes
-// back (Content-Type application/octet-stream) so the caller can pipe the
-// response straight into a file or `go tool pprof`. The window's name and —
-// when -profile-dir is set — the server-side path travel in the
-// X-Profile-Name and X-Profile-Path headers. A persistence failure still
-// returns the bytes: the client's copy is then the only one.
-func (s *Server) handleProfileStop(w http.ResponseWriter, r *http.Request) {
-	cap, err := s.capt.Stop()
-	if err != nil && errors.Is(err, pcapture.ErrIdle) {
-		writeError(w, http.StatusConflict, err.Error())
-		return
-	}
-	if err != nil && len(cap.Data) == 0 {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%q", cap.Name+".pprof"))
-	w.Header().Set("X-Profile-Name", cap.Name)
-	if cap.Path != "" {
-		w.Header().Set("X-Profile-Path", cap.Path)
-	}
-	if err != nil {
-		// Persist failed but the capture survived in memory; tell the
-		// client theirs is now the only copy.
-		w.Header().Set("X-Profile-Persist-Error", err.Error())
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(cap.Data)
 }

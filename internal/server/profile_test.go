@@ -1,140 +1,14 @@
-// Tests for the profiling surface: the /v1/profile capture-window endpoints
-// (single-window invariant, raw-bytes response, disk persistence) and the
-// /debug/pprof mounts. These drive the real runtime/pprof CPU profiler, so
-// they must not overlap another CPU profile in this test binary.
+// Tests for the profiling surface: the /debug/pprof mounts. The CPU
+// profile endpoint drives the real runtime/pprof profiler, so it must not
+// overlap another CPU profile in this test binary.
 package server
 
 import (
-	"io"
+	"bytes"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
-
-	"prophet/internal/pcapture"
 )
-
-func TestProfileCaptureEndpoints(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{Capturer: pcapture.New(pcapture.Options{Dir: dir})})
-
-	// Stop with no window open is a conflict.
-	code, body := post(t, ts, "/v1/profile/stop", "")
-	if code != http.StatusConflict {
-		t.Fatalf("stop while idle = %d %s, want 409", code, body)
-	}
-
-	// A named start opens a window; the name comes back sanitized.
-	code, body = post(t, ts, "/v1/profile/start", `{"name":"mcf prophet 4x4"}`)
-	if code != http.StatusOK || !strings.Contains(string(body), `"mcf-prophet-4x4"`) {
-		t.Fatalf("start = %d %s", code, body)
-	}
-
-	// A second start while the window is open is a conflict naming the
-	// active window.
-	code, body = post(t, ts, "/v1/profile/start", "")
-	if code != http.StatusConflict || !strings.Contains(string(body), "mcf-prophet-4x4") {
-		t.Fatalf("double start = %d %s, want 409 naming the window", code, body)
-	}
-
-	// The window shows up in /v1/stats.
-	if st := stats(t, ts); !st.Profile.Active || st.Profile.ActiveName != "mcf-prophet-4x4" {
-		t.Fatalf("stats profile = %+v", st.Profile)
-	}
-
-	// Generate a little load inside the window so the profile has samples.
-	for i := 0; i < 3; i++ {
-		post(t, ts, "/v1/evaluate", `{"workload":"mcf","scheme":"prophet","records":2000}`)
-	}
-
-	// Stop returns the raw pprof bytes, names the capture in headers, and
-	// reports the server-side path.
-	resp, err := http.Post(ts.URL+"/v1/profile/stop", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stop = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	if got := resp.Header.Get("X-Profile-Name"); got != "mcf-prophet-4x4" {
-		t.Errorf("X-Profile-Name = %q", got)
-	}
-	if cd := resp.Header.Get("Content-Disposition"); !strings.Contains(cd, "mcf-prophet-4x4.pprof") {
-		t.Errorf("Content-Disposition = %q", cd)
-	}
-	path := resp.Header.Get("X-Profile-Path")
-	if path == "" {
-		t.Fatal("X-Profile-Path missing despite a configured profile dir")
-	}
-	disk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("persisted profile: %v", err)
-	}
-
-	// The response body is the same profile that was persisted, and it
-	// parses with the native codec.
-	var buf strings.Builder
-	if _, err := io.Copy(&buf, resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != string(disk) {
-		t.Error("response bytes differ from the persisted file")
-	}
-	info, err := pcapture.ReadInfo(disk)
-	if err != nil {
-		t.Fatalf("captured profile does not parse: %v", err)
-	}
-	if len(info.SampleTypes) != 2 || info.SampleTypes[1] != "cpu/nanoseconds" {
-		t.Errorf("sample types = %v", info.SampleTypes)
-	}
-
-	// The capture counter advanced and the window closed.
-	if st := stats(t, ts); st.Profile.Active || st.Profile.Captures != 1 || st.Profile.LastPath != path {
-		t.Errorf("stats profile after stop = %+v", st.Profile)
-	}
-
-	// Malformed body is a 400, not a started window.
-	code, body = post(t, ts, "/v1/profile/start", `{"nope":1}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("bad body = %d %s, want 400", code, body)
-	}
-	if st := stats(t, ts); st.Profile.Active {
-		t.Error("rejected start left a window open")
-	}
-
-	// An anonymous start defaults the window name.
-	code, body = post(t, ts, "/v1/profile/start", "")
-	if code != http.StatusOK || !strings.Contains(string(body), `"capture"`) {
-		t.Fatalf("anonymous start = %d %s", code, body)
-	}
-	if code, _ := post(t, ts, "/v1/profile/stop", ""); code != http.StatusOK {
-		t.Fatalf("final stop = %d", code)
-	}
-}
-
-func TestProfileDefaultCapturer(t *testing.T) {
-	// With no Capturer configured the endpoints still work memory-only:
-	// bytes come back, nothing is persisted.
-	_, ts := newTestServer(t, Config{})
-	if code, body := post(t, ts, "/v1/profile/start", ""); code != http.StatusOK {
-		t.Fatalf("start = %d %s", code, body)
-	}
-	resp, err := http.Post(ts.URL+"/v1/profile/stop", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stop = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Profile-Path"); got != "" {
-		t.Errorf("memory-only capture reported a path: %q", got)
-	}
-}
 
 func TestDebugPprofEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -151,5 +25,15 @@ func TestDebugPprofEndpoints(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/debug/pprof/symbol"); code != http.StatusOK {
 		t.Errorf("symbol = %d", code)
+	}
+	// The CPU profile is the PGO loop's capture step: a gzipped
+	// profile.proto that `go tool pprof` reads as is.
+	code, body = get(t, ts, "/debug/pprof/profile?seconds=1")
+	if code != http.StatusOK || !bytes.HasPrefix(body, []byte{0x1f, 0x8b}) {
+		t.Errorf("cpu profile = %d, %d bytes, want 200 and a gzip body", code, len(body))
+	}
+	// Profiling is served only under /debug/pprof.
+	if code, _ := post(t, ts, "/v1/profile/start", ""); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/profile/start = %d, want 404 or 405", code)
 	}
 }

@@ -39,7 +39,6 @@ import (
 
 	"prophet/internal/ingest"
 	"prophet/internal/mem"
-	"prophet/internal/pcapture"
 	"prophet/internal/resultstore"
 )
 
@@ -64,11 +63,6 @@ type Config struct {
 	// tier. The caller owns the store's lifecycle and must also attach it
 	// to the Evaluator (UseResultStore) so computed results write through.
 	Store *resultstore.Store
-	// Capturer backs POST /v1/profile/{start,stop}. Nil builds a
-	// memory-only capturer (profiles are returned to the caller but not
-	// persisted server-side); prophetd passes one configured with
-	// -profile-dir so captures also land on disk for the PGO loop.
-	Capturer *pcapture.Capturer
 	// PeerTTL is the heartbeat expiry window for dynamically joined peers
 	// (POST /v1/peers): a peer that has not re-registered within the TTL is
 	// drained from the fleet (default 15s).
@@ -87,7 +81,6 @@ type Server struct {
 	ev    *prophet.Evaluator
 	cache *resultCache
 	store *resultstore.Store // nil when serving without a disk tier
-	capt  *pcapture.Capturer
 	jobs  *jobStore
 	sess  *sessionStore
 	mux   *http.ServeMux
@@ -121,9 +114,6 @@ func New(cfg Config) *Server {
 	if now == nil {
 		now = time.Now
 	}
-	if cfg.Capturer == nil {
-		cfg.Capturer = pcapture.New(pcapture.Options{})
-	}
 	if cfg.PeerTTL <= 0 {
 		cfg.PeerTTL = 15 * time.Second
 	}
@@ -134,7 +124,6 @@ func New(cfg Config) *Server {
 		ev:    cfg.Evaluator,
 		cache: newResultCache(cfg.CacheEntries, cfg.CacheTTL, now),
 		store: cfg.Store,
-		capt:  cfg.Capturer,
 		jobs:  newJobStore(cfg.JobWorkers, cfg.QueueDepth, cfg.JobRetention, now),
 		sess:  newSessionStore(now),
 		now:   now,
@@ -259,10 +248,6 @@ type StatsResponse struct {
 		Total   int `json:"total"`
 	} `json:"jobs"`
 	Sessions int `json:"sessions"`
-	// Profile reports the CPU-capture window state: whether one is open
-	// (and its name), how many captures this process has taken, and where
-	// the last one was persisted.
-	Profile pcapture.Stats `json:"profile"`
 	// Dispatch reports the sweep fleet: the scheduling strategy, the live
 	// peers (static and dynamically joined), and the coordinator's
 	// remote/local/retry/failover/steal counters (all zero when the daemon
@@ -294,7 +279,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Jobs.Running = s.jobs.Running()
 	resp.Jobs.Total = s.jobs.Len()
 	resp.Sessions = s.sess.Len()
-	resp.Profile = s.capt.CaptureStats()
 	s.reapPeers() // stats must reflect expiries even on an idle coordinator
 	resp.Dispatch.Scheduler = s.ev.SchedulerName()
 	resp.Dispatch.Peers = s.ev.Backends()
@@ -337,19 +321,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxBodyBytes bounds every JSON request body. The largest real body, a
+// /v1/batch chunk of job descriptors, is a few KiB.
+const maxBodyBytes = 1 << 20
+
 // decodeJSON strictly decodes a request body into v: unknown fields and
 // trailing garbage are errors, so client typos surface as 400s instead of
-// silently-defaulted runs.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// silently-defaulted runs. A body over maxBodyBytes is a 413. On failure
+// it writes the error response and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil && dec.More() {
+		err = errors.New("trailing data")
 	}
-	if dec.More() {
-		return errors.New("invalid request body: trailing data")
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 	}
-	return nil
+	return false
 }
 
 // statusFor maps an engine error to an HTTP status: resolution failures

@@ -169,6 +169,28 @@ func TestEvaluateValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a body over maxBodyBytes is a 413 with the
+// usual JSON error, and nothing is simulated. Both bodies would be valid
+// requests without the bound (the padded name is trimmed on resolution).
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	pad := strings.Repeat(" ", maxBodyBytes)
+	evaluate := `{"workload":{"name":"sphinx3` + pad + `","records":20000},"scheme":"baseline"}`
+	cell := `{"name":"sphinx3","records":20000},`
+	sweep := `{"workloads":[` + strings.Repeat(cell, maxBodyBytes/len(cell)) +
+		`{"name":"sphinx3","records":20000}],"schemes":["baseline"]}`
+	for path, body := range map[string]string{"/v1/evaluate": evaluate, "/v1/sweep": sweep} {
+		code, b := post(t, ts, path, body)
+		var e errorResponse
+		if code != http.StatusRequestEntityTooLarge || json.Unmarshal(b, &e) != nil || e.Error == "" {
+			t.Errorf("%s: %d %.80s, want 413 with a JSON error", path, code, b)
+		}
+	}
+	if st := stats(t, ts); st.Tiers.Computed != 0 {
+		t.Errorf("oversized bodies computed %d results, want 0", st.Tiers.Computed)
+	}
+}
+
 // TestEvaluateCoalescing is acceptance criterion (a): N identical
 // concurrent POST /v1/evaluate requests trigger exactly one simulation,
 // observable through /v1/stats.

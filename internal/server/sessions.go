@@ -185,8 +185,7 @@ func (s *Server) handleSessionProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionProfileRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	wl := req.Workload.workload()
@@ -264,8 +263,7 @@ func (s *Server) handleSessionRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionRunRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	wl := req.Workload.workload()
@@ -311,8 +309,7 @@ func (s *Server) handleSessionAdapt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionAdaptRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	wl := req.Workload.workload()

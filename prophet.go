@@ -44,10 +44,6 @@
 // Custom prefetching schemes plug in through RegisterScheme; the built-in
 // schemes (baseline, triage, triangel, rpg2, prophet) self-register from
 // their packages the same way.
-//
-// The pre-Evaluator entry points (Evaluate, EvaluateWith, Pipeline) remain
-// as thin deprecated shims for one release; see README.md for the migration
-// table.
 package prophet
 
 import (
@@ -415,7 +411,7 @@ func Sources() []SourceInfo {
 
 // Options configure the simulated system and the Prophet pipeline. The
 // functional options of New cover the same knobs; Options remains the
-// bulk-configuration form (WithOptions) and the deprecated shims' input.
+// bulk-configuration form (WithOptions).
 type Options struct {
 	// ELAcc is the Equation 1 insertion threshold (default 0.15).
 	ELAcc float64

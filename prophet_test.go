@@ -1,6 +1,7 @@
 package prophet_test
 
 import (
+	"context"
 	"testing"
 
 	"prophet"
@@ -28,7 +29,7 @@ func TestCatalogAndFind(t *testing.T) {
 func TestEvaluateBaselineIsUnity(t *testing.T) {
 	w, _ := prophet.Find("sphinx3")
 	w = w.WithRecords(40_000)
-	r, err := prophet.Evaluate(w, prophet.Baseline)
+	r, err := prophet.New().Run(context.Background(), w, prophet.Baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestEvaluateBaselineIsUnity(t *testing.T) {
 
 func TestEvaluateUnknownScheme(t *testing.T) {
 	w, _ := prophet.Find("sphinx3")
-	if _, err := prophet.Evaluate(w.WithRecords(10_000), prophet.Scheme("nope")); err == nil {
+	if _, err := prophet.New().Run(context.Background(), w.WithRecords(10_000), prophet.Scheme("nope")); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }
@@ -50,19 +51,24 @@ func TestEvaluateUnknownScheme(t *testing.T) {
 func TestPipelineEndToEnd(t *testing.T) {
 	w, _ := prophet.Find("omnetpp")
 	w = w.WithRecords(80_000)
-	p := prophet.NewPipeline(prophet.DefaultOptions())
-	p.ProfileInput(w)
-	if p.Loops() != 1 {
-		t.Fatalf("Loops = %d", p.Loops())
+	s := prophet.New().NewSession()
+	if err := s.Profile(w); err != nil {
+		t.Fatal(err)
 	}
-	bin := p.Optimize()
+	if s.Loops() != 1 {
+		t.Fatalf("Loops = %d", s.Loops())
+	}
+	bin := s.Optimize()
 	if bin.PCHints == 0 || bin.PCHints > 128 {
 		t.Fatalf("PCHints = %d, want in (0,128]", bin.PCHints)
 	}
 	if bin.MetaWays <= 0 && !bin.TPDisabled {
 		t.Fatalf("binary has no resizing hint: %+v", bin)
 	}
-	r := p.RunBinary(bin, w)
+	r, err := s.Run(context.Background(), bin, w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Speedup <= 1.0 {
 		t.Fatalf("optimized binary speedup %.3f on omnetpp; expected a gain", r.Speedup)
 	}
@@ -77,11 +83,12 @@ func TestProphetBeatsTriangelOnHeadlineWorkloads(t *testing.T) {
 	for _, name := range []string{"omnetpp", "soplex_pds-50"} {
 		w, _ := prophet.Find(name)
 		w = w.WithRecords(120_000)
-		pr, err := prophet.Evaluate(w, prophet.Prophet)
+		ev := prophet.New()
+		pr, err := ev.Run(context.Background(), w, prophet.Prophet)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := prophet.Evaluate(w, prophet.Triangel)
+		tr, err := ev.Run(context.Background(), w, prophet.Triangel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,9 +118,10 @@ func TestExperimentAPI(t *testing.T) {
 func TestDeterministicEvaluate(t *testing.T) {
 	w, _ := prophet.Find("xalancbmk")
 	w = w.WithRecords(30_000)
-	a, _ := prophet.Evaluate(w, prophet.Triangel)
-	b, _ := prophet.Evaluate(w, prophet.Triangel)
+	// Two fresh evaluators: neither run can reuse the other's baseline.
+	a, _ := prophet.New().Run(context.Background(), w, prophet.Triangel)
+	b, _ := prophet.New().Run(context.Background(), w, prophet.Triangel)
 	if a != b {
-		t.Fatalf("Evaluate not deterministic: %+v vs %+v", a, b)
+		t.Fatalf("Run not deterministic: %+v vs %+v", a, b)
 	}
 }
