@@ -281,9 +281,16 @@ func (p *Prophet) TableStats() temporal.TableStats { return p.table.Stats() }
 // Table exposes the metadata table for measurement tooling.
 func (p *Prophet) Table() *temporal.Table { return p.table }
 
-// Release returns the metadata table's storage to the geometry pool. The
-// engine (and anything obtained through Table) must not be used after.
-func (p *Prophet) Release() { p.table.Release() }
+// Release returns the metadata table and the address compressor to their
+// pools, so the next engine built reuses their storage. The engine (and
+// anything obtained through Table) must not be used after: Release drops
+// both references, so a later use panics instead of sharing storage with
+// another run.
+func (p *Prophet) Release() {
+	p.table.Release()
+	p.comp.Release()
+	p.table, p.comp = nil, nil
+}
 
 // MVB exposes the victim buffer (nil when the feature is off).
 func (p *Prophet) MVB() *VictimBuffer { return p.mvb }

@@ -39,6 +39,7 @@ func Figure1(opts Options) Result {
 	havePrev := false
 
 	tr := triangel.New(triangel.Default())
+	defer tr.Release()
 
 	const samples = 40
 	every := int(records) / samples
@@ -254,6 +255,7 @@ func learnStages(cfg pipeline.Config, opts Options, evalInputs []namedWorkload, 
 	forEach(workers, len(evalInputs), func(i int) {
 		eng := core.New(ablationConfig(cfg, core.Features{}), core.HintSet{}, nil)
 		st := sim.Run(cfg.Sim, eng, nil, nil, nil, evalInputs[i].Factory())
+		eng.Release()
 		disable.Values[i] = speedup(st, i)
 	})
 	series = append(series, disable)

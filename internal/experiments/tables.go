@@ -116,6 +116,7 @@ func EnergyOverhead(opts Options) Result {
 			ins, hits := engine.MVB().Stats()
 			mvbAccesses = ins + hits
 		}
+		engine.Release()
 		prEnergy := model.Evaluate(prStats, mvbAccesses).Total()
 
 		labels[wi] = w.Name

@@ -9,8 +9,9 @@ import (
 
 // FuzzTraceReader hammers the native-trace parser with arbitrary bytes:
 // corrupt magic, bad versions, absurd header counts, and mid-record
-// truncation must all surface as ErrBadTrace (from NewTraceReader or Err),
-// never a panic, unbounded allocation, or a silently short stream.
+// truncation must all surface as ErrBadTrace (from NewTraceReader or Err,
+// and from ReadTrace), never a panic, unbounded allocation, or a silently
+// short stream.
 func FuzzTraceReader(f *testing.F) {
 	var good bytes.Buffer
 	if _, err := WriteTrace(&good, NewSliceSource(testRecords())); err != nil {
@@ -24,8 +25,16 @@ func FuzzTraceReader(f *testing.F) {
 	absurd := append([]byte{}, good.Bytes()[:12]...)
 	absurd = binary.LittleEndian.AppendUint64(absurd, 1<<40)
 	f.Add(absurd)
+	f.Add(forgedTrace(f)) // accepted count, one record behind it
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if recs, err := ReadTrace(bytes.NewReader(data)); err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("ReadTrace error %v not classified under ErrBadTrace", err)
+			}
+		} else if uint64(len(recs)) != binary.LittleEndian.Uint64(data[12:]) {
+			t.Fatalf("ReadTrace returned %d records, header declares %d", len(recs), binary.LittleEndian.Uint64(data[12:]))
+		}
 		tr, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadTrace) {

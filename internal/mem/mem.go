@@ -109,6 +109,20 @@ func (s *SliceSource) Next() (Access, bool) {
 	return a, true
 }
 
+// Sized is an optional extension of Source for sources that know how many
+// records they have left. Len is a capacity hint: Collect and Materialize
+// size their slice from it, so a generated trace is allocated once instead
+// of regrown by append. Sources that cannot know their length (streamed
+// external formats, closures) do not implement it and keep append growth;
+// decoders whose count comes from untrusted input clamp it.
+type Sized interface {
+	Source
+	Len() int
+}
+
+// Len implements Sized.
+func (s *SliceSource) Len() int { return len(s.recs) - s.pos }
+
 // Materialize returns the source's full record sequence as a slice. A fresh
 // SliceSource is returned as its backing slice without copying — callers
 // treat the result as read-only — so caching layers that wrap already
@@ -121,10 +135,18 @@ func Materialize(src Source) []Access {
 }
 
 // Collect drains a source into a slice, stopping after max records
-// (max <= 0 means unbounded). It is a convenience for tests and for the
-// trace-file writer.
+// (max <= 0 means unbounded). It is the materialization path behind
+// Materialize (every sweep trace passes through it) and the trace-file
+// writer. A Sized source is collected into one allocation of its Len.
 func Collect(src Source, max int) []Access {
 	var out []Access
+	if s, ok := src.(Sized); ok {
+		n := s.Len()
+		if max > 0 && n > max {
+			n = max
+		}
+		out = make([]Access, 0, n)
+	}
 	for {
 		a, ok := src.Next()
 		if !ok {
@@ -137,8 +159,15 @@ func Collect(src Source, max int) []Access {
 	}
 }
 
-// Limit wraps a source so that it yields at most n records.
-func Limit(src Source, n uint64) Source { return &limited{src: src, left: n} }
+// Limit wraps a source so that it yields at most n records. The wrapper is
+// Sized exactly when src is.
+func Limit(src Source, n uint64) Source {
+	l := limited{src: src, left: n}
+	if _, ok := src.(Sized); ok {
+		return &sizedLimited{l}
+	}
+	return &l
+}
 
 type limited struct {
 	src  Source
@@ -151,6 +180,18 @@ func (l *limited) Next() (Access, bool) {
 	}
 	l.left--
 	return l.src.Next()
+}
+
+// sizedLimited is a limited over a Sized source.
+type sizedLimited struct{ limited }
+
+// Len implements Sized: the smaller of the budget and the inner source's
+// remaining length.
+func (l *sizedLimited) Len() int {
+	if n := l.src.(Sized).Len(); uint64(n) < l.left {
+		return n
+	}
+	return int(l.left)
 }
 
 // FuncSource adapts a closure to the Source interface.

@@ -2,6 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -68,11 +71,39 @@ func TestSliceSourceAndLimit(t *testing.T) {
 	}
 }
 
+// TestLimitSizedOnlyOverSized checks Limit reports an exact Len over a Sized
+// source (the smaller of budget and remainder) and no Len over an unsized
+// one, and that Collect sizes its slice from it.
+func TestLimitSizedOnlyOverSized(t *testing.T) {
+	recs := make([]Access, 10)
+	for _, tc := range []struct{ budget, want int }{{4, 4}, {10, 10}, {25, 10}} {
+		lim, ok := Limit(NewSliceSource(recs), uint64(tc.budget)).(Sized)
+		if !ok {
+			t.Fatal("Limit over a SliceSource is not Sized")
+		}
+		if lim.Len() != tc.want {
+			t.Fatalf("Limit(%d).Len() = %d, want %d", tc.budget, lim.Len(), tc.want)
+		}
+		got := Collect(lim, 0)
+		if len(got) != tc.want || cap(got) != tc.want {
+			t.Fatalf("Limit(%d): collected len %d cap %d, want %d", tc.budget, len(got), cap(got), tc.want)
+		}
+		if lim.Len() != 0 {
+			t.Fatalf("Limit(%d).Len() = %d after draining", tc.budget, lim.Len())
+		}
+	}
+	n := 0
+	unsized := FuncSource(func() (Access, bool) { n++; return Access{}, n <= 3 })
+	if _, ok := Limit(unsized, 2).(Sized); ok {
+		t.Fatal("Limit over an unsized source claims a length")
+	}
+}
+
 func TestCollectMax(t *testing.T) {
 	recs := make([]Access, 10)
 	got := Collect(NewSliceSource(recs), 4)
-	if len(got) != 4 {
-		t.Fatalf("Collect max=4 returned %d records", len(got))
+	if len(got) != 4 || cap(got) != 4 {
+		t.Fatalf("Collect max=4 returned len %d cap %d", len(got), cap(got))
 	}
 }
 
@@ -254,5 +285,38 @@ func TestReadTraceRejectsTruncated(t *testing.T) {
 	raw := buf.Bytes()
 	if _, err := ReadTrace(bytes.NewReader(raw[:len(raw)-5])); err == nil {
 		t.Fatal("ReadTrace accepted truncated file")
+	}
+}
+
+// forgedTrace returns a 43-byte trace: a valid header declaring 2^28
+// records (the largest count ReadTrace accepts) followed by one record.
+func forgedTrace(t testing.TB) []byte {
+	var buf bytes.Buffer
+	if _, err := WriteTrace(&buf, NewSliceSource([]Access{{PC: 1, Addr: 64}})); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[12:], maxTraceRecords)
+	return raw
+}
+
+// TestReadTraceForgedCountBounded: a header may claim any count up to
+// maxTraceRecords, but ReadTrace must not allocate for it before the records
+// arrive. Sizing the slice from the header made this 43-byte input allocate
+// 8 GiB and die with a fatal out-of-memory error.
+func TestReadTraceForgedCountBounded(t *testing.T) {
+	data := forgedTrace(t)
+	if len(data) != 43 {
+		t.Fatalf("forged trace is %d bytes, want 43", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs, err := ReadTrace(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("ReadTrace = %d records, %v; want ErrBadTrace", len(recs), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("ReadTrace of a forged header allocated %d bytes", grew)
 	}
 }

@@ -239,19 +239,27 @@ func ReadTrace(r io.Reader) ([]Access, error) {
 	return collectTrace(tr)
 }
 
+// maxTracePrealloc caps the records a TraceReader reports through Len, and
+// so the capacity ReadTrace preallocates from a header count nothing has
+// checked yet. A forged header then costs at most this many records
+// (2 MiB) up front; an honest larger trace grows past it by append.
+const maxTracePrealloc = 1 << 16
+
+// maxTraceRecords is the largest header count ReadTrace accepts; larger
+// files are refused outright rather than decoded toward an out-of-memory.
+const maxTraceRecords = 1 << 28
+
+// Len implements Sized: the records the header says are left, clamped to
+// maxTracePrealloc because the header is untrusted input.
+func (t *TraceReader) Len() int {
+	return int(min(t.count-t.delivered, maxTracePrealloc))
+}
+
 func collectTrace(tr *TraceReader) ([]Access, error) {
-	const maxReasonable = 1 << 28 // refuse absurd files rather than OOM
-	if tr.Count() > maxReasonable {
+	if tr.Count() > maxTraceRecords {
 		return nil, fmt.Errorf("%w: record count %d too large", ErrBadTrace, tr.Count())
 	}
-	recs := make([]Access, 0, tr.Count())
-	for {
-		a, ok := tr.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, a)
-	}
+	recs := Collect(tr, 0)
 	if err := tr.Err(); err != nil {
 		return nil, err
 	}

@@ -39,12 +39,18 @@ func RunBaseline(cfg sim.Config, src mem.Source) sim.Stats {
 
 // RunTriage runs the Triage hardware prefetcher.
 func RunTriage(cfg sim.Config, tcfg triage.Config, src mem.Source) sim.Stats {
-	return sim.Run(cfg, triage.New(tcfg), nil, nil, nil, src)
+	e := triage.New(tcfg)
+	st := sim.Run(cfg, e, nil, nil, nil, src)
+	e.Release()
+	return st
 }
 
 // RunTriangel runs the Triangel hardware prefetcher.
 func RunTriangel(cfg sim.Config, tcfg triangel.Config, src mem.Source) sim.Stats {
-	return sim.Run(cfg, triangel.New(tcfg), nil, nil, nil, src)
+	e := triangel.New(tcfg)
+	st := sim.Run(cfg, e, nil, nil, nil, src)
+	e.Release()
+	return st
 }
 
 // --- Prophet flow (Figure 5) ---

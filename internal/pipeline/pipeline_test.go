@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"prophet/internal/core"
@@ -165,5 +166,30 @@ func TestDeterministicPipeline(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("pipeline runs are not deterministic")
+	}
+}
+
+// TestRunTriageRecyclesEngineStorage: RunTriage releases its engine, so a
+// second identical run reuses the first run's metadata table and address
+// compressor and allocates a small fraction of the cold run's bytes.
+func TestRunTriageRecyclesEngineStorage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	w, _ := workloads.Get("mcf")
+	recs := mem.Materialize(w.Source(100_000))
+	cfg := Default()
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		RunTriage(cfg.Sim, triage.Default(), mem.NewSliceSource(recs))
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	runtime.GC() // two cycles empty every sync.Pool: the first run is cold
+	runtime.GC()
+	cold, warm := run(), run()
+	if warm*4 > cold {
+		t.Fatalf("second RunTriage allocated %d bytes, first %d; want under a quarter", warm, cold)
 	}
 }

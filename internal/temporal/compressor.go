@@ -11,7 +11,11 @@
 // 5.10 uses.
 package temporal
 
-import "prophet/internal/mem"
+import (
+	"sync/atomic"
+
+	"prophet/internal/mem"
+)
 
 // IndexBits is the width of a compressed address (the 31-bit "target
 // address" of the metadata format).
@@ -33,16 +37,42 @@ const MaxIndex = 1<<IndexBits - 1
 type Compressor struct {
 	toIndex *probeMap[mem.Line]
 	toLine  []mem.Line
+	free    atomic.Bool // see recycler
 }
 
-// NewCompressor returns an empty compressor.
+// compressors recycles Released compressors across runs. A compressor
+// grows to the distinct-line footprint of its run (tens to hundreds of
+// thousands of lines); a fresh one per run would regrow from the presize
+// below, leaving every intermediate probe table and toLine slice behind as
+// garbage.
+var compressors = recycler[Compressor]{free: func(c *Compressor) *atomic.Bool { return &c.free }}
+
+// NewCompressor returns an empty compressor, reusing the storage of a
+// Released one when available. A reused compressor is observably fresh:
+// its probe map is cleared and toLine truncated, so indices are assigned
+// first-touch from 0 exactly as in a new one.
 func NewCompressor() *Compressor {
+	if c := compressors.get(); c != nil {
+		c.toIndex.clear()
+		c.toLine = c.toLine[:0]
+		return c
+	}
 	// Presized for the tens of thousands of distinct lines a typical
-	// simulated trace touches, so steady-state Index calls never rehash.
+	// simulated trace touches, so steady-state Index calls rarely rehash.
 	return &Compressor{
 		toIndex: newProbeMap[mem.Line](1 << 15),
 		toLine:  make([]mem.Line, 0, 1<<14),
 	}
+}
+
+// Release makes the compressor's storage available to a future
+// NewCompressor. The caller must not touch the compressor afterwards.
+// Releasing is optional — an unreleased compressor is ordinary garbage.
+func (c *Compressor) Release() {
+	if c == nil {
+		return
+	}
+	compressors.put(c)
 }
 
 // Index returns the compressed index for line l, allocating one on first use.

@@ -136,20 +136,19 @@ func AppendChase(dst []mem.Line, table *Table, comp *Compressor, src uint32, deg
 // gives the Multi-path Victim Buffer its second lookup port. Capacity is in
 // entries; replacement is LRU.
 //
-// Storage is a flat entry array indexed through a probe map: lookups cost
-// one probe, inserts never allocate in steady state, and LRU eviction scans
-// the (small, fixed) entry array — deterministically, unlike iterating a Go
-// map. Timestamps are unique (the clock ticks on every touch), so the LRU
-// victim is unique and the scan order cannot influence results.
+// Storage is a flat entry array indexed through a probe map, with an
+// intrusive doubly linked recency list threaded through the slots: lookups
+// cost one probe, every touch moves its slot to the head, and the LRU victim
+// is the tail, so inserts are O(1) and never allocate in steady state.
+// Slots fill in order and are freed only by eviction (which refills them at
+// once), so the live slots are always [0, Len).
 type ReuseBuffer struct {
-	cap     int
-	clock   uint64
-	index   *probeMap[uint32] // src -> slot in the entry arrays
-	keys    []uint32
-	targets []uint32
-	last    []uint64
-	used    []bool
-	n       int
+	index      *probeMap[uint32] // src -> slot in the entry arrays
+	keys       []uint32
+	targets    []uint32
+	prev, next []int32 // recency list: head is most recent, -1 ends it
+	head, tail int32
+	n          int
 }
 
 // NewReuseBuffer returns a reuse buffer holding up to capEntries entries.
@@ -158,12 +157,13 @@ func NewReuseBuffer(capEntries int) *ReuseBuffer {
 		capEntries = 1
 	}
 	return &ReuseBuffer{
-		cap:     capEntries,
 		index:   newProbeMap[uint32](capEntries),
 		keys:    make([]uint32, capEntries),
 		targets: make([]uint32, capEntries),
-		last:    make([]uint64, capEntries),
-		used:    make([]bool, capEntries),
+		prev:    make([]int32, capEntries),
+		next:    make([]int32, capEntries),
+		head:    -1,
+		tail:    -1,
 	}
 }
 
@@ -173,44 +173,63 @@ func (b *ReuseBuffer) Lookup(src uint32) (uint32, bool) {
 	if !ok {
 		return 0, false
 	}
-	b.clock++
-	b.last[slot] = b.clock
+	b.touch(int32(slot))
 	return b.targets[slot], true
 }
 
 // Insert buffers src -> target, evicting the LRU entry when full.
 func (b *ReuseBuffer) Insert(src, target uint32) {
-	b.clock++
 	if slot, ok := b.index.get(src); ok {
 		b.targets[slot] = target
-		b.last[slot] = b.clock
+		b.touch(int32(slot))
 		return
 	}
-	slot := -1
-	if b.n >= b.cap {
-		// Evict the LRU entry; clock uniqueness makes the victim unique.
-		lruT := b.last[0] + 1
-		for i := 0; i < b.cap; i++ {
-			if b.used[i] && b.last[i] < lruT {
-				slot, lruT = i, b.last[i]
-			}
-		}
+	var slot int32
+	if b.n == len(b.keys) {
+		slot = b.tail
 		b.index.del(b.keys[slot])
-		b.n--
+		b.unlink(slot)
 	} else {
-		for i := 0; i < b.cap; i++ {
-			if !b.used[i] {
-				slot = i
-				break
-			}
-		}
+		slot = int32(b.n)
+		b.n++
 	}
 	b.keys[slot] = src
 	b.targets[slot] = target
-	b.last[slot] = b.clock
-	b.used[slot] = true
+	b.pushFront(slot)
 	b.index.set(src, uint32(slot))
-	b.n++
+}
+
+// touch makes slot the most recently used.
+func (b *ReuseBuffer) touch(slot int32) {
+	if b.head != slot {
+		b.unlink(slot)
+		b.pushFront(slot)
+	}
+}
+
+func (b *ReuseBuffer) unlink(slot int32) {
+	p, n := b.prev[slot], b.next[slot]
+	if p >= 0 {
+		b.next[p] = n
+	} else {
+		b.head = n
+	}
+	if n >= 0 {
+		b.prev[n] = p
+	} else {
+		b.tail = p
+	}
+}
+
+func (b *ReuseBuffer) pushFront(slot int32) {
+	b.prev[slot] = -1
+	b.next[slot] = b.head
+	if b.head >= 0 {
+		b.prev[b.head] = slot
+	} else {
+		b.tail = slot
+	}
+	b.head = slot
 }
 
 // Len returns the number of buffered entries.

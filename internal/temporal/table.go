@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Policy selects the metadata-table replacement policy.
@@ -137,6 +138,7 @@ type Table struct {
 	clock     uint64
 	stats     TableStats
 	hawkeye   *hawkeyeState // non-nil for MetaHawkeye
+	free      atomic.Bool   // see recycler
 }
 
 // tagLiveBit marks a live slot in the tags accelerator array. Tags are 10
@@ -152,10 +154,10 @@ const tagLiveBit = 1 << 15
 // small per-set count array alone restores the fresh-table contract.
 var tablePools struct {
 	sync.RWMutex
-	m map[TableConfig]*sync.Pool
+	m map[TableConfig]*recycler[Table]
 }
 
-func tablePool(cfg TableConfig) *sync.Pool {
+func tablePool(cfg TableConfig) *recycler[Table] {
 	tablePools.RLock()
 	p := tablePools.m[cfg]
 	tablePools.RUnlock()
@@ -165,10 +167,10 @@ func tablePool(cfg TableConfig) *sync.Pool {
 	tablePools.Lock()
 	defer tablePools.Unlock()
 	if tablePools.m == nil {
-		tablePools.m = map[TableConfig]*sync.Pool{}
+		tablePools.m = map[TableConfig]*recycler[Table]{}
 	}
 	if p = tablePools.m[cfg]; p == nil {
-		p = &sync.Pool{}
+		p = &recycler[Table]{free: func(t *Table) *atomic.Bool { return &t.free }}
 		tablePools.m[cfg] = p
 	}
 	return p
@@ -190,7 +192,7 @@ func NewTable(cfg TableConfig, ways int) *Table {
 	if ways > cfg.MaxWays {
 		ways = cfg.MaxWays
 	}
-	if t, _ := tablePool(cfg).Get().(*Table); t != nil {
+	if t := tablePool(cfg).get(); t != nil {
 		t.recycle(ways)
 		return t
 	}
@@ -233,7 +235,7 @@ func (t *Table) Release() {
 	if t == nil {
 		return
 	}
-	tablePool(t.cfg).Put(t)
+	tablePool(t.cfg).put(t)
 }
 
 // setSlice returns the live entries of one set (the window prefix).

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,93 @@ func TestCompressorLookupNoAllocate(t *testing.T) {
 	if idx, ok := c.Lookup(42); !ok || idx != 0 {
 		t.Fatalf("Lookup after Index = %v,%v", idx, ok)
 	}
+}
+
+// TestCompressorRecycledIsFresh: a compressor grown past its presize and
+// recycled through Release/NewCompressor assigns the same index sequence as
+// a new one, starts empty, and no longer translates its old indices.
+func TestCompressorRecycledIsFresh(t *testing.T) {
+	const grown = 50_000 // past the 1<<15 presize, so the probe map regrew
+	c := NewCompressor()
+	for i := range grown {
+		c.Index(mem.Line(1_000_003 * uint64(i+1)))
+	}
+	c.Release()
+	r := NewCompressor()
+	if r != c {
+		t.Fatal("the Released compressor was not reused")
+	}
+	if r.Entries() != 0 {
+		t.Fatalf("recycled compressor holds %d entries", r.Entries())
+	}
+	if _, ok := r.Line(grown - 1); ok {
+		t.Fatal("recycled compressor still translates a stale index")
+	}
+	if _, ok := r.Lookup(mem.Line(1_000_003)); ok {
+		t.Fatal("recycled compressor still maps a stale line")
+	}
+	fresh := &Compressor{toIndex: newProbeMap[mem.Line](1 << 15)}
+	for i := range 2 * grown {
+		l := mem.Line(7919*uint64(i%(grown/2)) + 17) // repeats: hits and first touches
+		if got, want := r.Index(l), fresh.Index(l); got != want {
+			t.Fatalf("access %d: recycled Index = %d, fresh = %d", i, got, want)
+		}
+	}
+	if r.Entries() != fresh.Entries() {
+		t.Fatalf("Entries: recycled %d, fresh %d", r.Entries(), fresh.Entries())
+	}
+}
+
+// TestCompressorReuseReachesAnyP: a Released compressor is reused even when
+// the pool cannot hand it out (as when it sits in another P's private
+// slot), and a compressor claimed that way is never handed out again
+// through its leftover pool reference while in use.
+func TestCompressorReuseReachesAnyP(t *testing.T) {
+	c := NewCompressor()
+	c.Release()
+	for compressors.pool.Get() != nil {
+	}
+	if r := NewCompressor(); r != c {
+		t.Fatal("a Released compressor unreachable through the pool was not reused")
+	}
+
+	c.Release() // c is now both in the pool and the last released
+	if r := NewCompressor(); r != c {
+		t.Fatal("the last released compressor was not reused")
+	}
+	if d := NewCompressor(); d == c {
+		t.Fatal("a compressor in use was handed out a second time")
+	}
+	c.Release()
+	c.Release() // a second Release must not let two runs share c
+	if a, b := NewCompressor(), NewCompressor(); a == b {
+		t.Fatal("a doubly released compressor was handed out twice")
+	}
+}
+
+// TestCompressorPoolConcurrent cycles compressors through the pool from
+// several goroutines at once (as concurrent sweep runs do): each one handed
+// out must start empty and assign first-touch indices from 0.
+func TestCompressorPoolConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := range 50 {
+				c := NewCompressor()
+				for j := range 1000 {
+					l := mem.Line(uint64(g)<<32 | uint64(iter*1000+j))
+					if got := c.Index(l); got != uint32(j) {
+						t.Errorf("goroutine %d run %d: line %d got index %d", g, iter, j, got)
+						return
+					}
+				}
+				c.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCompressorSequentialAssignment(t *testing.T) {
@@ -386,5 +474,87 @@ func TestPolicyString(t *testing.T) {
 	}
 	if Policy(77).String() == "" {
 		t.Fatal("unknown policy should still format")
+	}
+}
+
+// scanLRU is the reference reuse buffer the recency list replaced: per-slot
+// timestamps and a full scan for the least recently used victim.
+type scanLRU struct {
+	clock   uint64
+	keys    []uint32
+	targets []uint32
+	last    []uint64
+	n       int
+}
+
+func (b *scanLRU) find(src uint32) int {
+	for i := 0; i < b.n; i++ {
+		if b.keys[i] == src {
+			return i
+		}
+	}
+	return -1
+}
+
+func (b *scanLRU) lookup(src uint32) (uint32, bool) {
+	i := b.find(src)
+	if i < 0 {
+		return 0, false
+	}
+	b.clock++
+	b.last[i] = b.clock
+	return b.targets[i], true
+}
+
+func (b *scanLRU) insert(src, target uint32) {
+	b.clock++
+	i := b.find(src)
+	if i < 0 {
+		if b.n < len(b.keys) {
+			i = b.n
+			b.n++
+		} else {
+			i = 0
+			for j := range b.last {
+				if b.last[j] < b.last[i] {
+					i = j
+				}
+			}
+		}
+		b.keys[i] = src
+	}
+	b.targets[i] = target
+	b.last[i] = b.clock
+}
+
+// TestReuseBufferMatchesScanLRU drives the O(1) reuse buffer and the
+// timestamp-scan reference with the same random mix of lookups, updates and
+// evicting inserts; every lookup must agree, so the victims are identical.
+func TestReuseBufferMatchesScanLRU(t *testing.T) {
+	for _, capEntries := range []int{1, 2, 7, 128} {
+		b := NewReuseBuffer(capEntries)
+		ref := &scanLRU{
+			keys:    make([]uint32, capEntries),
+			targets: make([]uint32, capEntries),
+			last:    make([]uint64, capEntries),
+		}
+		rng := mem.NewPRNG(uint64(capEntries))
+		for op := range 20_000 {
+			src := uint32(rng.Intn(3 * capEntries))
+			if rng.Intn(2) == 0 {
+				got, gotOK := b.Lookup(src)
+				want, wantOK := ref.lookup(src)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("cap %d op %d: Lookup(%d) = %d,%v, reference %d,%v", capEntries, op, src, got, gotOK, want, wantOK)
+				}
+			} else {
+				target := uint32(op)
+				b.Insert(src, target)
+				ref.insert(src, target)
+			}
+			if b.Len() != ref.n {
+				t.Fatalf("cap %d op %d: Len = %d, reference %d", capEntries, op, b.Len(), ref.n)
+			}
+		}
 	}
 }

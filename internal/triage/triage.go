@@ -143,11 +143,15 @@ func (p *Prefetcher) TableStats() temporal.TableStats { return p.table.Stats() }
 // Table exposes the metadata table for tests and histogram extraction.
 func (p *Prefetcher) Table() *temporal.Table { return p.table }
 
-// Release returns the metadata table's storage to the geometry pool. The
-// prefetcher (and anything obtained through Table) must not be used after.
-func (p *Prefetcher) Release() { p.table.Release() }
-
-// Compressor exposes the address compressor for measurement tooling.
-func (p *Prefetcher) Compressor() *temporal.Compressor { return p.comp }
+// Release returns the metadata table and the address compressor to their
+// pools, so the next engine built reuses their storage. The prefetcher (and
+// anything obtained through Table) must not be used after: Release drops
+// both references, so a later use panics instead of sharing storage with
+// another run.
+func (p *Prefetcher) Release() {
+	p.table.Release()
+	p.comp.Release()
+	p.table, p.comp = nil, nil
+}
 
 var _ temporal.Engine = (*Prefetcher)(nil)

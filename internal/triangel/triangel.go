@@ -370,9 +370,16 @@ func (p *Prefetcher) TableStats() temporal.TableStats { return p.table.Stats() }
 // Table exposes the metadata table for tests.
 func (p *Prefetcher) Table() *temporal.Table { return p.table }
 
-// Release returns the metadata table's storage to the geometry pool. The
-// prefetcher (and anything obtained through Table) must not be used after.
-func (p *Prefetcher) Release() { p.table.Release() }
+// Release returns the metadata table and the address compressor to their
+// pools, so the next engine built reuses their storage. The prefetcher (and
+// anything obtained through Table) must not be used after: Release drops
+// both references, so a later use panics instead of sharing storage with
+// another run.
+func (p *Prefetcher) Release() {
+	p.table.Release()
+	p.comp.Release()
+	p.table, p.comp = nil, nil
+}
 
 // PatternConf exposes a PC's confidence counter for tests and Figure 1.
 func (p *Prefetcher) PatternConf(pc mem.Addr) int8 { return p.pcSlot(pc).patternConf }

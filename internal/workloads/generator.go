@@ -459,4 +459,8 @@ func (g *Generator) Next() (mem.Access, bool) {
 	return a, true
 }
 
-var _ mem.Source = (*Generator)(nil)
+// Len implements mem.Sized: the exact number of records still to come, so
+// mem.Materialize allocates a generated trace once.
+func (g *Generator) Len() int { return int(g.limit - g.count) }
+
+var _ mem.Sized = (*Generator)(nil)

@@ -222,3 +222,35 @@ func TestZeroWeightStreamNeverEmits(t *testing.T) {
 		}
 	}
 }
+
+// TestMaterializeGeneratorAllocatesOnce: a Generator knows its exact length,
+// so mem.Materialize collects it in one allocation with no spare capacity,
+// and a Limit over it stays exact.
+func TestMaterializeGeneratorAllocatesOnce(t *testing.T) {
+	const records = 20_000
+	w, _ := Get("mcf")
+	gens := make([]*Generator, 6)
+	for i := range gens {
+		gens[i] = NewGenerator(w.Spec, records)
+	}
+	var recs []mem.Access
+	allocs := testing.AllocsPerRun(len(gens)-1, func() {
+		recs = mem.Materialize(gens[0])
+		gens = gens[1:]
+	})
+	if allocs != 1 {
+		t.Fatalf("Materialize(Generator) made %v allocations, want 1", allocs)
+	}
+	if len(recs) != records || cap(recs) != len(recs) {
+		t.Fatalf("Materialize(Generator): len %d cap %d, want %d", len(recs), cap(recs), records)
+	}
+	lim := mem.Materialize(mem.Limit(NewGenerator(w.Spec, records), 5000))
+	if len(lim) != 5000 || cap(lim) != 5000 {
+		t.Fatalf("Materialize(Limit(Generator, 5000)): len %d cap %d", len(lim), cap(lim))
+	}
+	for i := range lim {
+		if lim[i] != recs[i] {
+			t.Fatalf("limited record %d = %+v, want %+v", i, lim[i], recs[i])
+		}
+	}
+}

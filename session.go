@@ -101,6 +101,7 @@ func (s *Session) Run(ctx context.Context, b Binary, w Workload) (RunStats, erro
 	base := s.e.eng.Baseline(w.key(), f)
 	engine := core.New(cfg.Prophet, b.hints, b.weights)
 	st := sim.RunOpts(cfg.Sim, cfg.Run, engine, nil, nil, nil, f())
+	engine.Release()
 	return summarize(st, base), nil
 }
 
@@ -136,12 +137,14 @@ func (s *Session) RunOnline(ctx context.Context, w Workload) (OnlineStats, error
 	base := s.e.eng.Baseline(w.key(), f)
 	wr := adaptive.New(adaptive.Default())
 	st := sim.RunOpts(cfg.Sim, cfg.Run, wr, nil, nil, nil, f())
-	return OnlineStats{
+	out := OnlineStats{
 		RunStats: summarize(st, base),
 		Switches: wr.Switches(),
 		Windows:  wr.Windows(),
 		Final:    wr.Active(),
-	}, nil
+	}
+	wr.Release()
+	return out, nil
 }
 
 // Binary represents an optimized binary: the original program plus the
