@@ -49,6 +49,7 @@ func TestNextBlockEquivalence(t *testing.T) {
 		"slice":    func() Source { return NewSliceSource(recs) },
 		"limited":  func() Source { return Limit(NewSliceSource(recs), 73) },
 		"fallback": func() Source { return recordSource{NewSliceSource(recs)} },
+		"packed":   func() Source { return Pack(NewSliceSource(recs)).Source() },
 		"trace": func() Source {
 			tr, err := NewTraceReader(bytes.NewReader(traced.Bytes()))
 			if err != nil {

@@ -63,8 +63,6 @@ type Access struct {
 	PC Addr
 	// Addr is the effective (data) address accessed.
 	Addr Addr
-	// Kind says whether the access reads or writes.
-	Kind Kind
 	// Dep is the distance, in memory records, to the record producing this
 	// access's address. 0 means the address does not depend on a recent
 	// load (it can issue as soon as it is fetched); 1 means it depends on
@@ -74,6 +72,10 @@ type Access struct {
 	// access in program order. They consume fetch/commit bandwidth but
 	// never access the memory hierarchy.
 	Gap uint16
+	// Kind says whether the access reads or writes. It sits last so the
+	// record packs into 24 bytes: ahead of Dep, alignment would pad it to
+	// 32.
+	Kind Kind
 }
 
 // Line returns the cache line touched by the access.
@@ -124,9 +126,9 @@ type Sized interface {
 func (s *SliceSource) Len() int { return len(s.recs) - s.pos }
 
 // Materialize returns the source's full record sequence as a slice. A fresh
-// SliceSource is returned as its backing slice without copying — callers
-// treat the result as read-only — so caching layers that wrap already
-// materialized traces (decoded trace files) do not duplicate them in memory.
+// SliceSource is returned as its backing slice without copying; callers
+// treat the result as read-only. Traces kept across passes are held packed
+// instead (Pack), at about a quarter of the size.
 func Materialize(src Source) []Access {
 	if s, ok := src.(*SliceSource); ok && s.pos == 0 {
 		return s.recs
@@ -136,8 +138,9 @@ func Materialize(src Source) []Access {
 
 // Collect drains a source into a slice, stopping after max records
 // (max <= 0 means unbounded). It is the materialization path behind
-// Materialize (every sweep trace passes through it) and the trace-file
-// writer. A Sized source is collected into one allocation of its Len.
+// Materialize, ReadTrace and the trace-file writer; the sweep's trace store
+// and the file: trace cache hold Packed traces instead. A Sized source is
+// collected into one allocation of its Len.
 func Collect(src Source, max int) []Access {
 	var out []Access
 	if s, ok := src.(Sized); ok {

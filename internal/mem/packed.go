@@ -1,0 +1,177 @@
+package mem
+
+import (
+	"encoding/binary"
+	"slices"
+)
+
+// Packed is a read-only trace held in a compact, lossless encoding: about
+// 6 bytes per record on the catalog workloads, against 24 for an []Access.
+// It is what the trace caches keep, so a long-lived process pays for a
+// trace's record stream once and as little as the stream needs.
+//
+// The encoding has a PC dictionary (each distinct PC once, in order of first
+// appearance) and, per record:
+//
+//   - a header uvarint: the PC's dictionary index shifted left 2, or'ed with
+//     the Kind when it is below kindEscape and with kindEscape otherwise, in
+//     which case the full Kind byte follows;
+//   - a zigzag varint of the address delta from the previous address of the
+//     same PC (from 0 for its first record), wrapping modulo 2^64;
+//   - uvarints of Dep and Gap.
+//
+// Loads and stores of a trace's first 32 PCs thus take a one-byte header.
+// Records are stored in chunks of up to packChunkBytes, and no record spans
+// two chunks, so the encoder never copies what it has written and the
+// decoder checks for the end of a chunk only between records.
+type Packed struct {
+	pcs    []Addr
+	chunks [][]byte
+	n      int
+	bytes  int
+}
+
+const (
+	packChunkBytes = 64 << 10
+	// kindEscape in a header's low 2 bits means a full Kind byte follows.
+	kindEscape = 3
+	// maxPackedRecord bounds one encoded record: the header and address
+	// delta take up to 10 bytes each, the escaped Kind 1, Dep 5 and Gap 3.
+	maxPackedRecord = 2*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen32 + binary.MaxVarintLen16
+)
+
+// Pack encodes src's remaining records. A PackedSource that has delivered
+// nothing yet is returned as its trace without re-encoding, so caches
+// layered over one packed trace (a decoded trace file under the sweep's
+// trace store) share its storage.
+func Pack(src Source) *Packed {
+	if s, ok := src.(*PackedSource); ok && s.left == s.p.n {
+		return s.p
+	}
+	p := &Packed{}
+	index := map[Addr]uint64{}
+	var last []Addr // previous address of each PC, by dictionary index
+	chunk := make([]byte, 0, packChunkBytes)
+	for a, ok := src.Next(); ok; a, ok = src.Next() {
+		if cap(chunk)-len(chunk) < maxPackedRecord {
+			p.addChunk(chunk)
+			chunk = make([]byte, 0, packChunkBytes)
+		}
+		i, seen := index[a.PC]
+		if !seen {
+			i = uint64(len(p.pcs))
+			index[a.PC] = i
+			p.pcs = append(p.pcs, a.PC)
+			last = append(last, 0)
+		}
+		if a.Kind < kindEscape {
+			chunk = binary.AppendUvarint(chunk, i<<2|uint64(a.Kind))
+		} else {
+			chunk = binary.AppendUvarint(chunk, i<<2|kindEscape)
+			chunk = append(chunk, byte(a.Kind))
+		}
+		chunk = binary.AppendVarint(chunk, int64(a.Addr-last[i]))
+		chunk = binary.AppendUvarint(chunk, uint64(a.Dep))
+		chunk = binary.AppendUvarint(chunk, uint64(a.Gap))
+		last[i] = a.Addr
+		p.n++
+	}
+	if len(chunk) > 0 {
+		p.addChunk(slices.Clone(chunk)) // trim the last chunk's spare capacity
+	}
+	p.pcs = slices.Clone(p.pcs) // drop append's spare capacity
+	return p
+}
+
+func (p *Packed) addChunk(c []byte) {
+	p.chunks = append(p.chunks, c)
+	p.bytes += len(c)
+}
+
+// Len returns the number of records.
+func (p *Packed) Len() int { return p.n }
+
+// Bytes returns the size of the encoding: the record chunks plus the PC
+// dictionary.
+func (p *Packed) Bytes() int { return p.bytes + 8*len(p.pcs) }
+
+// Source returns a fresh replay of the trace. Sources over one Packed are
+// independent and may run concurrently.
+func (p *Packed) Source() *PackedSource {
+	return &PackedSource{p: p, last: make([]Addr, len(p.pcs)), left: p.n}
+}
+
+// PackedSource replays a Packed trace. It is a Sized BlockSource whose
+// NextBlock decodes straight into the caller's buffer.
+type PackedSource struct {
+	p     *Packed
+	last  []Addr // previous address of each PC, by dictionary index
+	chunk []byte // chunk being decoded
+	pos   int    // offset of the next record in chunk
+	next  int    // index of the chunk after chunk
+	left  int    // records not yet delivered
+}
+
+// Len implements Sized.
+func (s *PackedSource) Len() int { return s.left }
+
+// Next implements Source.
+func (s *PackedSource) Next() (Access, bool) {
+	var one [1]Access
+	if len(s.NextBlock(one[:])) == 0 {
+		return Access{}, false
+	}
+	return one[0], true
+}
+
+// NextBlock implements BlockSource, decoding up to len(buf) records into buf.
+func (s *PackedSource) NextBlock(buf []Access) []Access {
+	buf = buf[:min(len(buf), s.left)]
+	s.left -= len(buf)
+	b, pos, last, pcs := s.chunk, s.pos, s.last, s.p.pcs
+	for i := range buf {
+		if pos == len(b) {
+			b, pos = s.p.chunks[s.next], 0
+			s.next++
+		}
+		var head, delta, dep, gap uint64
+		head, pos = uvarint(b, pos)
+		kind := Kind(head & kindEscape)
+		if kind == kindEscape {
+			kind = Kind(b[pos])
+			pos++
+		}
+		delta, pos = uvarint(b, pos)
+		dep, pos = uvarint(b, pos)
+		gap, pos = uvarint(b, pos)
+		pc := head >> 2
+		// Undo the zigzag: delta>>1 is the magnitude, the low bit the sign.
+		addr := last[pc] + Addr(delta>>1^-(delta&1))
+		last[pc] = addr
+		buf[i] = Access{PC: pcs[pc], Addr: addr, Dep: uint32(dep), Gap: uint16(gap), Kind: kind}
+	}
+	s.chunk, s.pos = b, pos
+	return buf
+}
+
+// uvarint decodes the uvarint the encoder wrote at b[pos:], returning it and
+// the offset after it. One-byte values, most of a trace, take the inlined
+// fast path.
+func uvarint(b []byte, pos int) (uint64, int) {
+	if c := b[pos]; c < 0x80 {
+		return uint64(c), pos + 1
+	}
+	return uvarintLong(b, pos)
+}
+
+func uvarintLong(b []byte, pos int) (uint64, int) {
+	var v uint64
+	for shift := 0; ; shift += 7 {
+		c := b[pos]
+		pos++
+		if c < 0x80 {
+			return v | uint64(c)<<shift, pos
+		}
+		v |= uint64(c&0x7f) << shift
+	}
+}

@@ -105,10 +105,11 @@ func TestOpenTraceFileStreams(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		want, err := ReadTraceFile(path)
+		packed, err := ReadTraceFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := Collect(packed.Source(), 0)
 		if len(got) != len(want) {
 			t.Fatalf("%s: streamed %d records, read %d", name, len(got), len(want))
 		}

@@ -97,7 +97,7 @@ const traceBlockRecords = 4096
 // decodes records on demand. It implements Source, so a trace file can be
 // replayed directly into the simulator with O(block) memory whatever the
 // trace length. Callers that need random access or multiple passes should
-// collect the records instead (ReadTrace / ReadTraceFile).
+// read the whole trace instead (ReadTrace / ReadTraceFile).
 type TraceReader struct {
 	r         io.Reader
 	count     uint64 // total records in the trace
@@ -219,15 +219,16 @@ func OpenTraceFile(path string) (*TraceReader, error) {
 }
 
 // ReadTraceFile reads an entire trace file written by WriteTraceFile (or by
-// WriteTrace to a plain file), transparently decompressing gzip. Use
-// OpenTraceFile to stream instead of materializing every record.
-func ReadTraceFile(path string) ([]Access, error) {
+// WriteTrace to a plain file), transparently decompressing gzip, into a
+// packed in-memory trace. Use OpenTraceFile to stream instead of holding
+// every record.
+func ReadTraceFile(path string) (*Packed, error) {
 	tr, err := OpenTraceFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer tr.Close()
-	return collectTrace(tr)
+	return readTrace(tr, Pack)
 }
 
 // ReadTrace reads an entire trace produced by WriteTrace.
@@ -236,7 +237,7 @@ func ReadTrace(r io.Reader) ([]Access, error) {
 	if err != nil {
 		return nil, err
 	}
-	return collectTrace(tr)
+	return readTrace(tr, func(src Source) []Access { return Collect(src, 0) })
 }
 
 // maxTracePrealloc caps the records a TraceReader reports through Len, and
@@ -255,13 +256,16 @@ func (t *TraceReader) Len() int {
 	return int(min(t.count-t.delivered, maxTracePrealloc))
 }
 
-func collectTrace(tr *TraceReader) ([]Access, error) {
+// readTrace drains tr through collect, refusing header counts past
+// maxTraceRecords and reporting a stream that ended early.
+func readTrace[T any](tr *TraceReader, collect func(Source) T) (T, error) {
+	var zero T
 	if tr.Count() > maxTraceRecords {
-		return nil, fmt.Errorf("%w: record count %d too large", ErrBadTrace, tr.Count())
+		return zero, fmt.Errorf("%w: record count %d too large", ErrBadTrace, tr.Count())
 	}
-	recs := Collect(tr, 0)
+	out := collect(tr)
 	if err := tr.Err(); err != nil {
-		return nil, err
+		return zero, err
 	}
-	return recs, nil
+	return out, nil
 }

@@ -58,10 +58,11 @@ func TestTraceFileRoundTrip(t *testing.T) {
 		if n != uint64(len(recs)) {
 			t.Fatalf("%s: wrote %d records, want %d", path, n, len(recs))
 		}
-		got, err := ReadTraceFile(path)
+		packed, err := ReadTraceFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
+		got := Collect(packed.Source(), 0)
 		if len(got) != len(recs) {
 			t.Fatalf("%s: read %d records, want %d", path, len(got), len(recs))
 		}
@@ -91,8 +92,8 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("renamed gzip trace: %v", err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("renamed gzip trace: read %d records, want %d", len(got), len(recs))
+	if got.Len() != len(recs) {
+		t.Fatalf("renamed gzip trace: read %d records, want %d", got.Len(), len(recs))
 	}
 }
 

@@ -63,15 +63,18 @@ type baselineEntry struct {
 	stats sim.Stats
 }
 
-// traceEntry materializes one trace, once. Trace factories are deterministic
-// per key, so every simulation pass over the same key — baseline, scheme
-// run, Prophet's profile pass, RPG2's tuning ladder, each scheme of a sweep
-// — can replay one in-memory record slice instead of re-generating (or
-// re-decoding) the stream. Generation is a measurable fraction of short
-// runs; this is the sweep-level scratch reuse that removes it.
+// traceEntry materializes one trace, once, in packed form. Trace factories
+// are deterministic per key, so every simulation pass over the same key —
+// baseline, scheme run, Prophet's profile pass, RPG2's tuning ladder, each
+// scheme of a sweep — can replay one in-memory trace instead of
+// re-generating (or re-decoding) the stream. Generation is a measurable
+// fraction of short runs; this is the sweep-level scratch reuse that removes
+// it. The packed form holds about 6 bytes a record against 24 for an
+// []mem.Access, and replay decodes it straight into the simulator's block
+// buffer; trace.Bytes() is the entry's exact size.
 type traceEntry struct {
-	once sync.Once
-	recs []mem.Access
+	once  sync.Once
+	trace *mem.Packed
 }
 
 // traceStore is the process-wide materialized-trace cache. It is global, not
@@ -100,10 +103,10 @@ func NewEvaluator(cfg Config, workers int) *Evaluator {
 	}
 }
 
-// cachedFactory wraps a job's trace factory so all passes share one
-// materialized record slice. Concurrent callers for the same key coalesce on
-// the entry's once; the FIFO bound evicts old keys from the store, but
-// factories already handed out keep their entry alive until they are done.
+// cachedFactory wraps a job's trace factory so all passes share one packed
+// trace. Concurrent callers for the same key coalesce on the entry's once;
+// the FIFO bound evicts old keys from the store, but factories already
+// handed out keep their entry alive until they are done.
 func cachedFactory(key string, f SourceFactory) SourceFactory {
 	traceStore.Lock()
 	if traceStore.entries == nil {
@@ -121,11 +124,11 @@ func cachedFactory(key string, f SourceFactory) SourceFactory {
 	}
 	traceStore.Unlock()
 	return func() mem.Source {
-		// Materialize shares the backing slice of already slice-backed
-		// sources (file: traces decoded by the root-level cache), so the
-		// two cache layers never hold duplicate copies of one trace.
-		entry.once.Do(func() { entry.recs = mem.Materialize(f()) })
-		return mem.NewSliceSource(entry.recs)
+		// Pack returns the storage of an unread packed source as is
+		// (file: traces packed by the root-level cache), so the two cache
+		// layers never hold duplicate copies of one trace.
+		entry.once.Do(func() { entry.trace = mem.Pack(f()) })
+		return entry.trace.Source()
 	}
 }
 

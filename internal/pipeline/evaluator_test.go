@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -95,5 +96,62 @@ func TestSweepEmpty(t *testing.T) {
 	outs, err := ev.Sweep(context.Background())
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("empty sweep: outs=%d err=%v", len(outs), err)
+	}
+}
+
+// storedTrace returns the trace store's packed trace for key, or nil.
+func storedTrace(key string) *mem.Packed {
+	traceStore.Lock()
+	defer traceStore.Unlock()
+	if e := traceStore.entries[key]; e != nil {
+		return e.trace
+	}
+	return nil
+}
+
+// TestTraceStoreFootprint pins the trace store's per-record cost: after a
+// sweep over mcf at its catalog length, the stored trace replays the
+// generated records exactly and holds at most 8 bytes a record (an
+// []mem.Access holds 24).
+func TestTraceStoreFootprint(t *testing.T) {
+	w, _ := workloads.Get("mcf")
+	key := "footprint-mcf"
+	job := Job{Key: key, Factory: func() mem.Source { return w.Source(0) }, Scheme: "baseline"}
+	if _, err := NewEvaluator(Default(), 1).Sweep(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	trace := storedTrace(key)
+	if trace == nil {
+		t.Fatal("the sweep left no trace in the store")
+	}
+	want := mem.Collect(w.Source(0), 0)
+	if trace.Len() != len(want) {
+		t.Fatalf("stored trace has %d records, want %d", trace.Len(), len(want))
+	}
+	if perRecord := float64(trace.Bytes()) / float64(trace.Len()); perRecord > 8 {
+		t.Fatalf("trace store holds %.2f B/record (%d bytes for %d records), want <= 8",
+			perRecord, trace.Bytes(), trace.Len())
+	}
+	got := mem.Collect(trace.Source(), 0)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestTraceStoreSharesPackedSource: a factory that hands out fresh replays
+// of one packed trace, as the file: workload cache does, is stored as that
+// trace, not as a second encoding of it.
+func TestTraceStoreSharesPackedSource(t *testing.T) {
+	w, _ := workloads.Get("sphinx3")
+	trace := mem.Pack(w.Source(5_000))
+	key := fmt.Sprintf("shared-sphinx3-%p", trace) // fresh on every -count
+	job := Job{Key: key, Factory: func() mem.Source { return trace.Source() }, Scheme: "baseline"}
+	if _, err := NewEvaluator(Default(), 1).Sweep(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	if storedTrace(key) != trace {
+		t.Fatal("the trace store re-encoded a packed source instead of sharing it")
 	}
 }

@@ -102,17 +102,7 @@ func RunOpts(cfg Config, opts Opts, engine temporal.Engine, sw SWPrefetcher, cou
 
 	sc := getScratch(runKey{cfg: cfg, opts: opts}, engine, sw, counters, observer, par)
 
-	// Decode-ahead: overlap trace decode/generation with simulation for
-	// streaming sources. In-memory traces are already decoded — wrapping
-	// them would only add channel hops.
-	runSrc := src
-	var pf *mem.PrefetchSource
-	if par > 1 && opts.BlockRecords > 0 {
-		if _, inMemory := src.(*mem.SliceSource); !inMemory {
-			pf = mem.Prefetch(src, opts.BlockRecords, par-1)
-			runSrc = pf
-		}
-	}
+	runSrc, pf := decodeAhead(src, opts, par)
 
 	var coreStats cpu.Stats
 	if opts.BlockRecords > 0 {
@@ -130,6 +120,23 @@ func RunOpts(cfg Config, opts Opts, engine temporal.Engine, sw SWPrefetcher, cou
 	}
 	putScratch(runKey{cfg: cfg, opts: opts}, sc)
 	return st
+}
+
+// decodeAhead overlaps trace decode/generation with simulation for
+// streaming sources, wrapping src in a mem.Prefetch pipeline the caller
+// stops. In-memory traces are left alone: a slice needs no decoding, and a
+// packed trace decodes in a small fraction of the time the core spends on
+// each record, too little to pay for a goroutine and channel per pass.
+func decodeAhead(src mem.Source, opts Opts, par int) (mem.Source, *mem.PrefetchSource) {
+	if par <= 1 || opts.BlockRecords <= 0 {
+		return src, nil
+	}
+	switch src.(type) {
+	case *mem.SliceSource, *mem.PackedSource:
+		return src, nil
+	}
+	pf := mem.Prefetch(src, opts.BlockRecords, par-1)
+	return pf, pf
 }
 
 // reset restores pooled scratch for reuse. With par > 1 the large disjoint

@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -408,9 +409,9 @@ const (
 func (t *Table) victim(entries []Entry) int {
 	switch t.cfg.Policy {
 	case MetaLRU:
-		return victimLRU(entries, nil)
+		return victimLRU(entries, math.MaxUint8)
 	case MetaSRRIP, MetaHawkeye:
-		return victimSRRIP(entries, nil)
+		return victimSRRIP(entries, math.MaxUint8)
 	case ProphetPriority:
 		// Candidates: entries with the lowest priority level; the
 		// runtime policy (RRIP state) picks among them (Section 3.1:
@@ -423,19 +424,19 @@ func (t *Table) victim(entries []Entry) int {
 				minPrio = e.Priority
 			}
 		}
-		cand := make([]bool, len(entries))
-		for i := range entries {
-			cand[i] = entries[i].Priority == minPrio
-		}
-		return victimSRRIP(entries, cand)
+		return victimSRRIP(entries, minPrio)
 	}
 	panic("temporal: unknown table policy " + t.cfg.Policy.String())
 }
 
-func victimLRU(entries []Entry, cand []bool) int {
+// victimLRU returns the least recently used candidate. Candidates are the
+// entries whose Priority is at most maxPrio: math.MaxUint8 admits every
+// entry, and a set's minimum priority admits exactly its lowest level
+// without building a candidate list.
+func victimLRU(entries []Entry, maxPrio uint8) int {
 	best := -1
 	for i := range entries {
-		if cand != nil && !cand[i] {
+		if entries[i].Priority > maxPrio {
 			continue
 		}
 		if best < 0 || entries[i].last < entries[best].last {
@@ -445,10 +446,12 @@ func victimLRU(entries []Entry, cand []bool) int {
 	return best
 }
 
-func victimSRRIP(entries []Entry, cand []bool) int {
+// victimSRRIP returns the first candidate (as for victimLRU) at the maximum
+// RRPV, aging the candidates until one is.
+func victimSRRIP(entries []Entry, maxPrio uint8) int {
 	for {
 		for i := range entries {
-			if cand != nil && !cand[i] {
+			if entries[i].Priority > maxPrio {
 				continue
 			}
 			if entries[i].rrpv >= srripMaxRRPV {
@@ -457,7 +460,7 @@ func victimSRRIP(entries []Entry, cand []bool) int {
 		}
 		aged := false
 		for i := range entries {
-			if cand != nil && !cand[i] {
+			if entries[i].Priority > maxPrio {
 				continue
 			}
 			if entries[i].rrpv < srripMaxRRPV {
@@ -468,7 +471,7 @@ func victimSRRIP(entries []Entry, cand []bool) int {
 		if !aged {
 			// All candidates already at max but loop missed them
 			// (defensive); fall back to recency.
-			return victimLRU(entries, cand)
+			return victimLRU(entries, maxPrio)
 		}
 	}
 }

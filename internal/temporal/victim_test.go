@@ -1,0 +1,111 @@
+package temporal
+
+import (
+	"testing"
+
+	"prophet/internal/mem"
+)
+
+// candidateVictim is the ProphetPriority victim choice as a candidate-slice
+// filter: mark the entries at the set's lowest priority, then run SRRIP over
+// the marked ones, aging only them, and fall back to recency among them. It
+// is the reference the allocation-free Table.victim must match.
+func candidateVictim(entries []Entry) int {
+	minPrio := entries[0].Priority
+	for _, e := range entries[1:] {
+		minPrio = min(minPrio, e.Priority)
+	}
+	cand := make([]bool, len(entries))
+	for i := range entries {
+		cand[i] = entries[i].Priority == minPrio
+	}
+	for {
+		for i := range entries {
+			if cand[i] && entries[i].rrpv >= srripMaxRRPV {
+				return i
+			}
+		}
+		aged := false
+		for i := range entries {
+			if cand[i] && entries[i].rrpv < srripMaxRRPV {
+				entries[i].rrpv++
+				aged = true
+			}
+		}
+		if !aged {
+			best := -1
+			for i := range entries {
+				if cand[i] && (best < 0 || entries[i].last < entries[best].last) {
+					best = i
+				}
+			}
+			return best
+		}
+	}
+}
+
+// TestProphetVictimMatchesCandidateSlice drives a ProphetPriority table with
+// a random mix of lookups, updates and evicting inserts. Before every insert
+// the set is copied and the reference picks its victim on the copy; the
+// table must evict the same entry and leave the rest of the set, RRIP ages
+// included, exactly as the reference left the copy.
+func TestProphetVictimMatchesCandidateSlice(t *testing.T) {
+	tb := NewTable(smallTable(ProphetPriority), 2) // 4 entries per set
+	rng := mem.NewPRNG(7)
+	replacements := 0
+	for op := range 50_000 {
+		src := uint32(rng.Intn(16 * 12)) // ~12 tags per set, 4 fit
+		if rng.Intn(3) == 0 {
+			tb.Lookup(src)
+			continue
+		}
+		set, tag := tb.locate(src)
+		want := append([]Entry(nil), tb.setSlice(set)...)
+		before := tb.Stats().Replacements
+		ev := tb.Insert(src, uint32(op), uint8(rng.Intn(4)))
+		if tb.Stats().Replacements == before {
+			continue
+		}
+		replacements++
+		vi := candidateVictim(want)
+		if !ev.Valid || ev.Tag != want[vi].Tag || ev.Target != want[vi].Target || ev.Priority != want[vi].Priority {
+			t.Fatalf("op %d: evicted %+v, reference victim %+v", op, ev, want[vi])
+		}
+		got := tb.setSlice(set)
+		if got[vi].Tag != tag {
+			t.Fatalf("op %d: new tag %#x not in the reference victim's slot %d", op, tag, vi)
+		}
+		for i := range want {
+			if i != vi && got[i] != want[i] {
+				t.Fatalf("op %d: slot %d = %+v, reference %+v", op, i, got[i], want[i])
+			}
+		}
+	}
+	if replacements < 1000 {
+		t.Fatalf("only %d replacements exercised", replacements)
+	}
+}
+
+// TestProphetInsertDoesNotAllocate pins the replacement path of a full
+// priority set to zero heap allocations.
+func TestProphetInsertDoesNotAllocate(t *testing.T) {
+	cfg := smallTable(ProphetPriority)
+	tb := NewTable(cfg, cfg.MaxWays)
+	perSet := cfg.MaxWays * cfg.EntriesPerWay
+	src := uint32(0)
+	for range perSet {
+		tb.Insert(src, src, uint8(src%4))
+		src += uint32(cfg.Sets) // same set, next tag
+	}
+	before := tb.Stats().Replacements
+	allocs := testing.AllocsPerRun(200, func() {
+		tb.Insert(src, src, uint8(src%3))
+		src += uint32(cfg.Sets)
+	})
+	if allocs != 0 {
+		t.Fatalf("Insert into a full priority set allocates %.1f times", allocs)
+	}
+	if tb.Stats().Replacements == before {
+		t.Fatal("no replacement exercised")
+	}
+}

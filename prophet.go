@@ -156,17 +156,19 @@ func (w Workload) factory() (pipeline.SourceFactory, error) {
 		return func() mem.Source { return g.Source(records) }, nil
 	}
 	if path, ok := strings.CutPrefix(w.Name, "file:"); ok {
-		// The parsed trace is shared through a small cache; the factory
-		// then replays the in-memory records, so the multi-pass schemes
+		// The parsed trace is shared, packed, through a small cache; the
+		// factory then replays it from memory, so the multi-pass schemes
 		// (RPG2, Prophet) and multi-scheme sweeps over one file see
-		// identical streams without re-reading or re-decoding it.
-		recs, err := readTraceCached(path)
+		// identical streams without re-reading the file. A whole-trace
+		// source stays unwrapped, so the sweep's trace store keeps this
+		// same packed storage instead of a second copy.
+		trace, err := readTraceCached(path)
 		if err != nil {
 			return nil, fmt.Errorf("prophet: workload %q: %w", w.Name, err)
 		}
 		return func() mem.Source {
-			src := mem.Source(mem.NewSliceSource(recs))
-			if records > 0 {
+			src := mem.Source(trace.Source())
+			if records > 0 && records < uint64(trace.Len()) {
 				src = mem.Limit(src, records)
 			}
 			return src
@@ -298,16 +300,16 @@ var traceCache struct {
 }
 
 type traceEntry struct {
-	recs    []mem.Access
+	trace   *mem.Packed
 	size    int64
 	modTime time.Time
 }
 
 const traceCacheMax = 4
 
-// readTraceCached loads a trace file through the cache. The records slice
-// is shared read-only across callers (SliceSource copies only a cursor).
-func readTraceCached(path string) ([]mem.Access, error) {
+// readTraceCached loads a trace file through the cache. The packed trace is
+// shared read-only across callers (each replay holds only a cursor).
+func readTraceCached(path string) (*mem.Packed, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
@@ -315,10 +317,10 @@ func readTraceCached(path string) ([]mem.Access, error) {
 	traceCache.Lock()
 	if e, ok := traceCache.entries[path]; ok && e.size == fi.Size() && e.modTime.Equal(fi.ModTime()) {
 		traceCache.Unlock()
-		return e.recs, nil
+		return e.trace, nil
 	}
 	traceCache.Unlock()
-	recs, err := mem.ReadTraceFile(path)
+	trace, err := mem.ReadTraceFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -333,9 +335,9 @@ func readTraceCached(path string) ([]mem.Access, error) {
 			traceCache.order = traceCache.order[1:]
 		}
 	}
-	traceCache.entries[path] = traceEntry{recs: recs, size: fi.Size(), modTime: fi.ModTime()}
+	traceCache.entries[path] = traceEntry{trace: trace, size: fi.Size(), modTime: fi.ModTime()}
 	traceCache.Unlock()
-	return recs, nil
+	return trace, nil
 }
 
 // key identifies the workload's exact trace for baseline caching. Records
