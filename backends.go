@@ -93,6 +93,12 @@ type Health struct {
 	Peers int `json:"peers"`
 }
 
+// batchReplyPerJob bounds the bytes of a peer's /v1/batch reply per job in
+// the batch. One BatchResult row encodes to under 1 KiB of JSON, so the
+// budget leaves ample headroom while a peer streaming an endless reply
+// fails the batch instead of growing the coordinator's heap without bound.
+const batchReplyPerJob = 64 << 10
+
 // httpBackend executes job batches against one remote prophetd instance.
 // want is the coordinator's engine configuration; replies simulated under
 // anything else are treated as backend failures. fp is the coordinator's
@@ -165,7 +171,8 @@ func (b *httpBackend) Execute(ctx context.Context, jobs []Job) ([]Result, error)
 			b.base, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
 	var br BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+	limit := int64(len(jobs)) * batchReplyPerJob
+	if err := json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(&br); err != nil {
 		return nil, fmt.Errorf("prophet: backend %s: decode batch reply: %w", b.base, err)
 	}
 	if br.Options != b.want {

@@ -60,12 +60,7 @@ type Report struct {
 	GOARCH    string `json:"goarch"`
 	Date      string `json:"date"`
 	Records   uint64 `json:"records"`
-	// RunParallelism is the intra-run worker bound the cells were measured
-	// with (0 in reports predating the knob = fully synchronous runs).
-	// Results are bit-identical across values; only timings shift, so two
-	// reports measured at different nonzero settings are not comparable.
-	RunParallelism int    `json:"runParallelism,omitempty"`
-	Cells          []Cell `json:"cells"`
+	Cells     []Cell `json:"cells"`
 }
 
 // Cell is one workload x scheme measurement.
@@ -96,7 +91,6 @@ func main() {
 		threshold     = flag.Float64("threshold", 10, "max allowed ns/op regression percent vs -compare")
 		nsGate        = flag.Bool("ns-gate", true, "gate on ns/op (disable when the baseline comes from different hardware; allocs/op stays gated)")
 		extended      = flag.Bool("extended", false, "append the extra scheme families (gaze, adaptive) to the matrix; their cells are absent from older baselines and therefore not gated")
-		runPar        = flag.Int("run-parallelism", 0, "intra-run worker bound per simulation (0 or 1 = fully synchronous; results are identical, only timings shift)")
 		cpuprofile    = flag.String("cpuprofile", "", "capture a CPU profile of the whole matrix run to this .pprof file (feeds the PGO loop, docs/PROFILING.md)")
 		showVersion   = flag.Bool("version", false, "print version and exit")
 	)
@@ -111,15 +105,14 @@ func main() {
 	}
 
 	rep := Report{
-		Schema:         schemaVersion,
-		Tool:           "prophetbench",
-		Version:        prophet.Version(),
-		GoVersion:      runtime.Version(),
-		GOOS:           runtime.GOOS,
-		GOARCH:         runtime.GOARCH,
-		Date:           time.Now().UTC().Format(time.RFC3339),
-		Records:        *records,
-		RunParallelism: *runPar,
+		Schema:    schemaVersion,
+		Tool:      "prophetbench",
+		Version:   prophet.Version(),
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		Date:      time.Now().UTC().Format(time.RFC3339),
+		Records:   *records,
 	}
 
 	ws := cliutil.SplitList(*workloadsFlag)
@@ -141,7 +134,7 @@ func main() {
 
 	ctx := context.Background()
 	newEval := func() *prophet.Evaluator {
-		return prophet.New(prophet.WithWorkers(1), prophet.WithRunParallelism(*runPar))
+		return prophet.New(prophet.WithWorkers(1))
 	}
 	ev := newEval()
 
@@ -205,13 +198,6 @@ func main() {
 		if old.Records != rep.Records {
 			fatalf("baseline %s measured %d records per cell, this run %d — per-op times are not comparable; rerun with -records %d or regenerate the baseline",
 				*compare, old.Records, rep.Records, old.Records)
-		}
-		// A zero (or absent, in pre-knob baselines) runParallelism means
-		// fully synchronous runs and stays comparable with any run; two
-		// different nonzero settings measured different execution shapes.
-		if old.RunParallelism > 1 && rep.RunParallelism > 1 && old.RunParallelism != rep.RunParallelism {
-			fatalf("baseline %s measured -run-parallelism %d, this run %d — timings are not comparable; rerun with -run-parallelism %d or regenerate the baseline",
-				*compare, old.RunParallelism, rep.RunParallelism, old.RunParallelism)
 		}
 		if !printComparison(old, rep, *threshold, *nsGate) {
 			os.Exit(1)

@@ -84,7 +84,6 @@ const (
 func main() {
 	addr := flag.String("addr", ":8373", "listen address")
 	workers := flag.Int("workers", 0, "sweep worker pool (0 = all CPUs)")
-	runPar := flag.Int("run-parallelism", 0, "intra-run worker bound per simulation, derated under concurrent sweep load (0 or 1 = fully synchronous; results are identical either way)")
 	elAcc := flag.Float64("el-acc", 0.15, "EL_ACC insertion threshold (Equation 1)")
 	prioBits := flag.Int("priority-bits", 2, "replacement priority bits n (Equation 2)")
 	mvbCand := flag.Int("mvb-candidates", 1, "Multi-path Victim Buffer candidates per lookup")
@@ -123,7 +122,6 @@ func main() {
 
 	evOpts := []prophet.Option{
 		prophet.WithWorkers(*workers),
-		prophet.WithRunParallelism(*runPar),
 		prophet.WithELAcc(*elAcc),
 		prophet.WithPriorityBits(*prioBits),
 		prophet.WithMVBCandidates(*mvbCand),

@@ -24,10 +24,6 @@ type Evaluator struct {
 	opts    Options
 	l1pf    L1Prefetcher
 	workers int
-	// runPar is the per-run intra-run parallelism bound. It lives outside
-	// Options on purpose: results are bit-identical at every value, so it
-	// must not enter store fingerprints or result cache keys.
-	runPar int
 
 	backendURLs     []string
 	backendClient   *http.Client
@@ -88,17 +84,6 @@ func WithIPCPPrefetcher() Option { return WithL1Prefetcher(L1IPCP) }
 
 // WithWorkers bounds the Sweep worker pool (default: runtime.NumCPU()).
 func WithWorkers(n int) Option { return func(e *Evaluator) { e.workers = n } }
-
-// WithRunParallelism bounds the intra-run worker set of every simulation
-// this evaluator runs: trace decode-ahead for streaming sources, sharded
-// scratch reset, and the sharded profile-analysis pass. It shapes only HOW a
-// run executes — results stay bit-identical at every value (the
-// internal/sim/difftest harness enforces this), so it never enters result
-// cache keys or store fingerprints. The effective width is derated under
-// concurrent sweep load so intra-run workers and sweep workers do not
-// oversubscribe the machine. 0 or 1 runs each simulation fully synchronous
-// (the default).
-func WithRunParallelism(n int) Option { return func(e *Evaluator) { e.runPar = n } }
 
 // WithBackends configures remote prophetd base URLs (e.g.
 // "http://worker1:8373") as a sharded sweep fleet. When at least one
@@ -178,7 +163,6 @@ func New(opts ...Option) *Evaluator {
 	case L1None:
 		cfg.Sim.L1PF = sim.L1None
 	}
-	cfg.Run = sim.Opts{Parallelism: e.runPar}
 	e.eng = pipeline.NewEvaluator(cfg, e.workers)
 	if e.logf == nil {
 		e.logf = log.Printf
@@ -220,10 +204,6 @@ func (e *Evaluator) DispatchStats() DispatchStats {
 
 // Workers reports the sweep pool width actually in use.
 func (e *Evaluator) Workers() int { return e.eng.Workers() }
-
-// RunParallelism reports the configured intra-run parallelism bound (0 or 1
-// means fully synchronous runs).
-func (e *Evaluator) RunParallelism() int { return e.runPar }
 
 // Options reports the resolved configuration the evaluator was built with
 // (functional options folded into the bulk form) — introspection for

@@ -15,7 +15,6 @@
 package analysis
 
 import (
-	"sync"
 	"time"
 
 	"prophet/internal/core"
@@ -122,17 +121,16 @@ func WaysForEntries(entries uint64, table temporal.TableConfig) (ways int, disab
 	return ways, false
 }
 
-// Analyze generates the hint set from a merged profile.
+// Analyze generates the hint set from a merged profile: Equations 1 and 2
+// per profiled PC, then Equation 3 for the metadata table size.
 func Analyze(p *learning.Profile, params Params) Result {
-	return AnalyzeWith(p, params, 1)
-}
-
-// analyzePCs applies Equations 1 and 2 to the given PCs, writing hints and
-// weights for qualifying ones. Each PC is independent, which is what makes
-// the sharded pass of AnalyzeWith deterministic.
-func analyzePCs(p *learning.Profile, params Params, pcs []mem.Addr, hints map[mem.Addr]core.Hint, weights map[mem.Addr]uint64) {
-	for _, pc := range pcs {
-		prof := p.PCs[pc]
+	start := time.Now()
+	if params.MaxHints <= 0 {
+		params.MaxHints = core.HintBufferEntries
+	}
+	hints := make(map[mem.Addr]core.Hint, len(p.PCs))
+	weights := make(map[mem.Addr]uint64, len(p.PCs))
+	for pc, prof := range p.PCs {
 		acc := prof.Accuracy
 		if acc < 0 {
 			// The PC never triggered a prefetch under profiling:
@@ -149,75 +147,6 @@ func analyzePCs(p *learning.Profile, params Params, pcs []mem.Addr, hints map[me
 		hints[pc] = h
 		if prof.MissWeight > 0 {
 			weights[pc] = uint64(prof.MissWeight + 0.5)
-		}
-	}
-}
-
-// analyzeShardMin is the per-PC metadata volume below which sharding costs
-// more than it saves.
-const analyzeShardMin = 4096
-
-// AnalyzeWith is Analyze with the per-PC metadata scan sharded across up to
-// workers goroutines. PCs partition into contiguous regions, each worker
-// analyzes its regions into private maps, and the merge unions them —
-// regions are disjoint, so the union is order-independent and the Result is
-// bit-identical to the sequential pass at every worker count.
-func AnalyzeWith(p *learning.Profile, params Params, workers int) Result {
-	start := time.Now()
-	if params.MaxHints <= 0 {
-		params.MaxHints = core.HintBufferEntries
-	}
-	hints := make(map[mem.Addr]core.Hint, len(p.PCs))
-	weights := make(map[mem.Addr]uint64, len(p.PCs))
-	if workers > len(p.PCs)/analyzeShardMin {
-		workers = len(p.PCs) / analyzeShardMin
-	}
-	if workers <= 1 {
-		pcs := make([]mem.Addr, 0, len(p.PCs))
-		for pc := range p.PCs {
-			pcs = append(pcs, pc)
-		}
-		analyzePCs(p, params, pcs, hints, weights)
-	} else {
-		pcs := make([]mem.Addr, 0, len(p.PCs))
-		for pc := range p.PCs {
-			pcs = append(pcs, pc)
-		}
-		type shard struct {
-			hints   map[mem.Addr]core.Hint
-			weights map[mem.Addr]uint64
-		}
-		shards := make([]shard, workers)
-		var wg sync.WaitGroup
-		per := (len(pcs) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > len(pcs) {
-				hi = len(pcs)
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				sh := shard{
-					hints:   make(map[mem.Addr]core.Hint, hi-lo),
-					weights: make(map[mem.Addr]uint64, hi-lo),
-				}
-				analyzePCs(p, params, pcs[lo:hi], sh.hints, sh.weights)
-				shards[w] = sh
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, sh := range shards {
-			for pc, h := range sh.hints {
-				hints[pc] = h
-			}
-			for pc, mw := range sh.weights {
-				weights[pc] = mw
-			}
 		}
 	}
 	trimHints(hints, weights, params.MaxHints)

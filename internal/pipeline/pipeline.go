@@ -62,8 +62,8 @@ type Config struct {
 	Analysis analysis.Params
 	// L is the Equation 4 designer parameter.
 	L int
-	// Run shapes how simulation passes execute (block size, intra-run
-	// parallelism). Results are bit-identical for every value, so Run is
+	// Run shapes how simulation passes execute (records per block of the
+	// hot loop). Results are bit-identical for every value, so Run is
 	// excluded from result cache keys and store fingerprints.
 	Run sim.Opts
 }
@@ -117,13 +117,10 @@ func (p *Prophet) ProfileAndLearn(src mem.Source) {
 	p.Learn(p.Profile(src))
 }
 
-// Analyze executes Step 2: generate hints from the merged profile. The
-// per-PC metadata scan shards across the run's derated intra-run worker
-// budget; the merge is deterministic, so the result is identical at every
-// width.
+// Analyze executes Step 2: generate hints from the merged profile.
 func (p *Prophet) Analyze() analysis.Result {
 	if !p.fresh {
-		p.result = analysis.AnalyzeWith(p.profile, p.cfg.Analysis, sim.IntraRunWorkers(p.cfg.Run.Parallelism))
+		p.result = analysis.Analyze(p.profile, p.cfg.Analysis)
 		p.fresh = true
 	}
 	return p.result

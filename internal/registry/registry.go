@@ -41,8 +41,8 @@ type ProphetRunner interface {
 type Context struct {
 	// Sim is the simulated system configuration (Table 1 by default).
 	Sim sim.Config
-	// Opts shapes how the scheme's simulation passes execute (block size,
-	// intra-run parallelism). Results are bit-identical for every value;
+	// Opts shapes how the scheme's simulation passes execute (records per
+	// block of the hot loop). Results are bit-identical for every value;
 	// schemes pass it through to sim.RunOpts untouched.
 	Opts sim.Opts
 	// Factory produces the workload trace; call once per simulation pass.

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"context"
 	"flag"
-	"os"
+	"fmt"
 	"reflect"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,28 +14,14 @@ import (
 	"prophet/internal/mem"
 	"prophet/internal/pipeline"
 	"prophet/internal/sim"
+	"prophet/internal/temporal"
 	"prophet/internal/triage"
 	"prophet/internal/workloads"
 )
 
-// The execution-shape matrix under test. CI pins the full grid explicitly;
-// the defaults cover the same cells so a plain `go test ./...` proves the
-// whole contract too.
-var (
-	blocksFlag  = flag.String("difftest.blocks", "1,64,4096", "comma-separated block sizes to diff against the sequential reference")
-	workersFlag = flag.String("difftest.workers", "1,4", "comma-separated intra-run worker counts to diff against the sequential reference")
-)
-
-// TestMain raises GOMAXPROCS so the parallel execution shapes genuinely run
-// their goroutine paths (decode-ahead, sharded reset) even on single-CPU
-// runners, where load deration would otherwise collapse every request to 1.
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
-	os.Exit(m.Run())
-}
+// The block sizes under test. CI pins them explicitly; the default covers
+// the same sizes so a plain `go test ./...` proves the whole contract too.
+var blocksFlag = flag.String("difftest.blocks", "1,64,4096", "comma-separated block sizes to diff against the sequential reference")
 
 func parseList(t *testing.T, s string) []int {
 	var out []int
@@ -51,7 +36,34 @@ func parseList(t *testing.T, s string) []int {
 }
 
 func matrix(t *testing.T) []Variant {
-	return Matrix(parseList(t, *blocksFlag), parseList(t, *workersFlag))
+	return Matrix(parseList(t, *blocksFlag))
+}
+
+// checkInvariants fails t for every counter invariant st breaks; name says
+// which run produced st. A prefetch cannot be judged useful or useless
+// without first being issued, a demand miss is also a demand access, and a
+// table hit is also a table lookup. These hold for every correct run
+// whatever its block shape, so a violation flags a broken simulator even
+// where every shape agrees with the reference.
+func checkInvariants(t *testing.T, name string, st sim.Stats) {
+	t.Helper()
+	if st.TPUseful+st.TPUseless > st.TPIssued {
+		t.Errorf("%s: TPUseful+TPUseless %d+%d > TPIssued %d", name, st.TPUseful, st.TPUseless, st.TPIssued)
+	}
+	if st.L2DemandMisses > st.L2DemandAccesses {
+		t.Errorf("%s: L2DemandMisses %d > L2DemandAccesses %d", name, st.L2DemandMisses, st.L2DemandAccesses)
+	}
+	if ts := st.TableStats; ts.Hits > ts.Lookups {
+		t.Errorf("%s: TableStats.Hits %d > TableStats.Lookups %d", name, ts.Hits, ts.Lookups)
+	}
+}
+
+// run is sim.RunOpts with the invariant check applied to its result.
+func run(t *testing.T, name string, opts sim.Opts, engine temporal.Engine, src mem.Source) sim.Stats {
+	t.Helper()
+	st := sim.RunOpts(sim.Default(), opts, engine, nil, nil, nil, src)
+	checkInvariants(t, name, st)
+	return st
 }
 
 // corpusCells mirrors the golden-fixture corpus at the repository root: one
@@ -94,14 +106,17 @@ func runCorpus(t *testing.T, opts sim.Opts) []pipeline.Outcome {
 		if out[i].Err != nil {
 			t.Fatalf("%s under %s (%+v): %v", cell.workload, cell.scheme, opts, out[i].Err)
 		}
+		name := fmt.Sprintf("%s/%s at %+v", cell.workload, cell.scheme, opts)
+		checkInvariants(t, name, out[i].Stats)
+		checkInvariants(t, name+" (baseline)", out[i].Base)
 	}
 	return out
 }
 
 // TestCorpusEquivalence is the harness's core claim: every golden-corpus
-// cell, replayed through every block size x worker count in the matrix,
-// produces Stats bit-identical to the record-at-a-time sequential reference
-// — scheme results, cached baselines, and scheme metadata alike.
+// cell, replayed through every block size in the matrix, produces Stats
+// bit-identical to the record-at-a-time sequential reference — scheme
+// results, cached baselines, and scheme metadata alike.
 func TestCorpusEquivalence(t *testing.T) {
 	ref := runCorpus(t, Sequential.Opts)
 	for _, v := range matrix(t) {
@@ -129,45 +144,35 @@ func TestCorpusEquivalence(t *testing.T) {
 // temporal engine, through the full matrix. Trace lengths are short — the
 // point is breadth of access patterns, not depth.
 func TestGeneratedWorkloadEquivalence(t *testing.T) {
-	cfg := sim.Default()
 	const records = 4_000
 	engines := []struct {
 		name string
-		make func() *triage.Prefetcher // nil = baseline system
+		make func() temporal.Engine // returns nil for the baseline system
 	}{
-		{"baseline", func() *triage.Prefetcher { return nil }},
-		{"triage", func() *triage.Prefetcher { return triage.New(triage.Default()) }},
+		{"baseline", func() temporal.Engine { return nil }},
+		{"triage", func() temporal.Engine { return triage.New(triage.Default()) }},
 	}
 	vs := matrix(t)
 	for _, w := range workloads.All() {
 		recs := mem.Materialize(w.Source(records))
 		for _, eng := range engines {
-			var ref sim.Stats
-			if e := eng.make(); e != nil {
-				ref = sim.RunOpts(cfg, Sequential.Opts, e, nil, nil, nil, mem.NewSliceSource(recs))
-			} else {
-				ref = sim.RunOpts(cfg, Sequential.Opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
-			}
+			name := w.Name + "/" + eng.name
+			ref := run(t, name+" at sequential", Sequential.Opts, eng.make(), mem.NewSliceSource(recs))
 			for _, v := range vs {
-				var got sim.Stats
-				if e := eng.make(); e != nil {
-					got = sim.RunOpts(cfg, v.Opts, e, nil, nil, nil, mem.NewSliceSource(recs))
-				} else {
-					got = sim.RunOpts(cfg, v.Opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
-				}
+				got := run(t, name+" at "+v.Name, v.Opts, eng.make(), mem.NewSliceSource(recs))
 				if d := Diff(ref, got); d != nil {
-					t.Errorf("%s/%s at %s diverged:\n  %s", w.Name, eng.name, v.Name, strings.Join(d, "\n  "))
+					t.Errorf("%s at %s diverged:\n  %s", name, v.Name, strings.Join(d, "\n  "))
 				}
 			}
 		}
 	}
 }
 
-// TestTraceDecodeAheadEquivalence runs the matrix over a native trace
-// stream, the one source family that engages the decode-ahead pipeline
-// (in-memory slices bypass it). Every shape must see the exact record
-// sequence the blocking reader would deliver.
-func TestTraceDecodeAheadEquivalence(t *testing.T) {
+// TestStreamSourceEquivalence runs the matrix over a native trace stream,
+// a source that decodes records as the core consumes them instead of
+// replaying an in-memory slice. Every shape must see the exact record
+// sequence the record-at-a-time reader delivers.
+func TestStreamSourceEquivalence(t *testing.T) {
 	w, ok := workloads.Get("omnetpp")
 	if !ok {
 		t.Fatal("unknown workload omnetpp")
@@ -184,10 +189,9 @@ func TestTraceDecodeAheadEquivalence(t *testing.T) {
 		}
 		return tr
 	}
-	cfg := sim.Default()
-	ref := sim.RunOpts(cfg, Sequential.Opts, nil, nil, nil, nil, open())
+	ref := run(t, "trace replay at sequential", Sequential.Opts, nil, open())
 	for _, v := range matrix(t) {
-		got := sim.RunOpts(cfg, v.Opts, nil, nil, nil, nil, open())
+		got := run(t, "trace replay at "+v.Name, v.Opts, nil, open())
 		if d := Diff(ref, got); d != nil {
 			t.Errorf("trace replay at %s diverged:\n  %s", v.Name, strings.Join(d, "\n  "))
 		}
@@ -195,18 +199,17 @@ func TestTraceDecodeAheadEquivalence(t *testing.T) {
 }
 
 // TestMixedOptsPoolStress hammers one configuration's scratch pools with
-// concurrent runs at mixed execution shapes. The pools are keyed by
+// concurrent runs at mixed block shapes. The pools are keyed by
 // (Config, Opts), so no run may ever receive scratch prepared for a
 // different shape — under -race this catches pool cross-contamination, and
 // the stats check catches any state bleed between shapes.
 func TestMixedOptsPoolStress(t *testing.T) {
-	cfg := sim.Default()
 	w, ok := workloads.Get("mcf")
 	if !ok {
 		t.Fatal("unknown workload mcf")
 	}
 	recs := mem.Materialize(w.Source(5_000))
-	ref := sim.RunOpts(cfg, Sequential.Opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
+	ref := run(t, "mcf at sequential", Sequential.Opts, nil, mem.NewSliceSource(recs))
 	variants := append([]Variant{Sequential}, matrix(t)...)
 	var wg sync.WaitGroup
 	for round := 0; round < 2; round++ {
@@ -215,7 +218,7 @@ func TestMixedOptsPoolStress(t *testing.T) {
 			go func(v Variant) {
 				defer wg.Done()
 				for i := 0; i < 2; i++ {
-					st := sim.RunOpts(cfg, v.Opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
+					st := run(t, "mcf at "+v.Name, v.Opts, nil, mem.NewSliceSource(recs))
 					if d := Diff(ref, st); d != nil {
 						t.Errorf("%s diverged under mixed-shape load:\n  %s", v.Name, strings.Join(d, "\n  "))
 					}
@@ -226,30 +229,29 @@ func TestMixedOptsPoolStress(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzRunParallelism lets the fuzzer pick the execution shape: an arbitrary
-// block size (including negative = sequential and absurdly large) and worker
-// count over an arbitrary cataloged workload must reproduce the sequential
-// reference exactly.
-func FuzzRunParallelism(f *testing.F) {
-	f.Add(uint8(0), uint16(1000), 1, uint8(2))
-	f.Add(uint8(1), uint16(2000), 4096, uint8(4))
-	f.Add(uint8(2), uint16(500), -7, uint8(0))
-	f.Add(uint8(3), uint16(3000), 64, uint8(255))
-	f.Add(uint8(4), uint16(1), 1<<14, uint8(1))
-	cfg := sim.Default()
+// FuzzBlockShape lets the fuzzer pick the execution shape: an arbitrary
+// block size (including negative = sequential and absurdly large) over an
+// arbitrary cataloged workload must reproduce the sequential reference
+// exactly.
+func FuzzBlockShape(f *testing.F) {
+	f.Add(uint8(0), uint16(1000), 1)
+	f.Add(uint8(1), uint16(2000), 4096)
+	f.Add(uint8(2), uint16(500), -7)
+	f.Add(uint8(3), uint16(3000), 64)
+	f.Add(uint8(4), uint16(1), 1<<14)
 	all := workloads.All()
-	f.Fuzz(func(t *testing.T, wsel uint8, records uint16, block int, workers uint8) {
+	f.Fuzz(func(t *testing.T, wsel uint8, records uint16, block int) {
 		w := all[int(wsel)%len(all)]
 		// Bound the block size (it sizes the scratch buffer) but keep the
 		// sign, so negative = sequential stays reachable.
 		block %= 1 << 15
 		n := uint64(records)%4_096 + 1
 		recs := mem.Materialize(w.Source(n))
-		ref := sim.RunOpts(cfg, Sequential.Opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
-		opts := sim.Opts{BlockRecords: block, Parallelism: int(workers)}
-		got := sim.RunOpts(cfg, opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
+		ref := run(t, w.Name+" at sequential", Sequential.Opts, nil, mem.NewSliceSource(recs))
+		name := fmt.Sprintf("%s at block=%d", w.Name, block)
+		got := run(t, name, sim.Opts{BlockRecords: block}, nil, mem.NewSliceSource(recs))
 		if d := Diff(ref, got); d != nil {
-			t.Errorf("%s at block=%d workers=%d diverged:\n  %s", w.Name, block, workers, strings.Join(d, "\n  "))
+			t.Errorf("%s diverged:\n  %s", name, strings.Join(d, "\n  "))
 		}
 	})
 }

@@ -401,12 +401,12 @@ type scratch struct {
 
 // scratchPools maps a runKey — Config plus normalized run Opts — to its
 // *sync.Pool of scratch systems. Pools are per-configuration because a
-// System's geometry is fixed at construction, and per-Opts because scratch
-// shape (block buffer size, sharded-reset discipline) follows the run
-// shape: an entry prepared for a sharded run must never serve a sequential
-// one, and vice versa. A typed map behind an RWMutex (rather than a
-// sync.Map) keeps the per-run lookup allocation-free: interface conversion
-// of the large runKey struct would box it on every Run.
+// System's geometry is fixed at construction, and per-Opts because the
+// block buffer is sized to the run's BlockRecords: an entry prepared for
+// one block shape must never serve another. A typed map behind an RWMutex
+// (rather than a sync.Map) keeps the per-run lookup allocation-free:
+// interface conversion of the large runKey struct would box it on every
+// Run.
 var (
 	scratchMu    sync.RWMutex
 	scratchPools = map[runKey]*sync.Pool{}
@@ -428,10 +428,10 @@ func poolFor(key runKey) *sync.Pool {
 	return p
 }
 
-func getScratch(key runKey, engine temporal.Engine, sw SWPrefetcher, counters *pmu.Counters, observer DemandObserver, par int) *scratch {
+func getScratch(key runKey, engine temporal.Engine, sw SWPrefetcher, counters *pmu.Counters, observer DemandObserver) *scratch {
 	if v := poolFor(key).Get(); v != nil {
 		sc := v.(*scratch)
-		sc.reset(engine, sw, counters, observer, par)
+		sc.reset(engine, sw, counters, observer)
 		return sc
 	}
 	sys := New(key.cfg, engine, sw, counters, observer)
@@ -455,8 +455,7 @@ func putScratch(key runKey, sc *scratch) {
 // Run executes a full trace on a fresh core and returns the statistics. If
 // counters were attached, the metadata-table counters are published to them.
 // The system and core scratch state come from a per-configuration pool.
-// Run uses default Opts (block-batched, synchronous); RunOpts exposes the
-// execution-shaping knobs.
+// Run uses default Opts (block-batched); RunOpts picks the block size.
 func Run(cfg Config, engine temporal.Engine, sw SWPrefetcher, counters *pmu.Counters, observer DemandObserver, src mem.Source) Stats {
 	return RunOpts(cfg, Opts{}, engine, sw, counters, observer, src)
 }
