@@ -5,9 +5,11 @@
 // record-at-a-time sequential reference at every block size. This package
 // replays the golden-corpus cells and generated workloads through a set of
 // block sizes and diffs the full Stats structs field by field; a single
-// diverging counter fails the build. Every Stats the tests produce,
-// the sequential reference included, is also checked against the
-// counter invariants no correct run can break.
+// diverging counter fails the build. The corpus is also replayed at
+// several evaluator worker counts, so runs that share pooled scratch and
+// recycled engine storage concurrently must agree too. Every Stats the
+// tests produce, the sequential reference included, is also checked
+// against the counter invariants no correct run can break.
 //
 // CI drives the block sizes explicitly:
 //

@@ -84,29 +84,42 @@ var corpusCells = []struct {
 	{"sphinx3", "adaptive", 20_000},
 }
 
+// corpusWorkers are the evaluator worker counts the corpus is replayed
+// at. One worker runs the cells one after another; more run them
+// concurrently, so they share the scratch pools and recycled engine
+// storage while they run — and must still produce the one-worker Stats.
+var corpusWorkers = []int{1, 4}
+
 // runCorpus replays every corpus cell through a fresh pipeline evaluator
-// configured with the given execution shape.
-func runCorpus(t *testing.T, opts sim.Opts) []pipeline.Outcome {
+// configured with the given execution shape, as one sweep over workers
+// concurrent runs.
+func runCorpus(t *testing.T, opts sim.Opts, workers int) []pipeline.Outcome {
 	t.Helper()
 	cfg := pipeline.Default()
 	cfg.Run = opts
-	ev := pipeline.NewEvaluator(cfg, 1)
-	out := make([]pipeline.Outcome, len(corpusCells))
+	ev := pipeline.NewEvaluator(cfg, workers)
+	jobs := make([]pipeline.Job, len(corpusCells))
 	for i, cell := range corpusCells {
 		w, ok := workloads.Get(cell.workload)
 		if !ok {
 			t.Fatalf("unknown workload %q", cell.workload)
 		}
 		records := cell.records
-		out[i] = ev.Run(context.Background(), pipeline.Job{
+		jobs[i] = pipeline.Job{
 			Key:     cell.workload + "@difftest",
 			Factory: func() mem.Source { return w.Source(records) },
 			Scheme:  cell.scheme,
-		})
-		if out[i].Err != nil {
-			t.Fatalf("%s under %s (%+v): %v", cell.workload, cell.scheme, opts, out[i].Err)
 		}
-		name := fmt.Sprintf("%s/%s at %+v", cell.workload, cell.scheme, opts)
+	}
+	out, err := ev.Sweep(context.Background(), jobs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cell := range corpusCells {
+		name := fmt.Sprintf("%s/%s at %+v, %d workers", cell.workload, cell.scheme, opts, workers)
+		if out[i].Err != nil {
+			t.Fatalf("%s: %v", name, out[i].Err)
+		}
 		checkInvariants(t, name, out[i].Stats)
 		checkInvariants(t, name+" (baseline)", out[i].Base)
 	}
@@ -114,26 +127,31 @@ func runCorpus(t *testing.T, opts sim.Opts) []pipeline.Outcome {
 }
 
 // TestCorpusEquivalence is the harness's core claim: every golden-corpus
-// cell, replayed through every block size in the matrix, produces Stats
-// bit-identical to the record-at-a-time sequential reference — scheme
-// results, cached baselines, and scheme metadata alike.
+// cell, replayed through every block size in the matrix and at every
+// evaluator worker count, produces Stats bit-identical to the
+// record-at-a-time, one-worker sequential reference — scheme results,
+// cached baselines, and scheme metadata alike.
 func TestCorpusEquivalence(t *testing.T) {
-	ref := runCorpus(t, Sequential.Opts)
+	ref := runCorpus(t, Sequential.Opts, 1)
 	for _, v := range matrix(t) {
 		t.Run(v.Name, func(t *testing.T) {
-			got := runCorpus(t, v.Opts)
-			for i, cell := range corpusCells {
-				name := cell.workload + "/" + cell.scheme
-				if d := Diff(ref[i].Stats, got[i].Stats); d != nil {
-					t.Errorf("%s: stats diverged from sequential reference:\n  %s",
-						name, strings.Join(d, "\n  "))
-				}
-				if d := Diff(ref[i].Base, got[i].Base); d != nil {
-					t.Errorf("%s: baseline stats diverged:\n  %s", name, strings.Join(d, "\n  "))
-				}
-				if !reflect.DeepEqual(ref[i].Meta, got[i].Meta) {
-					t.Errorf("%s: scheme metadata diverged: %v != %v", name, ref[i].Meta, got[i].Meta)
-				}
+			for _, workers := range corpusWorkers {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					got := runCorpus(t, v.Opts, workers)
+					for i, cell := range corpusCells {
+						name := cell.workload + "/" + cell.scheme
+						if d := Diff(ref[i].Stats, got[i].Stats); d != nil {
+							t.Errorf("%s: stats diverged from sequential reference:\n  %s",
+								name, strings.Join(d, "\n  "))
+						}
+						if d := Diff(ref[i].Base, got[i].Base); d != nil {
+							t.Errorf("%s: baseline stats diverged:\n  %s", name, strings.Join(d, "\n  "))
+						}
+						if !reflect.DeepEqual(ref[i].Meta, got[i].Meta) {
+							t.Errorf("%s: scheme metadata diverged: %v != %v", name, ref[i].Meta, got[i].Meta)
+						}
+					}
+				})
 			}
 		})
 	}
