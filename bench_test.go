@@ -26,8 +26,7 @@ var benchOpts = experiments.Options{Quick: true}
 
 // runExperiment executes one experiment per iteration and reports the value
 // of a series at a label as the benchmark's custom metric. Allocations are
-// always reported: allocs/op is a gated input of the perf-regression CI job,
-// so every benchmark must produce it without requiring -benchmem.
+// always reported, so allocs/op shows without -benchmem.
 func runExperiment(b *testing.B, id, series, label, metric string) {
 	b.Helper()
 	b.ReportAllocs()

@@ -43,9 +43,8 @@
 // sends a DELETE /v1/peers drain on graceful shutdown, so workers can be
 // added or removed mid-run without restarting the coordinator.
 //
-// The daemon is also its own profiling subject (the PGO loop in
-// docs/PROFILING.md): /debug/pprof/* serves the standard net/http/pprof
-// profiles, so `curl -o cpu.pprof 'localhost:8373/debug/pprof/profile?seconds=30'`
+// For observability the daemon serves the standard net/http/pprof profiles
+// under /debug/pprof/*, so `curl -o cpu.pprof 'localhost:8373/debug/pprof/profile?seconds=30'`
 // captures a CPU profile of whatever the daemon is serving.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: intake stops, open

@@ -7,9 +7,9 @@ import (
 
 // registerProfileRoutes mounts the standard net/http/pprof family under
 // /debug/pprof/ (heap, goroutine, block, mutex, CPU profile, execution
-// trace). GET /debug/pprof/profile?seconds=N is the capture step of the
-// PGO loop in docs/PROFILING.md; its output feeds `go tool pprof`
-// directly.
+// trace), so an operator can see where a running daemon spends its time.
+// GET /debug/pprof/profile?seconds=N captures a CPU profile that
+// `go tool pprof` reads directly.
 func (s *Server) registerProfileRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)

@@ -2,6 +2,7 @@ package prophet_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"prophet"
@@ -79,22 +80,44 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestProphetBeatsTriangelOnHeadlineWorkloads(t *testing.T) {
 	// The paper's headline: Prophet's profile-guided management beats the
-	// runtime scheme where short-term heuristics mispredict.
-	for _, name := range []string{"omnetpp", "soplex_pds-50"} {
-		w, _ := prophet.Find(name)
-		w = w.WithRecords(120_000)
-		ev := prophet.New()
-		pr, err := ev.Run(context.Background(), w, prophet.Prophet)
+	// runtime scheme where short-term heuristics mispredict. The five sweep
+	// workloads run at catalog length, where every temporal cell prefetches,
+	// so a change that silently disables a prefetcher fails here.
+	names := []string{"mcf", "omnetpp", "soplex_pds-50", "sphinx3", "xalancbmk"}
+	ws := make([]prophet.Workload, len(names))
+	for i, name := range names {
+		w, err := prophet.Find(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := ev.Run(context.Background(), w, prophet.Triangel)
-		if err != nil {
-			t.Fatal(err)
+		ws[i] = w
+	}
+	res, err := prophet.New().Sweep(context.Background(), prophet.Jobs(ws, prophet.Triangel, prophet.Prophet)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logSum float64
+	for i, name := range names {
+		tr, pr := res[2*i], res[2*i+1]
+		for _, r := range []prophet.Result{tr, pr} {
+			if r.Err != nil {
+				t.Fatalf("%s/%s: %v", name, r.Job.Scheme, r.Err)
+			}
+			if r.Stats.Raw.TPUseful == 0 {
+				t.Errorf("%s/%s: no useful prefetches", name, r.Job.Scheme)
+			}
 		}
-		if pr.Speedup <= tr.Speedup {
-			t.Errorf("%s: Prophet %.3f <= Triangel %.3f", name, pr.Speedup, tr.Speedup)
+		ratio := pr.Stats.Speedup / tr.Stats.Speedup
+		logSum += math.Log(ratio)
+		t.Logf("%s: prophet %.3f / triangel %.3f = %.3f", name, pr.Stats.Speedup, tr.Stats.Speedup, ratio)
+		if (name == "omnetpp" || name == "soplex_pds-50") && ratio <= 1 {
+			t.Errorf("%s: Prophet %.3f <= Triangel %.3f", name, pr.Stats.Speedup, tr.Stats.Speedup)
 		}
+	}
+	gm := math.Exp(logSum / float64(len(names)))
+	t.Logf("geomean prophet/triangel %.3f", gm)
+	if gm <= 1 {
+		t.Errorf("geomean prophet/triangel %.3f, want > 1", gm)
 	}
 }
 
