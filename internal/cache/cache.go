@@ -41,23 +41,39 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// lineState is the per-way tag state.
-type lineState struct {
-	line     mem.Line
-	valid    bool
-	dirty    bool
-	prefetch bool     // filled by a prefetch and not yet referenced by demand
-	trigger  mem.Addr // PC whose prefetch filled the line (if prefetch)
-	ready    uint64   // cycle at which the fill completes
+// Eviction describes a line displaced by a fill, Invalidate or
+// SetDemandWays: the way's tag word and, for a line evicted while still
+// unreferenced by demand, the PC whose prefetch filled it. The zero
+// Eviction displaced nothing. It stays two words so that it is passed in
+// registers: the compiler keeps a struct of more than four fields on the
+// stack, and copying one built field by field stalls on store forwarding.
+type Eviction struct {
+	word    uint64
+	trigger mem.Addr
 }
 
-// Eviction describes a line displaced by Insert or Resize.
-type Eviction struct {
-	Line     mem.Line
-	Dirty    bool
-	Prefetch bool     // evicted while still unreferenced by demand
-	Trigger  mem.Addr // prefetch trigger PC, when Prefetch
-	Valid    bool     // false when no line was displaced
+// Valid reports whether a line was displaced.
+func (e Eviction) Valid() bool { return e.word != 0 }
+
+// Line returns the displaced line, when Valid.
+func (e Eviction) Line() mem.Line { return mem.Line(e.word&tagMask - 1) }
+
+// Dirty reports whether a line was displaced that must be written back.
+func (e Eviction) Dirty() bool { return e.word&dirtyBit != 0 }
+
+// Prefetch reports whether the line was evicted still unreferenced by
+// demand.
+func (e Eviction) Prefetch() bool { return e.word&prefetchBit != 0 }
+
+// Trigger returns the PC whose prefetch filled the line, when Prefetch.
+func (e Eviction) Trigger() mem.Addr { return e.trigger }
+
+// String formats the eviction for test failures and debugging.
+func (e Eviction) String() string {
+	if !e.Valid() {
+		return "no eviction"
+	}
+	return fmt.Sprintf("%v dirty=%v prefetch=%v trigger=%#x", e.Line(), e.Dirty(), e.Prefetch(), uint64(e.Trigger()))
 }
 
 // Stats counts cache events.
@@ -68,19 +84,33 @@ type Stats struct {
 	Writebacks uint64
 }
 
+// The tag word of a way holds line+1 in bits 0–58 (0 marks an invalid
+// way), the dirty bit in bit 62 and the prefetch bit (filled by a prefetch
+// and not yet referenced by demand) in bit 63.
+const (
+	tagMask     = 1<<59 - 1
+	dirtyBit    = 1 << 62
+	prefetchBit = 1 << 63
+)
+
 // Cache is one level of the hierarchy. The zero value is not usable; use New.
 //
 // The demand-visible portion of the cache may be narrowed with SetDemandWays
 // (used by the LLC when the temporal prefetcher's metadata table claims ways).
 //
-// Tag state is one flat lineState array (set-major, ways within a set
-// adjacent), and replacement state is one flat replacer per cache: building
-// a cache costs a handful of allocations instead of two per set, and the
-// per-access way scans walk contiguous memory.
+// Every line passed to a cache must be at most mem.MaxLine, the highest
+// line of a 64-bit address, so that line+1 fits the tag word.
+//
+// Tag state is three flat arrays, set-major with the ways of a set
+// adjacent: one tag word per way, which a way scan loads and a hit, fill
+// or eviction then reads and rewrites in place, plus the fill-ready cycle
+// and the prefetch trigger PC (written and read only under the prefetch
+// bit). Replacement state is one flat replacer per cache.
 type Cache struct {
 	cfg        Config
-	data       []lineState // sets*ways flat, set-major
-	lines      []uint64    // scan accelerator: line+1 per valid way, 0 invalid
+	lines      []uint64   // tag word per way
+	ready      []uint64   // cycle at which the way's fill completes
+	trigger    []mem.Addr // PC whose prefetch filled the way
 	repl       replacer
 	setMask    uint64
 	demandWays int
@@ -97,8 +127,9 @@ func New(cfg Config) *Cache {
 	sets := cfg.Sets()
 	return &Cache{
 		cfg:        cfg,
-		data:       make([]lineState, sets*cfg.Ways),
 		lines:      make([]uint64, sets*cfg.Ways),
+		ready:      make([]uint64, sets*cfg.Ways),
+		trigger:    make([]mem.Addr, sets*cfg.Ways),
 		repl:       newReplacer(cfg.Policy, sets, cfg.Ways),
 		setMask:    uint64(sets - 1),
 		demandWays: cfg.Ways,
@@ -109,13 +140,11 @@ func New(cfg Config) *Cache {
 // backing arrays. It exists so internal/sim can pool simulated systems
 // across runs; a reset cache is indistinguishable from a fresh one.
 //
-// Only the lines accelerator is cleared; the lineState array keeps stale
-// contents. lines is authoritative for validity — every read of data is
-// guarded by a lines match (findWay, Insert's scan) or happens after a full
-// overwrite of the entry — so stale state is unobservable, and the reset
-// cost drops from the full tag array (tens of cache lines per set) to one
-// word per way. Replacement state is still reset eagerly: the CLOCK hand is
-// read before any insert, so stale recency would change victim choices.
+// Only the tag words are cleared. A way's ready cycle is read only while
+// its tag word is valid and its trigger only under the prefetch bit, and
+// the fill that set the word wrote both, so their stale contents are
+// unobservable. Replacement state is still reset eagerly: the CLOCK hand
+// is read before any insert, so stale recency would change victim choices.
 func (c *Cache) Reset() {
 	clear(c.lines)
 	c.repl.reset()
@@ -124,26 +153,78 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
-// set returns the full (all-ways) window of set si.
-func (c *Cache) set(si int) []lineState {
+// scan looks for tag want (line+1) among the first limit ways of set si.
+// On a hit it returns the way and the tag word it loaded; on a miss w is
+// -1 and free is the first invalid way, or -1 when every way is valid.
+func (c *Cache) scan(si int, want uint64, limit int) (w int, lv uint64, free int) {
 	base := si * c.cfg.Ways
-	return c.data[base : base+c.cfg.Ways]
-}
-
-// findWay scans the lines accelerator of set si for l among the first
-// limit ways, returning the way index or -1. Scanning 8-byte words instead
-// of 40-byte lineState structs keeps the probe inside one or two cache
-// lines; values are stored as line+1 so zero never matches.
-func (c *Cache) findWay(si int, l mem.Line, limit int) int {
-	base := si * c.cfg.Ways
-	lines := c.lines[base : base+limit]
-	want := uint64(l) + 1
-	for w, lv := range lines {
-		if lv == want {
-			return w
+	free = -1
+	for i, v := range c.lines[base : base+limit] {
+		if v&tagMask == want {
+			return i, v, -1
+		}
+		if v == 0 && free < 0 {
+			free = i
 		}
 	}
-	return -1
+	return -1, 0, free
+}
+
+// hit applies a demand hit to way w of set si, whose tag word the scan
+// loaded as lv: a recency touch, consumption of the prefetch bit, and the
+// dirty bit on a write. It returns what the access reports.
+func (c *Cache) hit(si, w int, lv uint64, write bool) AccessResult {
+	i := si*c.cfg.Ways + w
+	c.stats.Hits++
+	c.repl.touch(si, w, c.clock)
+	res := AccessResult{Hit: true, Ready: c.ready[i]}
+	if lv&prefetchBit != 0 {
+		res.WasPrefetch = true
+		res.Trigger = c.trigger[i]
+	}
+	if write {
+		lv |= dirtyBit
+	}
+	c.lines[i] = lv &^ prefetchBit
+	return res
+}
+
+// evict empties the valid way at flat index i, counting a writeback when
+// it was dirty, and returns its eviction record.
+func (c *Cache) evict(i int) Eviction {
+	ev := Eviction{word: c.lines[i]}
+	c.lines[i] = 0
+	if ev.Prefetch() {
+		ev.trigger = c.trigger[i]
+	}
+	if ev.Dirty() {
+		c.stats.Writebacks++
+	}
+	return ev
+}
+
+// put fills tag want into way w of set si or, when w is -1, into the way
+// the replacement policy picks among the demand ways, returning the line
+// it displaced.
+func (c *Cache) put(si, w int, want, ready uint64, dirty, prefetch bool, trigger mem.Addr) Eviction {
+	var ev Eviction
+	if w < 0 {
+		w = c.repl.victim(si, c.demandWays)
+		ev = c.evict(si*c.cfg.Ways + w)
+	}
+	i := si*c.cfg.Ways + w
+	if dirty {
+		want |= dirtyBit
+	}
+	if prefetch {
+		want |= prefetchBit
+		c.trigger[i] = trigger
+	}
+	c.lines[i] = want
+	c.ready[i] = ready
+	c.repl.insert(si, w, c.clock)
+	c.stats.Fills++
+	return ev
 }
 
 // Config returns the cache's configuration.
@@ -160,11 +241,8 @@ func (c *Cache) setIndex(l mem.Line) int { return int(uint64(l) & c.setMask) }
 // Lookup probes for a line without changing replacement state.
 // It returns the fill-ready cycle for timeliness accounting.
 func (c *Cache) Lookup(l mem.Line) (ready uint64, hit bool) {
-	si := c.setIndex(l)
-	if w := c.findWay(si, l, c.demandWays); w >= 0 {
-		return c.set(si)[w].ready, true
-	}
-	return 0, false
+	ready, hit, _ = c.LookupFill(l)
+	return ready, hit
 }
 
 // LookupFill probes like Lookup but the same scan also records the first
@@ -174,17 +252,9 @@ func (c *Cache) Lookup(l mem.Line) (ready uint64, hit bool) {
 // AccessFill's.
 func (c *Cache) LookupFill(l mem.Line) (ready uint64, hit bool, slot FillSlot) {
 	si := c.setIndex(l)
-	base := si * c.cfg.Ways
-	want := uint64(l) + 1
-	free := -1
-	for w := 0; w < c.demandWays; w++ {
-		lv := c.lines[base+w]
-		if lv == want {
-			return c.set(si)[w].ready, true, FillSlot{}
-		}
-		if lv == 0 && free < 0 {
-			free = w
-		}
+	w, _, free := c.scan(si, uint64(l)+1, c.demandWays)
+	if w >= 0 {
+		return c.ready[si*c.cfg.Ways+w], true, FillSlot{}
 	}
 	return 0, false, FillSlot{si: si, free: free}
 }
@@ -208,25 +278,8 @@ type AccessResult struct {
 // responsible for filling the line (via Insert) after fetching it from the
 // next level.
 func (c *Cache) Access(l mem.Line, now uint64, write bool) AccessResult {
-	c.clock++
-	si := c.setIndex(l)
-	if w := c.findWay(si, l, c.demandWays); w >= 0 {
-		st := &c.set(si)[w]
-		c.stats.Hits++
-		c.repl.touch(si, w, c.clock)
-		res := AccessResult{Hit: true, Ready: st.ready}
-		if st.prefetch {
-			res.WasPrefetch = true
-			res.Trigger = st.trigger
-			st.prefetch = false
-		}
-		if write {
-			st.dirty = true
-		}
-		return res
-	}
-	c.stats.Misses++
-	return AccessResult{}
+	res, _ := c.AccessFill(l, now, write)
+	return res
 }
 
 // FillSlot remembers, across a miss, where the fetched line will be filled:
@@ -247,29 +300,9 @@ type FillSlot struct {
 func (c *Cache) AccessFill(l mem.Line, now uint64, write bool) (AccessResult, FillSlot) {
 	c.clock++
 	si := c.setIndex(l)
-	base := si * c.cfg.Ways
-	want := uint64(l) + 1
-	free := -1
-	for w := 0; w < c.demandWays; w++ {
-		lv := c.lines[base+w]
-		if lv == want {
-			st := &c.set(si)[w]
-			c.stats.Hits++
-			c.repl.touch(si, w, c.clock)
-			res := AccessResult{Hit: true, Ready: st.ready}
-			if st.prefetch {
-				res.WasPrefetch = true
-				res.Trigger = st.trigger
-				st.prefetch = false
-			}
-			if write {
-				st.dirty = true
-			}
-			return res, FillSlot{}
-		}
-		if lv == 0 && free < 0 {
-			free = w
-		}
+	w, lv, free := c.scan(si, uint64(l)+1, c.demandWays)
+	if w >= 0 {
+		return c.hit(si, w, lv, write), FillSlot{}
 	}
 	c.stats.Misses++
 	return AccessResult{}, FillSlot{si: si, free: free}
@@ -281,23 +314,7 @@ func (c *Cache) AccessFill(l mem.Line, now uint64, write bool) (AccessResult, Fi
 // FillSlot contract, nothing has inserted it since.
 func (c *Cache) Fill(slot FillSlot, l mem.Line, ready uint64, dirty, prefetch bool, trigger mem.Addr) Eviction {
 	c.clock++
-	si := slot.si
-	set := c.set(si)
-	victim := slot.free
-	var ev Eviction
-	if victim < 0 {
-		victim = c.repl.victim(si, c.demandWays)
-		st := set[victim]
-		ev = Eviction{Line: st.line, Dirty: st.dirty, Prefetch: st.prefetch, Trigger: st.trigger, Valid: true}
-		if st.dirty {
-			c.stats.Writebacks++
-		}
-	}
-	set[victim] = lineState{line: l, valid: true, dirty: dirty, prefetch: prefetch, trigger: trigger, ready: ready}
-	c.lines[si*c.cfg.Ways+victim] = uint64(l) + 1
-	c.repl.insert(si, victim, c.clock)
-	c.stats.Fills++
-	return ev
+	return c.put(slot.si, slot.free, uint64(l)+1, ready, dirty, prefetch, trigger)
 }
 
 // Insert fills line l, choosing a victim within the demand-visible ways.
@@ -307,61 +324,31 @@ func (c *Cache) Fill(slot FillSlot, l mem.Line, ready uint64, dirty, prefetch bo
 func (c *Cache) Insert(l mem.Line, now, ready uint64, dirty, prefetch bool, trigger mem.Addr) Eviction {
 	c.clock++
 	si := c.setIndex(l)
-	base := si * c.cfg.Ways
-	set := c.set(si)
 	// One scan finds a refill of a line already present (e.g. prefetch
 	// racing demand — update in place, never duplicate tags) and remembers
 	// the first free way for the fill.
-	victim := -1
-	want := uint64(l) + 1
-	for w := 0; w < c.demandWays; w++ {
-		lv := c.lines[base+w]
-		if lv == want {
-			st := &set[w]
-			if ready < st.ready {
-				st.ready = ready
-			}
-			st.dirty = st.dirty || dirty
-			return Eviction{}
-		}
-		if lv == 0 && victim < 0 {
-			victim = w
-		}
+	w, lv, free := c.scan(si, uint64(l)+1, c.demandWays)
+	if w < 0 {
+		return c.put(si, free, uint64(l)+1, ready, dirty, prefetch, trigger)
 	}
-	var ev Eviction
-	if victim < 0 {
-		victim = c.repl.victim(si, c.demandWays)
-		st := set[victim]
-		ev = Eviction{Line: st.line, Dirty: st.dirty, Prefetch: st.prefetch, Trigger: st.trigger, Valid: true}
-		if st.dirty {
-			c.stats.Writebacks++
-		}
+	i := si*c.cfg.Ways + w
+	if ready < c.ready[i] {
+		c.ready[i] = ready
 	}
-	set[victim] = lineState{line: l, valid: true, dirty: dirty, prefetch: prefetch, trigger: trigger, ready: ready}
-	c.lines[base+victim] = want
-	c.repl.insert(si, victim, c.clock)
-	c.stats.Fills++
-	return ev
+	if dirty {
+		c.lines[i] = lv | dirtyBit
+	}
+	return Eviction{}
 }
 
 // MarkDirty performs the writeback fast path: if l is present in the
 // demand-visible ways it applies exactly the side effects of a demand write
 // hit (recency touch, dirty bit, prefetch-flag consumption) and reports
 // true; otherwise it reports false with no state change, and the caller
-// inserts the line. It fuses the Lookup+Access pair the simulator used to
-// issue for every dirty eviction into one tag scan.
+// inserts the line.
 func (c *Cache) MarkDirty(l mem.Line, now uint64) bool {
-	si := c.setIndex(l)
-	if w := c.findWay(si, l, c.demandWays); w >= 0 {
-		st := &c.set(si)[w]
-		c.clock++
-		c.stats.Hits++
-		c.repl.touch(si, w, c.clock)
-		st.prefetch = false
-		st.dirty = true
-		return true
-	}
-	return false
+	handled, _ := c.MarkDirtyFill(l, now)
+	return handled
 }
 
 // MarkDirtyFill is MarkDirty fused with the fill-side scan: the single tag
@@ -372,25 +359,13 @@ func (c *Cache) MarkDirty(l mem.Line, now uint64) bool {
 // false MarkDirty) and the slot obeys the usual FillSlot contract.
 func (c *Cache) MarkDirtyFill(l mem.Line, now uint64) (handled bool, slot FillSlot) {
 	si := c.setIndex(l)
-	base := si * c.cfg.Ways
-	want := uint64(l) + 1
-	free := -1
-	for w := 0; w < c.demandWays; w++ {
-		lv := c.lines[base+w]
-		if lv == want {
-			st := &c.set(si)[w]
-			c.clock++
-			c.stats.Hits++
-			c.repl.touch(si, w, c.clock)
-			st.prefetch = false
-			st.dirty = true
-			return true, FillSlot{}
-		}
-		if lv == 0 && free < 0 {
-			free = w
-		}
+	w, lv, free := c.scan(si, uint64(l)+1, c.demandWays)
+	if w < 0 {
+		return false, FillSlot{si: si, free: free}
 	}
-	return false, FillSlot{si: si, free: free}
+	c.clock++
+	c.hit(si, w, lv, true)
+	return true, FillSlot{}
 }
 
 // Invalidate removes a line if present, returning its eviction record
@@ -398,15 +373,8 @@ func (c *Cache) MarkDirtyFill(l mem.Line, now uint64) (handled bool, slot FillSl
 func (c *Cache) Invalidate(l mem.Line) Eviction {
 	si := c.setIndex(l)
 	// Note: the full associativity is searched, not just the demand ways.
-	if w := c.findWay(si, l, c.cfg.Ways); w >= 0 {
-		set := c.set(si)
-		st := set[w]
-		set[w] = lineState{}
-		c.lines[si*c.cfg.Ways+w] = 0
-		if st.dirty {
-			c.stats.Writebacks++
-		}
-		return Eviction{Line: st.line, Dirty: st.dirty, Prefetch: st.prefetch, Trigger: st.trigger, Valid: true}
+	if w, _, _ := c.scan(si, uint64(l)+1, c.cfg.Ways); w >= 0 {
+		return c.evict(si*c.cfg.Ways + w)
 	}
 	return Eviction{}
 }
@@ -416,27 +384,13 @@ func (c *Cache) Invalidate(l mem.Line) Eviction {
 // every line in the ways being removed and returns them, dirty lines first
 // requiring writeback by the caller.
 func (c *Cache) SetDemandWays(n int) []Eviction {
-	if n < 0 {
-		n = 0
-	}
-	if n > c.cfg.Ways {
-		n = c.cfg.Ways
-	}
+	n = max(0, min(n, c.cfg.Ways))
 	var evs []Eviction
-	if n < c.demandWays {
-		for si := 0; si < c.cfg.Sets(); si++ {
-			set := c.set(si)
-			for w := n; w < c.demandWays; w++ {
-				st := &set[w]
-				// lines, not st.valid, is authoritative (sparse Reset).
-				if c.lines[si*c.cfg.Ways+w] != 0 {
-					evs = append(evs, Eviction{Line: st.line, Dirty: st.dirty, Prefetch: st.prefetch, Trigger: st.trigger, Valid: true})
-					if st.dirty {
-						c.stats.Writebacks++
-					}
-					*st = lineState{}
-					c.lines[si*c.cfg.Ways+w] = 0
-				}
+	for si := 0; n < c.demandWays && si < c.cfg.Sets(); si++ {
+		base := si * c.cfg.Ways
+		for i := base + n; i < base+c.demandWays; i++ {
+			if c.lines[i] != 0 {
+				evs = append(evs, c.evict(i))
 			}
 		}
 	}
@@ -449,8 +403,8 @@ func (c *Cache) Occupancy() int {
 	n := 0
 	for si := 0; si < c.cfg.Sets(); si++ {
 		base := si * c.cfg.Ways
-		for w := 0; w < c.demandWays; w++ {
-			if c.lines[base+w] != 0 {
+		for _, lv := range c.lines[base : base+c.demandWays] {
+			if lv != 0 {
 				n++
 			}
 		}

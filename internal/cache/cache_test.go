@@ -78,7 +78,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// Touch line 0 so line 4 becomes LRU.
 	c.Access(0, 100, false)
 	ev := c.Insert(16, 101, 101, false, false, 0)
-	if !ev.Valid || ev.Line != 4 {
+	if !ev.Valid() || ev.Line() != 4 {
 		t.Fatalf("evicted %+v, want line 4", ev)
 	}
 }
@@ -91,10 +91,10 @@ func TestPLRUVictimIsNotMRU(t *testing.T) {
 	}
 	c.Access(12, 50, false) // 12 is MRU
 	ev := c.Insert(16, 51, 51, false, false, 0)
-	if !ev.Valid {
+	if !ev.Valid() {
 		t.Fatal("expected an eviction from a full set")
 	}
-	if ev.Line == 12 {
+	if ev.Line() == 12 {
 		t.Fatal("PLRU evicted the MRU line")
 	}
 }
@@ -109,7 +109,7 @@ func TestSRRIPHitPromotion(t *testing.T) {
 	c.Access(0, 20, false)
 	c.Access(4, 21, false)
 	ev := c.Insert(16, 22, 22, false, false, 0)
-	if !ev.Valid || (ev.Line != 8 && ev.Line != 12) {
+	if !ev.Valid() || (ev.Line() != 8 && ev.Line() != 12) {
 		t.Fatalf("SRRIP evicted %+v, want line 8 or 12", ev)
 	}
 }
@@ -122,7 +122,7 @@ func TestDirtyWriteback(t *testing.T) {
 		c.Insert(l, uint64(i+2), uint64(i+2), false, false, 0)
 	}
 	ev := c.Insert(16, 10, 10, false, false, 0)
-	if !ev.Valid || ev.Line != 0 || !ev.Dirty {
+	if !ev.Valid() || ev.Line() != 0 || !ev.Dirty() {
 		t.Fatalf("eviction %+v, want dirty line 0", ev)
 	}
 	if c.Stats().Writebacks != 1 {
@@ -151,7 +151,7 @@ func TestPrefetchEvictedUnused(t *testing.T) {
 		c.Insert(l, uint64(i+1), uint64(i+1), false, false, 0)
 	}
 	ev := c.Insert(16, 10, 10, false, false, 0)
-	if !ev.Valid || ev.Line != 0 || !ev.Prefetch || ev.Trigger != 0x400200 {
+	if !ev.Valid() || ev.Line() != 0 || !ev.Prefetch() || ev.Trigger() != 0x400200 {
 		t.Fatalf("eviction %+v, want unused prefetch of line 0", ev)
 	}
 }
@@ -160,7 +160,7 @@ func TestInsertRefillDoesNotDuplicate(t *testing.T) {
 	c := New(small(LRU))
 	c.Insert(0, 0, 100, false, false, 0)
 	ev := c.Insert(0, 1, 50, true, false, 0)
-	if ev.Valid {
+	if ev.Valid() {
 		t.Fatalf("refill evicted %+v", ev)
 	}
 	if c.Occupancy() != 1 {
@@ -177,13 +177,13 @@ func TestInvalidate(t *testing.T) {
 	c.Insert(0, 0, 0, false, false, 0)
 	c.Access(0, 1, true)
 	ev := c.Invalidate(0)
-	if !ev.Valid || !ev.Dirty {
+	if !ev.Valid() || !ev.Dirty() {
 		t.Fatalf("Invalidate returned %+v", ev)
 	}
 	if _, hit := c.Lookup(0); hit {
 		t.Fatal("line still present after Invalidate")
 	}
-	if ev2 := c.Invalidate(0); ev2.Valid {
+	if ev2 := c.Invalidate(0); ev2.Valid() {
 		t.Fatal("second Invalidate reported a line")
 	}
 }
@@ -264,17 +264,19 @@ func TestCacheInvariants(t *testing.T) {
 		if c.Occupancy() > 16 {
 			return false
 		}
-		// Scan for duplicate tags among valid demand ways.
-		seen := map[mem.Line]bool{}
+		// Scan the tag words, which are authoritative for validity, for
+		// duplicate tags among the demand ways.
+		seen := map[uint64]bool{}
 		for si := 0; si < c.cfg.Sets(); si++ {
-			for w := 0; w < c.demandWays; w++ {
-				st := c.set(si)[w]
-				if st.valid {
-					if seen[st.line] {
-						return false
-					}
-					seen[st.line] = true
+			base := si * c.cfg.Ways
+			for _, lv := range c.lines[base : base+c.demandWays] {
+				if lv == 0 {
+					continue
 				}
+				if seen[lv&tagMask] {
+					return false
+				}
+				seen[lv&tagMask] = true
 			}
 		}
 		return true

@@ -24,6 +24,11 @@ const LineShift = 6
 // LineBytes is the cache-line size in bytes.
 const LineBytes = 1 << LineShift
 
+// MaxLine is the highest line a 64-bit address has. A computed prefetch
+// target above it lies beyond the address space (Line.Addr would overflow),
+// and the caches' tag words hold line+1 only for lines up to it.
+const MaxLine Line = 1<<(64-LineShift) - 1
+
 // Addr is a byte address in the simulated physical address space.
 type Addr uint64
 

@@ -38,6 +38,16 @@ func TestLineAddrRoundTrip(t *testing.T) {
 	}
 }
 
+func TestMaxLine(t *testing.T) {
+	top := Addr(^uint64(0))
+	if got := LineOf(top); got != MaxLine {
+		t.Fatalf("LineOf(top address) = %v, want MaxLine %v", got, MaxLine)
+	}
+	if got, want := MaxLine.Addr(), top&^(LineBytes-1); got != want {
+		t.Fatalf("MaxLine.Addr() = %#x, want %#x", got, want)
+	}
+}
+
 func TestAccessInstructions(t *testing.T) {
 	a := Access{Gap: 7}
 	if got := a.Instructions(); got != 8 {

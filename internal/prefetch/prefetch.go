@@ -95,7 +95,7 @@ func (s *Stride) OnAccess(pc mem.Addr, line mem.Line, _ bool) []mem.Line {
 	next := int64(line)
 	for i := 0; i < s.degree; i++ {
 		next += e.stride
-		if next < 0 {
+		if next < 0 || next > int64(mem.MaxLine) {
 			break
 		}
 		out = append(out, mem.Line(next))
@@ -209,7 +209,7 @@ func (p *IPCP) OnAccess(pc mem.Addr, line mem.Line, hit bool) []mem.Line {
 		next := int64(line)
 		for i := 0; i < degree; i++ {
 			next += e.stride
-			if next < 0 {
+			if next < 0 || next > int64(mem.MaxLine) {
 				break
 			}
 			out = append(out, mem.Line(next))
@@ -222,7 +222,7 @@ func (p *IPCP) OnAccess(pc mem.Addr, line mem.Line, hit bool) []mem.Line {
 		next := int64(line)
 		for i := 0; i < degree; i++ {
 			next += p.streamDir
-			if next < 0 {
+			if next < 0 || next > int64(mem.MaxLine) {
 				break
 			}
 			out = append(out, mem.Line(next))
@@ -230,6 +230,9 @@ func (p *IPCP) OnAccess(pc mem.Addr, line mem.Line, hit bool) []mem.Line {
 		p.scratch = out
 		return out
 	case classNL:
+		if line == mem.MaxLine {
+			return nil
+		}
 		out := append(p.scratch[:0], line+1)
 		p.scratch = out
 		return out

@@ -114,6 +114,56 @@ func TestStrideTableConflictResets(t *testing.T) {
 	}
 }
 
+// checkEndsAt fails t unless got is non-empty, never passes mem.MaxLine,
+// and ends exactly at it: a run that reaches the top of the address space
+// emits the lines up to it and nothing beyond.
+func checkEndsAt(t *testing.T, got []mem.Line) {
+	t.Helper()
+	if len(got) == 0 {
+		t.Fatal("no prefetches near MaxLine")
+	}
+	for _, l := range got {
+		if l > mem.MaxLine {
+			t.Fatalf("prefetch %v beyond MaxLine %v (all: %v)", l, mem.MaxLine, got)
+		}
+	}
+	if last := got[len(got)-1]; last != mem.MaxLine {
+		t.Fatalf("last prefetch = %v, want MaxLine %v (all: %v)", last, mem.MaxLine, got)
+	}
+}
+
+func TestStrideStopsAtMaxLine(t *testing.T) {
+	s := NewStride(8)
+	pc := mem.Addr(0x400100)
+	var got []mem.Line
+	for i := 6; i >= 2; i-- {
+		got = s.OnAccess(pc, mem.MaxLine-mem.Line(2*i), false)
+	}
+	// Last access at MaxLine-4, stride 2: MaxLine-2 and MaxLine only.
+	if len(got) != 2 {
+		t.Fatalf("degree-8 stride issued %v near MaxLine, want 2 lines", got)
+	}
+	checkEndsAt(t, got)
+}
+
+func TestIPCPStopsAtMaxLine(t *testing.T) {
+	// Constant stride from one PC.
+	p := NewIPCP()
+	pc := mem.Addr(0x500)
+	var got []mem.Line
+	for i := 7; i >= 3; i-- {
+		got = p.OnAccess(pc, mem.MaxLine-mem.Line(i), true)
+	}
+	checkEndsAt(t, got)
+
+	// Global stream from many PCs, so no per-PC stride forms.
+	p = NewIPCP()
+	for i := 11; i >= 2; i-- {
+		got = p.OnAccess(mem.Addr(0x600+i%6*8), mem.MaxLine-mem.Line(i), false)
+	}
+	checkEndsAt(t, got)
+}
+
 func TestIPCPConstantStrideClass(t *testing.T) {
 	p := NewIPCP()
 	pc := mem.Addr(0x500)

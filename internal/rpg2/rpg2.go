@@ -184,7 +184,7 @@ func (p *Prefetcher) OnDemand(pc mem.Addr, line mem.Line) []mem.Line {
 		return nil
 	}
 	target := int64(line) + stride*int64(p.distance)
-	if target < 0 {
+	if target < 0 || target > int64(mem.MaxLine) {
 		return nil
 	}
 	p.issued++

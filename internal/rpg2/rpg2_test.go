@@ -92,6 +92,16 @@ func TestPrefetcherNegativeClamp(t *testing.T) {
 	}
 }
 
+func TestPrefetcherMaxLineClamp(t *testing.T) {
+	pf := NewPrefetcher([]Kernel{{PC: 1, StrideLine: 2}}, 8)
+	if got := pf.OnDemand(1, mem.MaxLine-16); len(got) != 1 || got[0] != mem.MaxLine {
+		t.Fatalf("OnDemand(MaxLine-16) = %v, want [MaxLine]", got)
+	}
+	if got := pf.OnDemand(1, mem.MaxLine-15); got != nil {
+		t.Fatalf("target beyond MaxLine not dropped: %v", got)
+	}
+}
+
 func TestTuneDistanceFindsPeak(t *testing.T) {
 	// Response peaks at distance 8.
 	measure := func(d int) float64 {

@@ -39,22 +39,14 @@ func matrix(t *testing.T) []Variant {
 	return Matrix(parseList(t, *blocksFlag))
 }
 
-// checkInvariants fails t for every counter invariant st breaks; name says
-// which run produced st. A prefetch cannot be judged useful or useless
-// without first being issued, a demand miss is also a demand access, and a
-// table hit is also a table lookup. These hold for every correct run
-// whatever its block shape, so a violation flags a broken simulator even
-// where every shape agrees with the reference.
-func checkInvariants(t *testing.T, name string, st sim.Stats) {
+// validate fails t when st breaks a counter invariant (sim.Stats.Validate);
+// name says which run produced st. Every Stats the harness produces, the
+// reference included, is checked, so a violation flags a broken simulator
+// even where every block shape agrees with the reference.
+func validate(t *testing.T, name string, st sim.Stats) {
 	t.Helper()
-	if st.TPUseful+st.TPUseless > st.TPIssued {
-		t.Errorf("%s: TPUseful+TPUseless %d+%d > TPIssued %d", name, st.TPUseful, st.TPUseless, st.TPIssued)
-	}
-	if st.L2DemandMisses > st.L2DemandAccesses {
-		t.Errorf("%s: L2DemandMisses %d > L2DemandAccesses %d", name, st.L2DemandMisses, st.L2DemandAccesses)
-	}
-	if ts := st.TableStats; ts.Hits > ts.Lookups {
-		t.Errorf("%s: TableStats.Hits %d > TableStats.Lookups %d", name, ts.Hits, ts.Lookups)
+	if err := st.Validate(); err != nil {
+		t.Errorf("%s: %v", name, err)
 	}
 }
 
@@ -62,7 +54,7 @@ func checkInvariants(t *testing.T, name string, st sim.Stats) {
 func run(t *testing.T, name string, opts sim.Opts, engine temporal.Engine, src mem.Source) sim.Stats {
 	t.Helper()
 	st := sim.RunOpts(sim.Default(), opts, engine, nil, nil, nil, src)
-	checkInvariants(t, name, st)
+	validate(t, name, st)
 	return st
 }
 
@@ -120,8 +112,8 @@ func runCorpus(t *testing.T, opts sim.Opts, workers int) []pipeline.Outcome {
 		if out[i].Err != nil {
 			t.Fatalf("%s: %v", name, out[i].Err)
 		}
-		checkInvariants(t, name, out[i].Stats)
-		checkInvariants(t, name+" (baseline)", out[i].Base)
+		validate(t, name, out[i].Stats)
+		validate(t, name+" (baseline)", out[i].Base)
 	}
 	return out
 }

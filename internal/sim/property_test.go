@@ -9,7 +9,7 @@ import (
 
 // Property: for any random access mix, the hierarchy's accounting stays
 // consistent — hits+misses equals accesses per level, demand misses never
-// exceed demand accesses, and DRAM reads never exceed total fills needed.
+// exceed demand accesses, and every sim.Stats.Validate invariant holds.
 func TestHierarchyAccountingInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := mem.NewPRNG(seed)
@@ -38,6 +38,10 @@ func TestHierarchyAccountingInvariants(t *testing.T) {
 			return false
 		}
 		if st.L2DemandAccesses != st.L1.Misses {
+			return false
+		}
+		if err := st.Validate(); err != nil {
+			t.Log(err)
 			return false
 		}
 		// Cycles must cover at least the fetch-bandwidth lower bound.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"prophet/internal/cache"
@@ -67,6 +69,37 @@ func (s Stats) TPAccuracy() float64 {
 	return float64(s.TPUseful) / float64(s.TPIssued)
 }
 
+// Validate reports every counter invariant s breaks, joined, or nil when
+// it breaks none. The invariants hold for every correct run whatever its
+// execution shape, so a violation flags a broken simulator even where two
+// runs agree:
+//   - a prefetch is judged useful or useless only after it is issued;
+//   - a demand miss is also a demand access, and a table hit also a table
+//     lookup;
+//   - every DRAM read is an L3 miss and every DRAM write an L3 writeback,
+//     which pins the miss accounting and the dirty bit end to end;
+//   - a cache level writes back only lines it filled.
+func (s Stats) Validate() error {
+	var errs []error
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			errs = append(errs, fmt.Errorf(format, args...))
+		}
+	}
+	check(s.TPUseful+s.TPUseless <= s.TPIssued, "TPUseful+TPUseless %d+%d > TPIssued %d", s.TPUseful, s.TPUseless, s.TPIssued)
+	check(s.L2DemandMisses <= s.L2DemandAccesses, "L2DemandMisses %d > L2DemandAccesses %d", s.L2DemandMisses, s.L2DemandAccesses)
+	check(s.TableStats.Hits <= s.TableStats.Lookups, "TableStats.Hits %d > TableStats.Lookups %d", s.TableStats.Hits, s.TableStats.Lookups)
+	check(s.DRAM.Reads == s.L3.Misses, "DRAM.Reads %d != L3.Misses %d", s.DRAM.Reads, s.L3.Misses)
+	check(s.DRAM.Writes == s.L3.Writebacks, "DRAM.Writes %d != L3.Writebacks %d", s.DRAM.Writes, s.L3.Writebacks)
+	for _, lv := range []struct {
+		name string
+		st   cache.Stats
+	}{{"L1", s.L1}, {"L2", s.L2}, {"L3", s.L3}} {
+		check(lv.st.Writebacks <= lv.st.Fills, "%s.Writebacks %d > %s.Fills %d", lv.name, lv.st.Writebacks, lv.name, lv.st.Fills)
+	}
+	return errors.Join(errs...)
+}
+
 // System is the assembled machine. It implements cpu.Memory.
 type System struct {
 	cfg  Config
@@ -116,8 +149,8 @@ func (s *System) syncMetaWays(now uint64) {
 		return
 	}
 	for _, ev := range s.l3.SetDemandWays(want) {
-		if ev.Dirty {
-			s.dram.Write(ev.Line, now)
+		if ev.Dirty() {
+			s.dram.Write(ev.Line(), now)
 		}
 	}
 }
@@ -172,8 +205,8 @@ func (s *System) Access(a mem.Access, now uint64) (ready uint64, l1Miss bool) {
 	} else {
 		ev = s.l1.Fill(slot, line, fillReady, write, false, 0)
 	}
-	if ev.Valid && ev.Dirty {
-		s.writebackToL2(ev.Line, now)
+	if ev.Dirty() {
+		s.writebackToL2(ev.Line(), now)
 	}
 	return fillReady, true
 }
@@ -247,8 +280,8 @@ func (s *System) fetchFromL3(line mem.Line, t uint64) (ready uint64) {
 		return r
 	}
 	done := s.dram.Read(line, t+s.cfg.L3.HitLatency)
-	if ev := s.l3.Fill(slot, line, done, false, false, 0); ev.Valid && ev.Dirty {
-		s.dram.Write(ev.Line, t)
+	if ev := s.l3.Fill(slot, line, done, false, false, 0); ev.Dirty() {
+		s.dram.Write(ev.Line(), t)
 	}
 	return done
 }
@@ -265,20 +298,17 @@ func (s *System) fillL2Slot(slot cache.FillSlot, line mem.Line, now, ready uint6
 	s.l2Evicted(s.l2.Fill(slot, line, ready, false, isPrefetch, trigger), now)
 }
 
-// l2Evicted handles an L2 victim: writeback and prefetch-usefulness
-// accounting for displaced prefetched lines.
+// l2Evicted handles an L2 victim, if any: writeback and
+// prefetch-usefulness accounting for displaced prefetched lines.
 func (s *System) l2Evicted(ev cache.Eviction, now uint64) {
-	if !ev.Valid {
-		return
-	}
-	if ev.Prefetch {
+	if ev.Prefetch() {
 		s.st.TPUseless++
 		if s.engine != nil {
-			s.engine.PrefetchUseless(ev.Trigger, ev.Line)
+			s.engine.PrefetchUseless(ev.Trigger(), ev.Line())
 		}
 	}
-	if ev.Dirty {
-		s.writebackToL3(ev.Line, now)
+	if ev.Dirty() {
+		s.writebackToL3(ev.Line(), now)
 	}
 }
 
@@ -299,8 +329,8 @@ func (s *System) writebackToL3(line mem.Line, now uint64) {
 	if handled {
 		return
 	}
-	if ev := s.l3.Fill(slot, line, now, true, false, 0); ev.Valid && ev.Dirty {
-		s.dram.Write(ev.Line, now)
+	if ev := s.l3.Fill(slot, line, now, true, false, 0); ev.Dirty() {
+		s.dram.Write(ev.Line(), now)
 	}
 }
 
@@ -366,8 +396,8 @@ func (s *System) l1Prefetch(line mem.Line, trigger mem.Addr, now uint64) bool {
 		}
 		s.syncMetaWays(now)
 	}
-	if ev := s.l1.Insert(line, now, ready, false, true, trigger); ev.Valid && ev.Dirty {
-		s.writebackToL2(ev.Line, now)
+	if ev := s.l1.Insert(line, now, ready, false, true, trigger); ev.Dirty() {
+		s.writebackToL2(ev.Line(), now)
 	}
 	return true
 }
