@@ -1,14 +1,14 @@
 // Coordinated multi-backend sweep dispatch: the client half of the fleet
 // protocol. An Evaluator configured with WithBackends fans Sweep jobs out
-// over remote prophetd instances through internal/dispatch — chunks placed
-// by a pluggable scheduler (hash affinity by workload+scheme, or
-// least-loaded fed by GET /v1/health probes), batched POST /v1/batch
-// requests, bounded retries, and failover to the in-process engine — and
-// merges results in job order, so output is byte-identical to a local
-// sweep. Backends can also join and leave the fleet at runtime
-// (AddBackend/RemoveBackend, driven by prophetd's POST /v1/peers). The
-// wire types below are shared with the serving side in internal/server,
-// which keeps client and daemon from drifting apart.
+// over remote prophetd instances through internal/dispatch — consecutive
+// job-order chunks, each granted to the peer with the fewest chunks in
+// flight, sent as POST /v1/batch requests with bounded retries and
+// failover to the in-process engine — and merges results in job order, so
+// output is byte-identical to a local sweep. Backends can also join and
+// leave the fleet at runtime (AddBackend/RemoveBackend, driven by
+// prophetd's POST /v1/peers). The wire types below are shared with the
+// serving side in internal/server, which keeps client and daemon from
+// drifting apart.
 package prophet
 
 import (
@@ -72,14 +72,13 @@ type BatchResponse struct {
 }
 
 // Health is the GET /v1/health reply: a lightweight load and identity
-// snapshot a coordinator polls to steer least-loaded scheduling and to
-// verify a peer simulates a compatible engine.
+// snapshot for operators and scripts (how busy a daemon is, which engine
+// it simulates).
 type Health struct {
 	// Version is the daemon's build version.
 	Version string `json:"version"`
 	// Engine is the daemon's engine fingerprint (schema generation, build
-	// version, simulation options); coordinators refuse to schedule onto a
-	// peer whose fingerprint differs from their own.
+	// version, simulation options).
 	Engine string `json:"engine"`
 	// Workers is the daemon's sweep worker pool width.
 	Workers int `json:"workers"`
@@ -101,45 +100,14 @@ const batchReplyPerJob = 64 << 10
 
 // httpBackend executes job batches against one remote prophetd instance.
 // want is the coordinator's engine configuration; replies simulated under
-// anything else are treated as backend failures. fp is the coordinator's
-// engine fingerprint, checked against the peer's /v1/health report before
-// load-driven scheduling trusts it.
+// anything else are treated as backend failures.
 type httpBackend struct {
 	base   string // URL prefix without trailing slash
 	client *http.Client
 	want   Options
-	fp     string
 }
 
 func (b *httpBackend) Name() string { return b.base }
-
-// Probe implements dispatch.Prober over GET /v1/health, so load-driven
-// schedulers see the peer's queue depth and in-flight work. A fingerprint
-// mismatch is a probe failure: the peer would fail config enforcement at
-// batch time anyway, so the scheduler deprioritizes it up front.
-func (b *httpBackend) Probe(ctx context.Context) (dispatch.Load, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/health", nil)
-	if err != nil {
-		return dispatch.Load{}, fmt.Errorf("prophet: backend %s: %w", b.base, err)
-	}
-	resp, err := b.client.Do(hreq)
-	if err != nil {
-		return dispatch.Load{}, fmt.Errorf("prophet: backend %s: %w", b.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return dispatch.Load{}, fmt.Errorf("prophet: backend %s: health HTTP %d", b.base, resp.StatusCode)
-	}
-	var h Health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
-		return dispatch.Load{}, fmt.Errorf("prophet: backend %s: decode health: %w", b.base, err)
-	}
-	if b.fp != "" && h.Engine != b.fp {
-		return dispatch.Load{}, fmt.Errorf("prophet: backend %s: engine fingerprint mismatch (backend %q, coordinator %q)",
-			b.base, h.Engine, b.fp)
-	}
-	return dispatch.Load{QueueDepth: h.QueueDepth, InFlight: h.InFlight}, nil
-}
 
 func (b *httpBackend) Execute(ctx context.Context, jobs []Job) ([]Result, error) {
 	req := BatchRequest{Jobs: make([]BatchJob, len(jobs))}
@@ -220,21 +188,6 @@ type DispatchStats struct {
 	// returning fewer results than jobs — should stay zero; nonzero means
 	// zero-valued rows were merged.
 	ShortLocal int64 `json:"shortLocal"`
-	// Stolen counts chunks executed by a backend other than their hash
-	// owner (work stealing, or reassignment after a peer left the fleet).
-	Stolen int64 `json:"stolen"`
-}
-
-// shardKey is the deterministic hash input for backend assignment: the
-// workload identity plus the scheme, so a fixed fleet places every
-// (workload, scheme) cell on the same backend across sweeps and that
-// backend's caches stay hot for it across repeated matrices. The tradeoff
-// is within one sweep: a workload's scheme cells can spread over several
-// workers, each simulating that workload's baseline once — accepted for
-// the finer-grained load spread (a coarser workload-only key would pin a
-// whole workload's matrix row, baseline included, to one worker).
-func shardKey(j Job) string {
-	return fmt.Sprintf("%s@%d|%s", j.Workload.Name, j.Workload.Records, j.Scheme)
 }
 
 // pinnedLocal reports jobs that must not leave this process: file: traces
@@ -244,11 +197,11 @@ func pinnedLocal(j Job) bool { return externalPath(j.Workload.Name) != "" }
 
 // newHTTPBackend builds the dispatch backend for one peer base URL.
 func (e *Evaluator) newHTTPBackend(base string) *httpBackend {
-	return &httpBackend{base: base, client: e.backendClient, want: e.opts, fp: e.StoreFingerprint()}
+	return &httpBackend{base: base, client: e.backendClient, want: e.opts}
 }
 
 // AddBackend joins a prophetd peer to the sweep fleet at runtime, effective
-// from the next scheduling round of any in-flight sweep. URLs are
+// from the next grant round of any in-flight sweep. URLs are
 // normalized (trailing slash dropped); it reports false for an empty URL or
 // a peer already in the fleet.
 func (e *Evaluator) AddBackend(url string) bool {
@@ -276,23 +229,17 @@ func (e *Evaluator) newDispatcher() *dispatch.Dispatcher[Job, Result] {
 		// Callers bound sweeps with the context.
 		e.backendClient = &http.Client{}
 	}
-	sched, err := dispatch.SchedulerByName(e.scheduler)
-	if err != nil {
-		panic("prophet: " + err.Error())
-	}
 	ring := make([]dispatch.Backend[Job, Result], len(e.backendURLs))
 	for i, u := range e.backendURLs {
 		ring[i] = e.newHTTPBackend(strings.TrimRight(u, "/"))
 	}
 	return dispatch.New(dispatch.Config[Job, Result]{
-		Backends:  ring,
-		Scheduler: sched,
-		Logf:      e.logf,
+		Backends: ring,
+		Logf:     e.logf,
 		Local: func(ctx context.Context, jobs []Job) []Result {
 			rs, _ := e.sweepLocal(ctx, jobs...)
 			return rs
 		},
-		Key:      shardKey,
 		Pin:      pinnedLocal,
 		Retries:  e.backendRetries,
 		MaxBatch: e.backendMaxBatch,

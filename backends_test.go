@@ -10,6 +10,7 @@ package prophet_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -297,9 +298,10 @@ func TestShardedExperimentsMatchLocal(t *testing.T) {
 	}
 }
 
-// Every scheduling strategy must produce byte-identical merged results:
-// the scheduler chooses placement, never content or order.
-func TestSweepByteIdenticalAcrossSchedulers(t *testing.T) {
+// Small batches cut the sweep into many chunks granted over many rounds:
+// placement decides where each chunk runs, never content or order, so the
+// merged results stay byte-identical.
+func TestSweepByteIdenticalInSmallBatches(t *testing.T) {
 	jobs := sweepJobs(t)
 	local := prophet.New(prophet.WithWorkers(2))
 	want, err := local.Sweep(context.Background(), jobs...)
@@ -307,25 +309,64 @@ func TestSweepByteIdenticalAcrossSchedulers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w1, w2 := startWorker(t), startWorker(t)
-	for _, sched := range prophet.Schedulers() {
-		t.Run(sched, func(t *testing.T) {
-			coord := prophet.New(
-				prophet.WithBackends(w1, w2),
-				prophet.WithScheduler(sched),
-				prophet.WithBackendMaxBatch(2),
-				prophet.WithWorkers(2),
-			)
-			got, err := coord.Sweep(context.Background(), jobs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSweepsEqual(t, got, want)
-			st := coord.DispatchStats()
-			if st.Remote != int64(len(jobs)) || st.Failovers != 0 {
-				t.Fatalf("dispatch stats %+v: want all %d jobs remote under %s", st, len(jobs), sched)
-			}
-		})
+	coord := prophet.New(
+		prophet.WithBackends(startWorker(t), startWorker(t)),
+		prophet.WithBackendMaxBatch(2),
+		prophet.WithWorkers(2),
+	)
+	got, err := coord.Sweep(context.Background(), jobs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSweepsEqual(t, got, want)
+	st := coord.DispatchStats()
+	if st.Remote != int64(len(jobs)) || st.Failovers != 0 {
+		t.Fatalf("dispatch stats %+v: want all %d jobs remote", st, len(jobs))
+	}
+}
+
+// Chunks follow job order, so a workload-major sweep hands each worker
+// whole workload rows: across the fleet, each workload's baseline is
+// simulated exactly once.
+func TestFleetSimulatesEachBaselineOnce(t *testing.T) {
+	var ws []prophet.Workload
+	for _, name := range []string{"mcf", "omnetpp", "sphinx3", "xalancbmk"} {
+		w, err := prophet.Find(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w.WithRecords(3000))
+	}
+	jobs := prophet.Jobs(ws, prophet.Baseline, prophet.Triage, prophet.Triangel, prophet.Prophet)
+	want, err := prophet.New(prophet.WithWorkers(2)).Sweep(context.Background(), jobs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	workers := []string{startWorker(t), startWorker(t)}
+	coord := prophet.New(prophet.WithBackends(workers...))
+	got, err := coord.Sweep(context.Background(), jobs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSweepsEqual(t, got, want)
+
+	var misses int64
+	for _, u := range workers {
+		resp, err := http.Get(u + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st server.StatsResponse
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		misses += st.Baseline.Misses
+	}
+	if misses != int64(len(ws)) {
+		t.Fatalf("workers simulated %d baselines, want %d (one per workload)", misses, len(ws))
 	}
 }
 
@@ -341,7 +382,6 @@ func TestSweepStreamMergesToBuffered(t *testing.T) {
 
 	coord := prophet.New(
 		prophet.WithBackends(startWorker(t), startWorker(t)),
-		prophet.WithScheduler("least-loaded"),
 		prophet.WithBackendMaxBatch(2),
 		prophet.WithWorkers(2),
 	)
@@ -483,12 +523,11 @@ func TestShardedSweepLiveBackends(t *testing.T) {
 			st, extJobs, len(jobs))
 	}
 
-	// The same fleet under the least-loaded scheduler with streamed
-	// delivery: health probes drive placement, rows arrive in completion
-	// order, and the index-merged results are still byte-identical.
+	// The same fleet in small batches with streamed delivery: rows arrive
+	// in completion order, and the index-merged results are still
+	// byte-identical.
 	coord3 := prophet.New(
 		prophet.WithBackends(urls...),
-		prophet.WithScheduler("least-loaded"),
 		prophet.WithBackendMaxBatch(2),
 		prophet.WithWorkers(2),
 	)

@@ -38,7 +38,6 @@ func main() {
 	records := flag.Uint64("records", 0, "override memory records per run (0 = workload default)")
 	workers := flag.Int("workers", 0, "worker pool per experiment (0 = all CPUs, 1 = serial; output is byte-identical either way)")
 	backends := flag.String("backends", "", "comma-separated prophetd base URLs to shard default-configuration figure sweeps across")
-	scheduler := flag.String("scheduler", "hash", "fleet scheduling strategy with -backends: "+strings.Join(prophet.Schedulers(), ", "))
 	extra := flag.String("workloads", "", "comma-separated extra workloads (file:, champsim:, csv:) appended to the comparison figures")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -70,12 +69,8 @@ func main() {
 		}
 		opts.Extra = append(opts.Extra, experiments.ExtraWorkload{Name: w.Name, Records: w.Records, Factory: f})
 	}
-	if !prophet.ValidScheduler(*scheduler) {
-		fmt.Fprintf(os.Stderr, "unknown -scheduler %q (choose from %s)\n", *scheduler, strings.Join(prophet.Schedulers(), ", "))
-		os.Exit(1)
-	}
 	if urls := cliutil.SplitList(*backends); len(urls) > 0 {
-		ev := prophet.New(prophet.WithBackends(urls...), prophet.WithScheduler(*scheduler), prophet.WithWorkers(*workers))
+		ev := prophet.New(prophet.WithBackends(urls...), prophet.WithWorkers(*workers))
 		opts.RemoteSweep = remoteSweep(ev)
 	}
 	var ids []string

@@ -43,14 +43,8 @@ func main() {
 	mvbCand := flag.Int("mvb-candidates", 1, "Multi-path Victim Buffer candidates per lookup")
 	learnL := flag.Int("learn-l", 4, "Equation 4 designer parameter L")
 	backends := flag.String("backends", "", "comma-separated prophetd base URLs to shard reference runs across")
-	scheduler := flag.String("scheduler", "hash", "fleet scheduling strategy with -backends: "+strings.Join(prophet.Schedulers(), ", "))
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
-
-	if !prophet.ValidScheduler(*scheduler) {
-		fmt.Fprintf(os.Stderr, "unknown -scheduler %q (choose from %s)\n", *scheduler, strings.Join(prophet.Schedulers(), ", "))
-		os.Exit(1)
-	}
 
 	if *version {
 		fmt.Println("prophet", prophet.Version())
@@ -70,7 +64,7 @@ func main() {
 		prophet.WithLearningL(*learnL),
 	}
 	if urls := cliutil.SplitList(*backends); len(urls) > 0 {
-		evOpts = append(evOpts, prophet.WithBackends(urls...), prophet.WithScheduler(*scheduler))
+		evOpts = append(evOpts, prophet.WithBackends(urls...))
 	}
 	ev := prophet.New(evOpts...)
 	s := ev.NewSession()

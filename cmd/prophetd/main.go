@@ -13,7 +13,7 @@
 //	prophetd -cache-ttl 1h -queue 128
 //	prophetd -store results.prst              # durable result store
 //	prophetd -peers http://w1:8373,http://w2:8373   # coordinate a fleet
-//	prophetd -scheduler least-loaded -peer-ttl 15s  # load-aware coordinator
+//	prophetd -peer-ttl 15s                    # coordinator for joining workers
 //	prophetd -join http://coord:8373 -advertise http://w3:8373  # elastic worker
 //	prophetd -version
 //
@@ -28,11 +28,10 @@
 // recently used entries are compacted away.
 //
 // With -peers the daemon becomes a fleet coordinator: incoming sweeps are
-// chunked and granted across the peer daemons by the -scheduler strategy
-// (workload+scheme hash with work stealing, or least-loaded driven by
-// GET /v1/health probes), with retries, jittered backoff, and failover to
-// the local engine, and the merged results are byte-identical to a
-// standalone run whatever the strategy. Peers execute batches on their own
+// cut into consecutive job-order chunks, each granted to the peer with the
+// fewest of the coordinator's chunks in flight, with retries, jittered
+// backoff, and failover to the local engine, and the merged results are
+// byte-identical to a standalone run. Peers execute batches on their own
 // engines only — fan-out never cascades — so a peer list must name other
 // daemons, not the daemon itself.
 //
@@ -97,7 +96,6 @@ func main() {
 	storeMax := flag.Int64("store-max-bytes", 256<<20, "result store size cap before LRU compaction (0 = unbounded)")
 	peers := flag.String("peers", "", "comma-separated peer prophetd base URLs to shard sweeps across (coordinator mode)")
 	peerRetries := flag.Int("peer-retries", 2, "batch attempts per peer before failing over to the local engine")
-	scheduler := flag.String("scheduler", "hash", "fleet scheduling strategy: "+strings.Join(prophet.Schedulers(), ", "))
 	peerTTL := flag.Duration("peer-ttl", 15*time.Second, "drain dynamic peers after this long without a heartbeat")
 	join := flag.String("join", "", "comma-separated coordinator base URLs to join as a worker (requires -advertise)")
 	advertise := flag.String("advertise", "", "this daemon's base URL as coordinators reach it (e.g. http://host:8373)")
@@ -111,9 +109,6 @@ func main() {
 		return
 	}
 
-	if !prophet.ValidScheduler(*scheduler) {
-		log.Fatalf("unknown -scheduler %q (choose from %s)", *scheduler, strings.Join(prophet.Schedulers(), ", "))
-	}
 	joinList := cliutil.SplitList(*join)
 	if len(joinList) > 0 && *advertise == "" {
 		log.Fatal("-join requires -advertise (the URL coordinators dial back)")
@@ -131,10 +126,7 @@ func main() {
 	if len(peerList) > 0 {
 		evOpts = append(evOpts, prophet.WithBackends(peerList...))
 	}
-	evOpts = append(evOpts,
-		prophet.WithBackendRetries(*peerRetries),
-		prophet.WithScheduler(*scheduler),
-	)
+	evOpts = append(evOpts, prophet.WithBackendRetries(*peerRetries))
 	ev := prophet.New(evOpts...)
 	var store *resultstore.Store
 	if *storePath != "" {
@@ -182,8 +174,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("prophetd %s listening on %s (%d sweep workers, %d job workers, queue %d, scheduler %s)",
-		prophet.Version(), *addr, ev.Workers(), *jobWorkers, *queueDepth, ev.SchedulerName())
+	log.Printf("prophetd %s listening on %s (%d sweep workers, %d job workers, queue %d)",
+		prophet.Version(), *addr, ev.Workers(), *jobWorkers, *queueDepth)
 	if len(peerList) > 0 {
 		log.Printf("coordinating sweeps across %d peers: %s (peer ttl %s)", len(peerList), strings.Join(peerList, ", "), *peerTTL)
 	}

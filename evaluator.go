@@ -29,7 +29,6 @@ type Evaluator struct {
 	backendClient   *http.Client
 	backendRetries  int
 	backendMaxBatch int
-	scheduler       string
 	logf            func(format string, args ...any)
 
 	// store is the optional durable result tier (WithResultStore): jobs
@@ -87,9 +86,9 @@ func WithWorkers(n int) Option { return func(e *Evaluator) { e.workers = n } }
 
 // WithBackends configures remote prophetd base URLs (e.g.
 // "http://worker1:8373") as a sharded sweep fleet. When at least one
-// backend is configured, Sweep assigns each job to a backend by a
-// deterministic hash of its workload+scheme key, batches per-backend jobs
-// into single POST /v1/batch requests, retries failed batches, and fails
+// backend is configured, Sweep cuts the jobs into consecutive chunks in job
+// order, grants each chunk as one POST /v1/batch request to the backend
+// with the fewest chunks in flight, retries failed batches, and fails
 // over to the in-process engine when a backend stays down — results come
 // back in job order, byte-identical to a purely local sweep as long as the
 // backends simulate the same engine configuration. Jobs naming "file:"
@@ -111,37 +110,15 @@ func WithBackendRetries(n int) Option {
 	return func(e *Evaluator) { e.backendRetries = n }
 }
 
-// WithBackendMaxBatch caps jobs per batch request; a backend's shard beyond
-// the cap is split into concurrent chunks (default 0 = one request per
-// backend per sweep).
+// WithBackendMaxBatch sets the jobs per batch request: the sweep is cut
+// into consecutive chunks of that size (default 0 = about two chunks per
+// backend).
 func WithBackendMaxBatch(n int) Option {
 	return func(e *Evaluator) { e.backendMaxBatch = n }
 }
 
-// WithScheduler selects the fleet scheduling strategy by name (see
-// Schedulers): "hash" (the default) places chunks deterministically by
-// workload+scheme affinity with idle-peer work stealing; "least-loaded"
-// probes each peer's GET /v1/health and routes chunks to the least busy
-// one — better for heterogeneous fleets, identical merged output either
-// way. New panics on an unknown name; CLIs should validate against
-// Schedulers() first.
-func WithScheduler(name string) Option {
-	return func(e *Evaluator) { e.scheduler = name }
-}
-
-// Schedulers lists the strategy names WithScheduler accepts.
-func Schedulers() []string { return dispatch.Schedulers() }
-
-// ValidScheduler reports whether name resolves to a fleet scheduling
-// strategy ("" counts: it means the default).
-func ValidScheduler(name string) bool {
-	_, err := dispatch.SchedulerByName(name)
-	return err == nil
-}
-
-// WithLogf routes the evaluator's operational warnings (failed health
-// probes, short engine returns) to a custom sink (default: the standard
-// library logger).
+// WithLogf routes the evaluator's operational warnings (short engine
+// returns) to a custom sink (default: the standard library logger).
 func WithLogf(f func(format string, args ...any)) Option {
 	return func(e *Evaluator) { e.logf = f }
 }
@@ -184,9 +161,6 @@ func (e *Evaluator) Backends() []string {
 	return ps
 }
 
-// SchedulerName reports the fleet scheduling strategy in use.
-func (e *Evaluator) SchedulerName() string { return e.disp.SchedulerName() }
-
 // DispatchStats reports cumulative sweep-dispatch counters; all zeros until
 // a sweep is dispatched over at least one backend.
 func (e *Evaluator) DispatchStats() DispatchStats {
@@ -198,7 +172,6 @@ func (e *Evaluator) DispatchStats() DispatchStats {
 		Failovers:  st.Failovers,
 		Cached:     st.Cached,
 		ShortLocal: st.ShortLocal,
-		Stolen:     st.Stolen,
 	}
 }
 
@@ -304,8 +277,8 @@ func (e *Evaluator) RunJob(ctx context.Context, j Job) (Report, error) {
 //
 // With at least one live backend (WithBackends, or a runtime AddBackend /
 // peer join), the sweep is instead coordinated across the fleet: jobs are
-// chunked and placed by the configured scheduler, failed backends fail
-// over to the local engine, and the merged results are byte-identical to
+// cut into job-order chunks, each granted to the peer with the fewest
+// chunks in flight, failed backends fail over to the local engine, and the merged results are byte-identical to
 // an in-process sweep of the same jobs.
 func (e *Evaluator) Sweep(ctx context.Context, jobs ...Job) ([]Result, error) {
 	if e.disp.NumPeers() > 0 {

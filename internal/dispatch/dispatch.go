@@ -1,11 +1,13 @@
 // Package dispatch implements a work-queue coordinator that fans sweep work
-// out across a fleet of backends: jobs are grouped into bounded chunks,
-// placed onto live backends by a pluggable Scheduler (deterministic hash
-// affinity, or least-loaded fed by health probes), retried with jittered
-// exponential backoff on backend failure, and failed over to an infallible
-// local runner when a backend stays down — all while preserving the
-// caller's job order, so the merged result is byte-identical to a
-// single-backend run of the same deterministic jobs.
+// out across a fleet of backends: jobs are cut into consecutive job-order
+// chunks, each granted to the live backend with the fewest of this
+// dispatcher's chunks in flight, retried with jittered exponential backoff
+// on backend failure, and failed over to an infallible local runner when a
+// backend stays down — all while preserving the caller's job order, so the
+// merged result is byte-identical to a single-backend run of the same
+// deterministic jobs. Because chunks follow job order, a workload-major
+// sweep hands each backend whole runs of one workload's cells, so each
+// workload's baseline is simulated on one backend rather than on all.
 //
 // Fleet membership is dynamic: Add and Remove join and drain backends while
 // dispatches are in flight. A removed backend stops receiving chunks at the
@@ -35,8 +37,7 @@ import (
 // must return exactly one result per job, in job order; any error (or a
 // length mismatch) marks the whole batch as failed and triggers retry and
 // eventually failover. Execute must be safe for concurrent use: one
-// dispatch may issue several chunks to the same backend at once. A backend
-// that also implements Prober reports live load to load-driven schedulers.
+// dispatch may issue several chunks to the same backend at once.
 type Backend[J, R any] interface {
 	// Name identifies the backend in errors and logs (typically its URL).
 	Name() string
@@ -53,29 +54,21 @@ type Config[J, R any] struct {
 	// order. It is the failover target and must not fail (job-level errors
 	// belong inside R). Required.
 	Local func(ctx context.Context, jobs []J) []R
-	// Key returns the job's shard key; under an affinity scheduler, equal
-	// keys always land on the same backend (for a fixed fleet). Required.
-	Key func(J) string
 	// Pin reports jobs that must run locally regardless of the fleet (e.g.
 	// workloads referencing local files a remote cannot read). Optional.
 	Pin func(J) bool
-	// Scheduler places queued chunks onto live backends (default Hash).
-	Scheduler Scheduler
 	// Retries is the number of attempts per batch per backend before
 	// failing over (default 2 — one try plus one retry).
 	Retries int
 	// Backoff is the base delay before the first retry, doubling per
 	// attempt with full jitter (default 25ms).
 	Backoff time.Duration
-	// MaxBatch caps jobs per Execute call; larger shards are split into
-	// consecutive chunks (0 = unlimited).
+	// MaxBatch is the chunk size in jobs. 0 cuts remote work into about
+	// two chunks per live backend, and pinned or fleetless work into one.
 	MaxBatch int
 	// MaxInFlight caps the chunks a single backend executes concurrently,
 	// across all Dispatch calls (default 4).
 	MaxInFlight int
-	// ProbeTimeout bounds each health probe issued for a load-driven
-	// scheduler (default 1s).
-	ProbeTimeout time.Duration
 	// CacheGet consults a shared result tier (e.g. a durable result store)
 	// before dispatch; a hit answers the job without touching backends or
 	// the local runner. Optional.
@@ -86,8 +79,8 @@ type Config[J, R any] struct {
 	// runner is the caller's own engine, which writes through on its own.
 	// Optional.
 	CachePut func(J, R)
-	// Logf receives operational warnings (probe failures, short local
-	// returns). Optional; nil discards them.
+	// Logf receives operational warnings (short local returns). Optional;
+	// nil discards them.
 	Logf func(format string, args ...any)
 
 	// sleep overrides the inter-retry wait in tests.
@@ -114,9 +107,6 @@ type Stats struct {
 	// returning fewer results than jobs — merged zeros that would
 	// otherwise pass silently.
 	ShortLocal int64
-	// Stolen counts chunks executed by a backend other than their hash
-	// owner (work stealing, or rehash after the owner left the fleet).
-	Stolen int64
 }
 
 // Dispatcher coordinates job lists over a dynamic backend fleet. It is
@@ -129,29 +119,21 @@ type Dispatcher[J, R any] struct {
 	cond  *sync.Cond
 	peers []*peer[J, R] // live fleet, in join order
 
-	remote, local, retries, failovers, cached, shortLocal, stolen atomic.Int64
+	remote, local, retries, failovers, cached, shortLocal atomic.Int64
 }
 
 // peer wraps a live backend with the coordinator's accounting: chunks in
-// flight (capacity), the drain flag, and the last health probe.
+// flight (capacity and placement) and the drain flag.
 type peer[J, R any] struct {
 	b        Backend[J, R]
 	inflight atomic.Int64
-	gone     atomic.Bool          // set by Remove: abandon retries, fail over
-	load     atomic.Pointer[Load] // last successful probe, nil when unknown
-	sick     atomic.Bool          // last probe failed
+	gone     atomic.Bool // set by Remove: abandon retries, fail over
 }
 
-// New validates cfg and builds a Dispatcher. Local and Key are required.
+// New validates cfg and builds a Dispatcher. Local is required.
 func New[J, R any](cfg Config[J, R]) *Dispatcher[J, R] {
 	if cfg.Local == nil {
 		panic("dispatch: Config.Local is required")
-	}
-	if cfg.Key == nil {
-		panic("dispatch: Config.Key is required")
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = Hash()
 	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 2
@@ -161,9 +143,6 @@ func New[J, R any](cfg Config[J, R]) *Dispatcher[J, R] {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
 	}
 	if cfg.sleep == nil {
 		cfg.sleep = sleepCtx
@@ -188,12 +167,8 @@ func (d *Dispatcher[J, R]) Stats() Stats {
 		Failovers:  d.failovers.Load(),
 		Cached:     d.cached.Load(),
 		ShortLocal: d.shortLocal.Load(),
-		Stolen:     d.stolen.Load(),
 	}
 }
-
-// SchedulerName reports the placement strategy in use.
-func (d *Dispatcher[J, R]) SchedulerName() string { return d.cfg.Scheduler.Name() }
 
 // Add joins a backend to the live fleet, effective from the next grant
 // round of every in-flight dispatch. It reports false (and does nothing)
@@ -247,20 +222,14 @@ func (d *Dispatcher[J, R]) NumPeers() int {
 	return len(d.peers)
 }
 
-// chunk is one schedulable unit of work: a bounded, ascending index list
-// into the dispatch's job slice.
-type chunk struct {
-	idx   []int
-	key   string // shard key of the first job
-	owner string // hash-affinity backend name; "" under load-driven placement
-}
-
 // runState is the per-Dispatch bookkeeping shared by the grant loop and
-// its chunk goroutines. pending and active are guarded by Dispatcher.mu.
+// its chunk goroutines. pending holds the chunks not yet granted, each a
+// bounded, ascending index list into jobs; pending and active are guarded
+// by Dispatcher.mu.
 type runState[J, R any] struct {
 	jobs    []J
 	out     []R
-	pending []chunk
+	pending [][]int
 	active  int
 
 	emitMu sync.Mutex
@@ -281,16 +250,15 @@ func (r *runState[J, R]) emit(idx []int) {
 }
 
 // Dispatch distributes jobs over the live fleet, executes the chunks
-// concurrently as the scheduler grants capacity, and returns one result
-// per job in the original job order. Backend failures degrade to the local
-// runner; Dispatch itself never fails. Cancelling ctx short-circuits
-// retries and grants — outstanding chunks fall through to the local
-// runner, which is expected to surface the context error in its per-job
-// results.
+// concurrently as backends free capacity, and returns one result per job
+// in the original job order. Backend failures degrade to the local runner;
+// Dispatch itself never fails. Cancelling ctx short-circuits retries and
+// grants — outstanding chunks fall through to the local runner, which is
+// expected to surface the context error in its per-job results.
 //
 // With CacheGet configured, every job is offered to the shared result tier
 // first: hits are merged straight into the output and only the remainder
-// is scheduled, so a warm cache dispatches nothing at all.
+// is dispatched, so a warm cache dispatches nothing at all.
 func (d *Dispatcher[J, R]) Dispatch(ctx context.Context, jobs []J) []R {
 	return d.dispatch(ctx, jobs, nil)
 }
@@ -332,11 +300,8 @@ func (d *Dispatcher[J, R]) dispatch(ctx context.Context, jobs []J, emit func(i i
 		}
 	}
 
-	d.mu.Lock()
-	fleet := append([]*peer[J, R](nil), d.peers...)
-	d.mu.Unlock()
-
-	if len(fleet) == 0 {
+	peers := d.NumPeers()
+	if peers == 0 {
 		if emit == nil {
 			d.runLocal(ctx, jobs, pending, out)
 			return out
@@ -353,9 +318,9 @@ func (d *Dispatcher[J, R]) dispatch(ctx context.Context, jobs []J, emit func(i i
 		return out
 	}
 
-	// Split off pinned jobs, then group the remainder into chunks the
-	// scheduler will place. Index lists stay in ascending job order, so
-	// each chunk preserves the caller's relative ordering.
+	// Split off pinned jobs, then cut the remainder into consecutive
+	// chunks. Index lists stay in ascending job order, so each chunk
+	// preserves the caller's relative ordering.
 	var remote, pinned []int
 	assign := func(i int) {
 		if d.cfg.Pin != nil && d.cfg.Pin(jobs[i]) {
@@ -374,10 +339,13 @@ func (d *Dispatcher[J, R]) dispatch(ctx context.Context, jobs []J, emit func(i i
 		}
 	}
 
-	if d.cfg.Scheduler.UsesLoad() && len(remote) > 0 {
-		d.probe(ctx, fleet)
+	size := d.cfg.MaxBatch
+	if size <= 0 {
+		// About two chunks per backend leaves slack to shift work toward
+		// faster backends mid-sweep.
+		size = max(1, (len(remote)+2*peers-1)/(2*peers))
 	}
-	run.pending = d.buildChunks(jobs, remote, fleet)
+	run.pending = chunkIndexes(remote, size)
 
 	if len(pinned) > 0 {
 		// Pinned work streams at the same granularity as remote shards:
@@ -412,9 +380,8 @@ func (d *Dispatcher[J, R]) dispatch(ctx context.Context, jobs []J, emit func(i i
 		}
 		if len(run.pending) > 0 && granted == 0 && run.active == 0 && d.idleLocked() {
 			// No grant, nothing of ours running, fleet fully idle: no
-			// future broadcast would unblock us (a scheduler parked every
-			// chunk on an idle fleet). Fail the remainder over instead of
-			// deadlocking.
+			// future broadcast would unblock us. Fail the remainder over
+			// instead of deadlocking.
 			d.failoverAllLocked(ctx, run)
 			continue
 		}
@@ -424,50 +391,9 @@ func (d *Dispatcher[J, R]) dispatch(ctx context.Context, jobs []J, emit func(i i
 	return out
 }
 
-// buildChunks groups the remote job indexes into schedulable chunks. Under
-// an affinity scheduler, jobs group by their key's owner backend and chunk
-// by MaxBatch, reproducing the deterministic shard map for a fixed fleet.
-// Under load-driven placement there is no owner: jobs split into
-// consecutive chunks sized to give every backend a few grants to balance.
-func (d *Dispatcher[J, R]) buildChunks(jobs []J, remote []int, fleet []*peer[J, R]) []chunk {
-	if len(remote) == 0 {
-		return nil
-	}
-	n := len(fleet)
-	if d.cfg.Scheduler.Affinity(d.cfg.Key(jobs[remote[0]]), n) < 0 {
-		size := d.cfg.MaxBatch
-		if size <= 0 {
-			// Aim for ~2 chunks per backend so least-loaded has slack to
-			// shift work toward faster machines mid-sweep.
-			size = (len(remote) + 2*n - 1) / (2 * n)
-			if size < 1 {
-				size = 1
-			}
-		}
-		var chunks []chunk
-		for _, c := range chunkIndexes(remote, size) {
-			chunks = append(chunks, chunk{idx: c, key: d.cfg.Key(jobs[c[0]])})
-		}
-		return chunks
-	}
-	groups := make([][]int, n)
-	for _, i := range remote {
-		s := d.cfg.Scheduler.Affinity(d.cfg.Key(jobs[i]), n)
-		groups[s] = append(groups[s], i)
-	}
-	var chunks []chunk
-	for s, g := range groups {
-		for _, c := range chunkIndexes(g, d.cfg.MaxBatch) {
-			chunks = append(chunks, chunk{idx: c, key: d.cfg.Key(jobs[c[0]]), owner: fleet[s].b.Name()})
-		}
-	}
-	return chunks
-}
-
-// grantLocked runs one scheduling round under d.mu: snapshot the live
-// fleet, ask the scheduler to place the run's pending chunks, and spawn a
-// goroutine per grant. Returns the number of chunks started (including
-// failovers). A cancelled context or an empty fleet fails everything over.
+// grantLocked runs one placement round under d.mu and spawns a goroutine
+// per grant. Returns the number of chunks started (including failovers). A
+// cancelled context or an empty fleet fails everything over.
 func (d *Dispatcher[J, R]) grantLocked(ctx context.Context, run *runState[J, R]) int {
 	if len(run.pending) == 0 {
 		return 0
@@ -475,48 +401,43 @@ func (d *Dispatcher[J, R]) grantLocked(ctx context.Context, run *runState[J, R])
 	if ctx.Err() != nil || len(d.peers) == 0 {
 		return d.failoverAllLocked(ctx, run)
 	}
-	views := make([]View, len(d.peers))
-	fleet := append([]*peer[J, R](nil), d.peers...)
-	for i, p := range fleet {
-		inf := int(p.inflight.Load())
-		free := d.cfg.MaxInFlight - inf
-		if free < 0 {
-			free = 0
-		}
-		views[i] = View{
-			Name:     p.b.Name(),
-			InFlight: inf,
-			Free:     free,
-			Load:     p.load.Load(),
-			Healthy:  !p.sick.Load(),
-		}
+	load := make([]int, len(d.peers))
+	for i, p := range d.peers {
+		load[i] = int(p.inflight.Load())
 	}
-	infos := make([]ChunkInfo, len(run.pending))
-	for i, c := range run.pending {
-		infos[i] = ChunkInfo{Key: c.key, Owner: c.owner, Jobs: len(c.idx)}
-	}
-	grants := d.cfg.Scheduler.Assign(infos, views)
-	started := 0
-	for k := len(grants) - 1; k >= 0; k-- { // high→low so removal keeps indexes valid
-		if k >= len(run.pending) {
-			continue // defensive: scheduler returned too many grants
-		}
-		v := grants[k]
-		if v < 0 || v >= len(fleet) {
-			continue
-		}
-		p := fleet[v]
-		c := run.pending[k]
-		run.pending = append(run.pending[:k], run.pending[k+1:]...)
-		if c.owner != "" && c.owner != p.b.Name() {
-			d.stolen.Add(1)
-		}
+	grants := place(load, d.cfg.MaxInFlight, len(run.pending))
+	for k, i := range grants {
+		p := d.peers[i]
 		p.inflight.Add(1)
 		run.active++
-		started++
-		go d.runChunk(ctx, run, p, c)
+		go d.runChunk(ctx, run, p, run.pending[k])
 	}
-	return started
+	run.pending = run.pending[len(grants):]
+	return len(grants)
+}
+
+// place grants pending chunks in job order: each goes to the peer with the
+// fewest chunks in flight (load, counted by this dispatcher across all its
+// dispatches) that is below maxInFlight, ties to the earliest-joined peer.
+// It returns the peer index of each granted chunk, for a prefix of the n
+// pending chunks; the rest wait because every peer is at capacity. load is
+// updated in place.
+func place(load []int, maxInFlight, n int) []int {
+	var grants []int
+	for len(grants) < n {
+		best := -1
+		for i, l := range load {
+			if l < maxInFlight && (best < 0 || l < load[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		load[best]++
+		grants = append(grants, best)
+	}
+	return grants
 }
 
 // failoverAllLocked sends every pending chunk to the local runner.
@@ -524,10 +445,10 @@ func (d *Dispatcher[J, R]) failoverAllLocked(ctx context.Context, run *runState[
 	started := len(run.pending)
 	for _, c := range run.pending {
 		run.active++
-		go func(c chunk) {
-			d.failovers.Add(int64(len(c.idx)))
-			d.runLocal(ctx, run.jobs, c.idx, run.out)
-			run.emit(c.idx)
+		go func(idx []int) {
+			d.failovers.Add(int64(len(idx)))
+			d.runLocal(ctx, run.jobs, idx, run.out)
+			run.emit(idx)
 			d.mu.Lock()
 			run.active--
 			d.cond.Broadcast()
@@ -550,8 +471,8 @@ func (d *Dispatcher[J, R]) idleLocked() bool {
 
 // runChunk executes one granted chunk, releases the backend's capacity
 // slot, and wakes every grant loop waiting for it.
-func (d *Dispatcher[J, R]) runChunk(ctx context.Context, run *runState[J, R], p *peer[J, R], c chunk) {
-	d.runBatch(ctx, p, run, c)
+func (d *Dispatcher[J, R]) runChunk(ctx context.Context, run *runState[J, R], p *peer[J, R], idx []int) {
+	d.runBatch(ctx, p, run, idx)
 	p.inflight.Add(-1)
 	d.mu.Lock()
 	run.active--
@@ -559,41 +480,10 @@ func (d *Dispatcher[J, R]) runChunk(ctx context.Context, run *runState[J, R], p 
 	d.mu.Unlock()
 }
 
-// probe refreshes load views for a load-driven scheduler: every backend
-// implementing Prober is probed concurrently within ProbeTimeout. A failed
-// probe marks the backend unhealthy (deprioritized, never excluded); a
-// missing Prober leaves Load nil and the backend healthy.
-func (d *Dispatcher[J, R]) probe(ctx context.Context, fleet []*peer[J, R]) {
-	var wg sync.WaitGroup
-	for _, p := range fleet {
-		pr, ok := p.b.(Prober)
-		if !ok {
-			continue
-		}
-		wg.Add(1)
-		go func(p *peer[J, R], pr Prober) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, d.cfg.ProbeTimeout)
-			defer cancel()
-			l, err := pr.Probe(pctx)
-			if err != nil {
-				p.sick.Store(true)
-				p.load.Store(nil)
-				d.logf("dispatch: health probe %s: %v", p.b.Name(), err)
-				return
-			}
-			p.sick.Store(false)
-			p.load.Store(&l)
-		}(p, pr)
-	}
-	wg.Wait()
-}
-
 // runBatch executes one backend chunk with retries, falling back to the
 // local runner when every attempt fails, the context is cancelled, or the
 // backend is drained from the fleet mid-retry.
-func (d *Dispatcher[J, R]) runBatch(ctx context.Context, p *peer[J, R], run *runState[J, R], c chunk) {
-	idx := c.idx
+func (d *Dispatcher[J, R]) runBatch(ctx context.Context, p *peer[J, R], run *runState[J, R], idx []int) {
 	batch := gather(run.jobs, idx)
 	backoff := d.cfg.Backoff
 	for attempt := 0; attempt < d.cfg.Retries; attempt++ {
@@ -735,15 +625,4 @@ func fullJitter(d time.Duration) time.Duration {
 	}
 	half := d / 2
 	return half + rand.N(d-half+1)
-}
-
-// fnv64a is the FNV-1a 64-bit hash: deterministic across processes and Go
-// versions, so a coordinator fleet agrees on shard placement.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

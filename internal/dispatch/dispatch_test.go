@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -83,7 +84,6 @@ func testConfig(backends []Backend[int, string], local *localRunner) Config[int,
 	return Config[int, string]{
 		Backends: backends,
 		Local:    local.run,
-		Key:      strconv.Itoa,
 		Backoff:  time.Nanosecond,
 		sleep:    func(context.Context, time.Duration) {},
 	}
@@ -124,8 +124,8 @@ func TestDispatchOrderIdenticalAcrossRingSizes(t *testing.T) {
 	}
 }
 
-// Shard assignment is a pure function of the key: two dispatches send every
-// job to the same backend.
+// Placement is a pure function of fleet state: two dispatches over
+// identical idle fleets send every job to the same backend.
 func TestShardAssignmentDeterministic(t *testing.T) {
 	jobs := jobsN(30)
 	mk := func() ([]Backend[int, string], []*fakeBackend) {
@@ -143,12 +143,15 @@ func TestShardAssignmentDeterministic(t *testing.T) {
 	New(testConfig(ring1, &localRunner{})).Dispatch(context.Background(), jobs)
 	New(testConfig(ring2, &localRunner{})).Dispatch(context.Background(), jobs)
 	for i := range fs1 {
+		// Chunks run concurrently, so compare what arrived, not when.
 		a, b := fs1[i].received(), fs2[i].received()
+		sort.Ints(a)
+		sort.Ints(b)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("backend %d saw %v then %v across identical dispatches", i, a, b)
 		}
 		if len(a) == 0 {
-			t.Fatalf("backend %d received no jobs; hash not spreading", i)
+			t.Fatalf("backend %d received no jobs; placement not spreading", i)
 		}
 	}
 }
@@ -325,16 +328,36 @@ func TestMissingLocalPanics(t *testing.T) {
 			t.Fatal("New without Local should panic")
 		}
 	}()
-	New(Config[int, string]{Key: strconv.Itoa})
+	New(Config[int, string]{})
 }
 
-func TestMissingKeyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New without Key should panic")
+// An idle peer takes chunks before busier ones; ties go to the
+// earliest-joined peer.
+func TestLeastLoadedPrefersIdleBackend(t *testing.T) {
+	got := place([]int{2, 0, 1}, 4, 3)
+	if want := []int{1, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("place = %v, want %v (idle peer 1 first, busiest peer 0 never)", got, want)
+	}
+}
+
+func TestLeastLoadedAllAtCapacity(t *testing.T) {
+	if got := place([]int{4, 4}, 4, 1); len(got) != 0 {
+		t.Fatalf("place = %v, want nothing granted (chunk stays queued)", got)
+	}
+	// Granting stops at capacity: the rest of the queue waits.
+	if got, want := place([]int{3, 2}, 4, 5), []int{1, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("place = %v, want %v", got, want)
+	}
+}
+
+// Placement is a pure function: same loads, same grants.
+func TestAssignDeterministic(t *testing.T) {
+	want := []int{1, 0, 1, 0, 1}
+	for i := 0; i < 10; i++ {
+		if got := place([]int{2, 1, 3}, 4, 5); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: place = %v, want %v", i, got, want)
 		}
-	}()
-	New(Config[int, string]{Local: (&localRunner{}).run})
+	}
 }
 
 // cacheOf builds CacheGet/CachePut hooks over a plain map guarded by a

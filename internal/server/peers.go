@@ -117,8 +117,6 @@ type PeerInfo struct {
 
 // PeersResponse is the GET /v1/peers (and POST /v1/peers) body.
 type PeersResponse struct {
-	// Scheduler is the coordinator's fleet scheduling strategy.
-	Scheduler string `json:"scheduler"`
 	// TTLSeconds is the heartbeat expiry window for dynamic peers.
 	TTLSeconds float64    `json:"ttlSeconds"`
 	Peers      []PeerInfo `json:"peers"`
@@ -145,7 +143,6 @@ func (s *Server) reapPeers() {
 // peersResponse snapshots the registry in dispatcher (join) order.
 func (s *Server) peersResponse() PeersResponse {
 	resp := PeersResponse{
-		Scheduler:  s.ev.SchedulerName(),
 		TTLSeconds: s.peerReg.ttl.Seconds(),
 		Peers:      []PeerInfo{},
 	}

@@ -89,7 +89,7 @@ type Server struct {
 	logf  func(format string, args ...any)
 
 	// engineInFlight counts evaluation requests currently executing —
-	// reported by GET /v1/health for load-aware fleet scheduling.
+	// reported by GET /v1/health.
 	engineInFlight atomic.Int64
 
 	// peerReg tracks dynamic fleet membership (POST /v1/peers heartbeats);
@@ -248,14 +248,12 @@ type StatsResponse struct {
 		Total   int `json:"total"`
 	} `json:"jobs"`
 	Sessions int `json:"sessions"`
-	// Dispatch reports the sweep fleet: the scheduling strategy, the live
-	// peers (static and dynamically joined), and the coordinator's
-	// remote/local/retry/failover/steal counters (all zero when the daemon
-	// runs standalone).
+	// Dispatch reports the sweep fleet: the live peers (static and
+	// dynamically joined) and the coordinator's remote/local/retry/failover
+	// counters (all zero when the daemon runs standalone).
 	Dispatch struct {
-		Scheduler string                `json:"scheduler"`
-		Peers     []string              `json:"peers,omitempty"`
-		Stats     prophet.DispatchStats `json:"stats"`
+		Peers []string              `json:"peers,omitempty"`
+		Stats prophet.DispatchStats `json:"stats"`
 	} `json:"dispatch"`
 }
 
@@ -280,7 +278,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Jobs.Total = s.jobs.Len()
 	resp.Sessions = s.sess.Len()
 	s.reapPeers() // stats must reflect expiries even on an idle coordinator
-	resp.Dispatch.Scheduler = s.ev.SchedulerName()
 	resp.Dispatch.Peers = s.ev.Backends()
 	resp.Dispatch.Stats = s.ev.DispatchStats()
 	writeJSON(w, http.StatusOK, resp)
