@@ -298,10 +298,13 @@ func TestShardedExperimentsMatchLocal(t *testing.T) {
 	}
 }
 
-// Small batches cut the sweep into many chunks granted over many rounds:
-// placement decides where each chunk runs, never content or order, so the
-// merged results stay byte-identical.
-func TestSweepByteIdenticalInSmallBatches(t *testing.T) {
+// Placement decides where each chunk runs, never content or order, so the
+// merged results stay byte-identical however the sweep is cut. The subtests
+// keep the names of the two placement policies the fleet once offered and
+// cover the chunk shapes each produced: "hash" grants whole workload rows
+// (MaxBatch = schemes per workload, what workload affinity placed together);
+// "least-loaded" grants 2-job chunks that straddle rows over many rounds.
+func TestSweepByteIdenticalAcrossSchedulers(t *testing.T) {
 	jobs := sweepJobs(t)
 	local := prophet.New(prophet.WithWorkers(2))
 	want, err := local.Sweep(context.Background(), jobs...)
@@ -309,19 +312,30 @@ func TestSweepByteIdenticalInSmallBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := prophet.New(
-		prophet.WithBackends(startWorker(t), startWorker(t)),
-		prophet.WithBackendMaxBatch(2),
-		prophet.WithWorkers(2),
-	)
-	got, err := coord.Sweep(context.Background(), jobs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSweepsEqual(t, got, want)
-	st := coord.DispatchStats()
-	if st.Remote != int64(len(jobs)) || st.Failovers != 0 {
-		t.Fatalf("dispatch stats %+v: want all %d jobs remote", st, len(jobs))
+	w1, w2 := startWorker(t), startWorker(t)
+	for _, tc := range []struct {
+		name     string
+		maxBatch int
+	}{
+		{"hash", 3},
+		{"least-loaded", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := prophet.New(
+				prophet.WithBackends(w1, w2),
+				prophet.WithBackendMaxBatch(tc.maxBatch),
+				prophet.WithWorkers(2),
+			)
+			got, err := coord.Sweep(context.Background(), jobs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSweepsEqual(t, got, want)
+			st := coord.DispatchStats()
+			if st.Remote != int64(len(jobs)) || st.Failovers != 0 {
+				t.Fatalf("dispatch stats %+v: want all %d jobs remote in %d-job chunks", st, len(jobs), tc.maxBatch)
+			}
+		})
 	}
 }
 
