@@ -512,13 +512,13 @@ func TestShardedSweepLiveBackends(t *testing.T) {
 	// A sweep mixing an external trace with catalog workloads: the
 	// champsim: jobs pin to the local engine (the path means nothing on a
 	// remote peer) while the catalog jobs still shard across the fleet, and
-	// the whole thing stays byte-identical to an in-process sweep. The new
-	// scheme families ride along to prove they are sweepable over the fleet.
+	// the whole thing stays byte-identical to an in-process sweep. Gaze rides
+	// along to prove a non-temporal scheme family is sweepable over the fleet.
 	ext, err := prophet.Find("champsim:testdata/sample.champsim.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := prophet.Jobs([]prophet.Workload{ext}, prophet.Triangel, "gaze", "adaptive")
+	mixed := prophet.Jobs([]prophet.Workload{ext}, prophet.Triangel, "gaze")
 	extJobs := len(mixed)
 	mixed = append(mixed, jobs...)
 	mixedWant, err := local.Sweep(context.Background(), mixed...)

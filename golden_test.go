@@ -23,9 +23,7 @@ var update = flag.Bool("update", false, "rewrite golden RunStats fixtures")
 // goldenCells are the pinned workload x scheme cells. They cover the three
 // temporal-scheme packages (triage, triangel, prophet via their shared
 // table/compressor code), RPG2's software-prefetch flow, the plain baseline
-// simulator, and the two extra scheme families (gaze's fused spatial-temporal
-// engine and the phase-adaptive wrapper, which exercises the mid-run engine
-// switch path).
+// simulator, and gaze's fused spatial-temporal engine.
 var goldenCells = []struct {
 	workload string
 	scheme   prophet.Scheme
@@ -37,7 +35,6 @@ var goldenCells = []struct {
 	{"xalancbmk", prophet.RPG2, 20_000},
 	{"mcf", prophet.Baseline, 20_000},
 	{"omnetpp", prophet.Gaze, 20_000},
-	{"sphinx3", prophet.Adaptive, 20_000},
 }
 
 func goldenPath(workload string, scheme prophet.Scheme) string {

@@ -18,9 +18,7 @@ import (
 	"prophet/internal/triangel"
 
 	// Registered for their scheme-registry side effects: every binary that
-	// evaluates through the pipeline can resolve "gaze", "adaptive" and
-	// "rpg2".
-	_ "prophet/internal/adaptive"
+	// evaluates through the pipeline can resolve "gaze" and "rpg2".
 	_ "prophet/internal/gaze"
 	_ "prophet/internal/rpg2"
 )

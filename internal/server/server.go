@@ -162,7 +162,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/sessions/{id}/profile", s.handleSessionProfile)
 	mux.HandleFunc("POST /v1/sessions/{id}/optimize", s.handleSessionOptimize)
 	mux.HandleFunc("POST /v1/sessions/{id}/run", s.handleSessionRun)
-	mux.HandleFunc("POST /v1/sessions/{id}/adapt", s.handleSessionAdapt)
 	s.registerProfileRoutes(mux)
 	s.mux = mux
 	return s

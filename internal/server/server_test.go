@@ -507,65 +507,6 @@ func TestSessionFlow(t *testing.T) {
 	}
 }
 
-// TestSessionAdapt: the online-adaptation mode needs no profile or
-// optimized binary — it runs the phase-adaptive wrapper directly and
-// reports its trajectory alongside the usual stats.
-func TestSessionAdapt(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	code, b := post(t, ts, "/v1/sessions", "")
-	if code != http.StatusCreated {
-		t.Fatalf("create session: %d %s", code, b)
-	}
-	var sess SessionInfo
-	if err := json.Unmarshal(b, &sess); err != nil {
-		t.Fatal(err)
-	}
-	base := "/v1/sessions/" + sess.ID
-
-	code, b = post(t, ts, base+"/adapt", `{"workload":{"name":"omnetpp","records":40000}}`)
-	if code != http.StatusOK {
-		t.Fatalf("adapt: %d %s", code, b)
-	}
-	var run SessionAdaptResponse
-	if err := json.Unmarshal(b, &run); err != nil {
-		t.Fatal(err)
-	}
-	if run.Stats.Speedup <= 0 {
-		t.Fatalf("adapt stats %+v", run.Stats)
-	}
-	if run.Stats.Windows == 0 {
-		t.Fatalf("adapt reported zero evaluation windows: %+v", run.Stats)
-	}
-	if run.Stats.Final == "" {
-		t.Fatalf("adapt reported no final engine: %+v", run.Stats)
-	}
-
-	// The adaptive run is deterministic: repeating it yields identical
-	// stats and trajectory.
-	code, b = post(t, ts, base+"/adapt", `{"workload":{"name":"omnetpp","records":40000}}`)
-	if code != http.StatusOK {
-		t.Fatalf("adapt repeat: %d %s", code, b)
-	}
-	var rerun SessionAdaptResponse
-	if err := json.Unmarshal(b, &rerun); err != nil {
-		t.Fatal(err)
-	}
-	if run.Stats != rerun.Stats {
-		t.Fatalf("adaptive run nondeterministic:\n first  %+v\n second %+v", run.Stats, rerun.Stats)
-	}
-
-	if code, _ := post(t, ts, base+"/adapt", `{"workload":{}}`); code != http.StatusBadRequest {
-		t.Fatalf("adapt without workload: %d, want 400", code)
-	}
-	if code, _ := post(t, ts, base+"/adapt", `{"workload":{"name":"no-such"}}`); code != http.StatusBadRequest {
-		t.Fatalf("adapt with unknown workload: %d, want 400", code)
-	}
-	if code, _ := post(t, ts, "/v1/sessions/session-999/adapt", `{"workload":{"name":"mcf"}}`); code != http.StatusNotFound {
-		t.Fatalf("adapt on unknown session: %d, want 404", code)
-	}
-}
-
 // TestEvaluateFileWorkload: an exported gzip trace evaluated through
 // file:<path> matches the generated workload it came from.
 func TestEvaluateFileWorkload(t *testing.T) {

@@ -289,38 +289,3 @@ func (s *Server) handleSessionRun(w http.ResponseWriter, r *http.Request) {
 		Stats:    stats,
 	})
 }
-
-// SessionAdaptRequest is the POST /v1/sessions/{id}/adapt body: run a
-// workload in online-adaptation mode (no profiling, no optimized binary —
-// the phase-adaptive wrapper picks engines at runtime).
-type SessionAdaptRequest struct {
-	Workload WorkloadRef `json:"workload"`
-}
-
-// SessionAdaptResponse is the POST /v1/sessions/{id}/adapt reply.
-type SessionAdaptResponse struct {
-	Workload WorkloadRef         `json:"workload"`
-	Stats    prophet.OnlineStats `json:"stats"`
-}
-
-func (s *Server) handleSessionAdapt(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	var req SessionAdaptRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	wl := req.Workload.workload()
-	if wl.Name == "" {
-		writeError(w, http.StatusBadRequest, "workload.name is required")
-		return
-	}
-	stats, err := res.s.RunOnline(r.Context(), wl)
-	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, SessionAdaptResponse{Workload: req.Workload, Stats: stats})
-}

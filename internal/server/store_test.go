@@ -200,3 +200,23 @@ func TestFileWorkloadsBypassTheStore(t *testing.T) {
 		t.Fatalf("file: workload was persisted (%d entries)", st.Len())
 	}
 }
+
+// TestEvaluateUnregisteredSchemeIgnoresStore: a stored entry for a scheme
+// this process does not register — left by a build that had it, under an
+// unchanged fingerprint — must not be served from the disk tier; the
+// request fails as an unknown scheme.
+func TestEvaluateUnregisteredSchemeIgnoresStore(t *testing.T) {
+	_, ts, st := storeServer(t, t.TempDir()+"/results.prst")
+	j := prophet.Job{Workload: prophet.Workload{Name: "sphinx3", Records: 20_000}, Scheme: "no-such-scheme"}
+	val, err := prophet.EncodeStoredResult(prophet.Report{Stats: prophet.RunStats{Speedup: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(prophet.StoreKey(j), val); err != nil {
+		t.Fatal(err)
+	}
+	code, b := post(t, ts, "/v1/evaluate", `{"workload":{"name":"sphinx3","records":20000},"scheme":"no-such-scheme"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("evaluate of an unregistered scheme with a stored entry: %d %s, want 400", code, b)
+	}
+}

@@ -60,8 +60,8 @@ func run(t *testing.T, name string, opts sim.Opts, engine temporal.Engine, src m
 
 // corpusCells mirrors the golden-fixture corpus at the repository root: one
 // cell per scheme family, covering the temporal-table engines, RPG2's
-// software-prefetch flow, the fused spatial-temporal gaze engine, the
-// phase-adaptive wrapper, and the plain baseline.
+// software-prefetch flow, the fused spatial-temporal gaze engine, and the
+// plain baseline.
 var corpusCells = []struct {
 	workload string
 	scheme   string
@@ -73,7 +73,6 @@ var corpusCells = []struct {
 	{"xalancbmk", "rpg2", 20_000},
 	{"mcf", "baseline", 20_000},
 	{"omnetpp", "gaze", 20_000},
-	{"sphinx3", "adaptive", 20_000},
 }
 
 // corpusWorkers are the evaluator worker counts the corpus is replayed

@@ -536,5 +536,4 @@ const (
 	RPG2     Scheme = "rpg2"
 	Prophet  Scheme = "prophet"
 	Gaze     Scheme = "gaze"
-	Adaptive Scheme = "adaptive"
 )

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"prophet/internal/adaptive"
 	"prophet/internal/core"
 	"prophet/internal/mem"
 	"prophet/internal/pipeline"
@@ -103,48 +102,6 @@ func (s *Session) Run(ctx context.Context, b Binary, w Workload) (RunStats, erro
 	st := sim.RunOpts(cfg.Sim, cfg.Run, engine, nil, nil, nil, f())
 	engine.Release()
 	return summarize(st, base), nil
-}
-
-// OnlineStats reports a run in the session's online-adaptation mode: the
-// usual normalized metrics plus the adaptation trajectory of the
-// phase-adaptive wrapper that produced them.
-type OnlineStats struct {
-	RunStats
-	// Switches counts how many times the active engine changed mid-run.
-	Switches int `json:"switches"`
-	// Windows counts completed evaluation windows.
-	Windows uint64 `json:"windows"`
-	// Final names the engine that was active when the trace ended.
-	Final string `json:"final"`
-}
-
-// RunOnline executes a workload in online-adaptation mode: instead of a
-// profile-guided Binary, the phase-adaptive wrapper explores the candidate
-// engines at runtime and exploits whichever fits the current phase. It is
-// the no-profile counterpart to Run — nothing is learned ahead of time and
-// the profile state is untouched, so it composes freely with the Figure 5
-// loop on the same session. Metrics are normalized against the same cached
-// baseline as Run.
-func (s *Session) RunOnline(ctx context.Context, w Workload) (OnlineStats, error) {
-	if err := ctx.Err(); err != nil {
-		return OnlineStats{}, err
-	}
-	f, err := w.factory()
-	if err != nil {
-		return OnlineStats{}, err
-	}
-	cfg := s.e.eng.Config()
-	base := s.e.eng.Baseline(w.key(), f)
-	wr := adaptive.New(adaptive.Default())
-	st := sim.RunOpts(cfg.Sim, cfg.Run, wr, nil, nil, nil, f())
-	out := OnlineStats{
-		RunStats: summarize(st, base),
-		Switches: wr.Switches(),
-		Windows:  wr.Windows(),
-		Final:    wr.Active(),
-	}
-	wr.Release()
-	return out, nil
 }
 
 // Binary represents an optimized binary: the original program plus the

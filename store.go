@@ -17,6 +17,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"prophet/internal/registry"
 )
 
 // ResultStore is the durable second cache tier consulted below the
@@ -102,18 +104,25 @@ func WithResultStore(rs ResultStore) Option {
 // runs: call it before the evaluator starts serving.
 func (e *Evaluator) UseResultStore(rs ResultStore) { e.store = rs }
 
-// storable excludes jobs that must not be persisted: workloads backed by an
-// on-disk path ("file:", "champsim:", "csv:") reference local files whose
-// contents can change under the same name, so a durable entry could outlive
-// the trace that produced it.
-func storable(j Job) bool { return externalPath(j.Workload.Name) == "" }
+// storable excludes jobs that must not be persisted or replayed: workloads
+// backed by an on-disk path ("file:", "champsim:", "csv:") reference local
+// files whose contents can change under the same name, so a durable entry
+// could outlive the trace that produced it; and a scheme this process does
+// not register has no engine to have produced the entry — the fingerprint
+// does not cover the registry — so it must fail as unknown, not replay.
+func storable(j Job) bool {
+	if _, ok := registry.Lookup(string(j.Scheme)); !ok {
+		return false
+	}
+	return externalPath(j.Workload.Name) == ""
+}
 
 // StoreLookup consults rs for j's completed result, applying the full
-// read-side contract: storability (external-path workloads are never served
-// from a store), the canonical key, and strict decoding (a corrupt or
-// drifted-schema value reads as a miss, never as zeroed stats). It is the
-// lookup every tier uses — the evaluator internally and prophetd's serving
-// layer for its disk-tier probe.
+// read-side contract: storability (external-path workloads and unregistered
+// schemes are never served from a store), the canonical key, and strict
+// decoding (a corrupt or drifted-schema value reads as a miss, never as
+// zeroed stats). It is the lookup every tier uses — the evaluator internally
+// and prophetd's serving layer for its disk-tier probe.
 func StoreLookup(rs ResultStore, j Job) (Report, bool) {
 	if rs == nil || !storable(j) {
 		return Report{}, false

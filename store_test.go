@@ -106,6 +106,35 @@ func TestResultStoreRunJobHits(t *testing.T) {
 	}
 }
 
+// TestStoreNeverAnswersUnregisteredScheme: the store fingerprint does not
+// cover the scheme registry, so an entry written by a build that registered
+// a scheme must not answer for it in a build that does not. RunJob and
+// Sweep both report the scheme as unknown even though the key is stored.
+func TestStoreNeverAnswersUnregisteredScheme(t *testing.T) {
+	w, err := prophet.Find("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := prophet.Job{Workload: w.WithRecords(20_000), Scheme: "no-such-scheme"}
+	val, err := prophet.EncodeStoredResult(prophet.Report{Stats: prophet.RunStats{Speedup: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &memStore{m: map[string][]byte{prophet.StoreKey(j): val}}
+	ev := prophet.New(prophet.WithResultStore(st))
+
+	if rep, err := ev.RunJob(context.Background(), j); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Fatalf("RunJob on an unregistered scheme = %+v, %v; want an unknown scheme error", rep.Stats, err)
+	}
+	rs, err := ev.Sweep(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), "unknown scheme") {
+		t.Fatalf("Sweep on an unregistered scheme = %+v, %v; want an unknown scheme error", rs[0].Stats, rs[0].Err)
+	}
+}
+
 // TestStoredResultCodecIsByteStable: decode→re-encode of a stored value is
 // the identity, which is what makes disk-tier replays byte-identical.
 func TestStoredResultCodecIsByteStable(t *testing.T) {
