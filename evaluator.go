@@ -231,6 +231,9 @@ type Result struct {
 type Report struct {
 	Stats RunStats
 	Meta  map[string]int
+	// FromStore reports that the durable result store answered the job
+	// without simulating it.
+	FromStore bool
 }
 
 // Run evaluates one workload under one scheme, returning metrics normalized
@@ -251,14 +254,18 @@ func (e *Evaluator) RunDetailed(ctx context.Context, w Workload, scheme Scheme) 
 // job-level knobs (TuneRecords). Single-run callers that need those knobs
 // (the prophetd evaluate endpoint) use this instead of building a
 // one-element Sweep. With a durable store attached, a stored result is
-// returned without simulating, and a computed one writes through.
+// returned without simulating (FromStore set), and a computed one writes
+// through.
 func (e *Evaluator) RunJob(ctx context.Context, j Job) (Report, error) {
+	// The store answers before the workload is resolved: only resolvable
+	// catalog and graph workloads are ever stored, and resolving one
+	// builds the catalog, which would dominate a disk-tier answer.
+	if rep, ok := e.storeGet(j); ok {
+		return rep, nil
+	}
 	job, err := e.job(j)
 	if err != nil {
 		return Report{}, err
-	}
-	if rep, ok := e.storeGet(j); ok {
-		return rep, nil
 	}
 	out := e.eng.Run(ctx, job)
 	if out.Err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"prophet/internal/mem"
+	"prophet/internal/memo"
 	"prophet/internal/registry"
 	"prophet/internal/sim"
 )
@@ -49,44 +50,29 @@ type Outcome struct {
 // deterministic, so parallel sweeps return bit-identical results to serial
 // ones.
 type Evaluator struct {
-	cfg     Config
-	workers int
-
-	mu        sync.Mutex
-	baselines map[string]*baselineEntry
-
-	hits, misses atomic.Int64
+	cfg       Config
+	workers   int
+	baselines *memo.Memo[sim.Stats]
 }
 
-type baselineEntry struct {
-	once  sync.Once
-	stats sim.Stats
-}
+// baselineEntries bounds an evaluator's baseline cache: about ten times the
+// 26-workload catalog, at a few hundred bytes per sim.Stats.
+const baselineEntries = 256
 
-// traceEntry materializes one trace, once, in packed form. Trace factories
-// are deterministic per key, so every simulation pass over the same key —
+// traces is the process-wide materialized-trace cache. Trace factories are
+// deterministic per key, so every simulation pass over the same key —
 // baseline, scheme run, Prophet's profile pass, RPG2's tuning ladder, each
 // scheme of a sweep — can replay one in-memory trace instead of
 // re-generating (or re-decoding) the stream. Generation is a measurable
 // fraction of short runs; this is the sweep-level scratch reuse that removes
 // it. The packed form holds about 6 bytes a record against 24 for an
 // []mem.Access, and replay decodes it straight into the simulator's block
-// buffer; trace.Bytes() is the entry's exact size.
-type traceEntry struct {
-	once  sync.Once
-	trace *mem.Packed
-}
-
-// traceStore is the process-wide materialized-trace cache. It is global, not
+// buffer; trace.Bytes() is an entry's exact size. The cache is global, not
 // per-evaluator, because a trace depends only on its key (workload name,
 // record count, file identity) — never on the system configuration — so
-// independent evaluators sharing a process can share the records. The FIFO
-// bound keeps a long-lived daemon from accumulating every trace it served.
-var traceStore struct {
-	sync.Mutex
-	entries map[string]*traceEntry
-	order   []string // FIFO of cached keys
-}
+// independent evaluators sharing a process can share the records. The bound
+// keeps a long-lived daemon from accumulating every trace it served.
+var traces = memo.New[*mem.Packed](traceCacheEntries, 0, nil)
 
 // traceCacheEntries bounds the materialized-trace cache.
 const traceCacheEntries = 8
@@ -99,36 +85,31 @@ func NewEvaluator(cfg Config, workers int) *Evaluator {
 	return &Evaluator{
 		cfg:       cfg,
 		workers:   workers,
-		baselines: map[string]*baselineEntry{},
+		baselines: memo.New[sim.Stats](baselineEntries, 0, nil),
 	}
 }
 
 // cachedFactory wraps a job's trace factory so all passes share one packed
-// trace. Concurrent callers for the same key coalesce on the entry's once;
-// the FIFO bound evicts old keys from the store, but factories already
-// handed out keep their entry alive until they are done.
+// trace. The factory materializes its trace once, on first use, through the
+// trace cache, where concurrent factories for the same key coalesce; it
+// keeps that trace even after the cache evicts the key.
 func cachedFactory(key string, f SourceFactory) SourceFactory {
-	traceStore.Lock()
-	if traceStore.entries == nil {
-		traceStore.entries = map[string]*traceEntry{}
-	}
-	entry, ok := traceStore.entries[key]
-	if !ok {
-		entry = &traceEntry{}
-		traceStore.entries[key] = entry
-		traceStore.order = append(traceStore.order, key)
-		if len(traceStore.order) > traceCacheEntries {
-			delete(traceStore.entries, traceStore.order[0])
-			traceStore.order = traceStore.order[1:]
-		}
-	}
-	traceStore.Unlock()
+	var once sync.Once
+	var trace *mem.Packed
 	return func() mem.Source {
-		// Pack returns the storage of an unread packed source as is
-		// (file: traces packed by the root-level cache), so the two cache
-		// layers never hold duplicate copies of one trace.
-		entry.once.Do(func() { entry.trace = mem.Pack(f()) })
-		return entry.trace.Source()
+		once.Do(func() {
+			var err error
+			// Pack returns the storage of an unread packed source as is
+			// (file: traces packed by the root-level cache), so the two
+			// cache layers never hold duplicate copies of one trace.
+			trace, err = traces.Do(context.Background(), key, func() (*mem.Packed, error) {
+				return mem.Pack(f()), nil
+			})
+			if err != nil {
+				panic(err) // only a panicking factory fails; re-raise it
+			}
+		})
+		return trace.Source()
 	}
 }
 
@@ -138,34 +119,26 @@ func (e *Evaluator) Config() Config { return e.cfg }
 // Workers returns the sweep pool width.
 func (e *Evaluator) Workers() int { return e.workers }
 
-// CacheStats reports baseline cache hits and misses so far.
+// CacheStats reports baseline cache hits and misses so far. A caller that
+// waited on a baseline another was simulating counts as a hit.
 func (e *Evaluator) CacheStats() (hits, misses int64) {
-	return e.hits.Load(), e.misses.Load()
+	st := e.baselines.Stats()
+	return st.Hits + st.Coalesced, st.Misses
 }
 
 // Baseline returns the no-temporal-prefetching run for the trace identified
-// by key, simulating it at most once per evaluator. Concurrent callers for
-// the same key block on one simulation (singleflight) — the run is
-// deterministic, so whoever computes it, everyone sees the same stats.
+// by key, simulating it at most once per evaluator while the key stays in
+// the bounded cache. Concurrent callers for the same key block on one
+// simulation (singleflight) — the run is deterministic, so whoever computes
+// it, everyone sees the same stats, and an evicted key recomputes them.
 func (e *Evaluator) Baseline(key string, factory SourceFactory) sim.Stats {
-	e.mu.Lock()
-	entry, ok := e.baselines[key]
-	if !ok {
-		entry = &baselineEntry{}
-		e.baselines[key] = entry
-	}
-	e.mu.Unlock()
-	computed := false
-	entry.once.Do(func() {
-		computed = true
-		entry.stats = sim.RunOpts(e.cfg.Sim, e.cfg.Run, nil, nil, nil, nil, factory())
+	st, err := e.baselines.Do(context.Background(), key, func() (sim.Stats, error) {
+		return sim.RunOpts(e.cfg.Sim, e.cfg.Run, nil, nil, nil, nil, factory()), nil
 	})
-	if computed {
-		e.misses.Add(1)
-	} else {
-		e.hits.Add(1)
+	if err != nil {
+		panic(err) // only a panicking simulation fails; re-raise it
 	}
-	return entry.stats
+	return st
 }
 
 // RunDirect implements registry.ProphetRunner: the single-input Figure 5

@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"prophet/internal/mem"
+	"prophet/internal/sim"
 	"prophet/internal/workloads"
 )
 
@@ -101,12 +103,10 @@ func TestSweepEmpty(t *testing.T) {
 
 // storedTrace returns the trace store's packed trace for key, or nil.
 func storedTrace(key string) *mem.Packed {
-	traceStore.Lock()
-	defer traceStore.Unlock()
-	if e := traceStore.entries[key]; e != nil {
-		return e.trace
-	}
-	return nil
+	trace, _ := traces.Do(context.Background(), key, func() (*mem.Packed, error) {
+		return nil, errors.New("not stored")
+	})
+	return trace
 }
 
 // TestTraceStoreFootprint pins the trace store's per-record cost: after a
@@ -153,5 +153,30 @@ func TestTraceStoreSharesPackedSource(t *testing.T) {
 	}
 	if storedTrace(key) != trace {
 		t.Fatal("the trace store re-encoded a packed source instead of sharing it")
+	}
+}
+
+// TestBaselineCacheBounded: an evaluator that simulates more distinct
+// baselines than its bound holds only the bound, and an evicted key
+// recomputes the same stats.
+func TestBaselineCacheBounded(t *testing.T) {
+	ev := NewEvaluator(Default(), 1)
+	w, _ := workloads.Get("sphinx3")
+	baseline := func(records uint64) sim.Stats {
+		return ev.Baseline(fmt.Sprintf("sphinx3@%d", records), func() mem.Source { return w.Source(records) })
+	}
+	first := baseline(100)
+	for i := uint64(1); i <= baselineEntries; i++ {
+		baseline(100 + i)
+	}
+	if n := ev.baselines.Stats().Entries; n != baselineEntries {
+		t.Fatalf("cache holds %d baselines after %d distinct keys, want the bound %d", n, baselineEntries+1, baselineEntries)
+	}
+	_, before := ev.CacheStats()
+	if again := baseline(100); again != first {
+		t.Fatalf("evicted baseline recomputed to %+v, want %+v", again, first)
+	}
+	if _, after := ev.CacheStats(); after != before+1 {
+		t.Fatalf("misses %d -> %d: the oldest key was not evicted", before, after)
 	}
 }

@@ -48,7 +48,8 @@ func (r EvaluateRequest) job() prophet.Job {
 // cacheKey is the canonical identity of the request for every cache tier.
 // It is prophet.StoreKey of the resolved job, so the in-memory serving
 // cache, the durable result store, and sweep dispatch all share one key
-// space — a result computed through any entry point satisfies the others.
+// space — a result computed through any entry point satisfies the others —
+// and a regenerated external trace file is a new key.
 func (r EvaluateRequest) cacheKey() string {
 	return prophet.StoreKey(r.job())
 }
@@ -78,38 +79,22 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job := req.job()
-	// The disk tier sits between the in-memory cache and the engine: a
-	// stored result is decoded and shaped into the same response the
-	// compute path would produce — byte-identical, because the stored value
-	// encoding is canonical JSON of the same RunStats/Meta.
-	var disk func() (any, bool)
-	if s.store != nil {
-		disk = func() (any, bool) {
-			rep, ok := prophet.StoreLookup(s.store, job)
-			if !ok {
-				return nil, false
-			}
-			return EvaluateResponse{
-				Workload: req.Workload,
-				Scheme:   req.Scheme,
-				Stats:    rep.Stats,
-				Meta:     rep.Meta,
-			}, true
-		}
-	}
 	// The computation runs detached from this request's context: coalesced
 	// waiters share the result, and one client's disconnect must not fail
-	// the simulation for everyone who piggybacked on it. Write-through to
-	// the store happens inside RunJob, which persists every completed
-	// result it computes.
+	// the simulation for everyone who piggybacked on it. RunJob is the disk
+	// tier too: it answers a stored job from the durable store without
+	// simulating, and writes every result it computes through.
 	computeCtx := context.WithoutCancel(r.Context())
-	v, err := s.cache.Do(r.Context(), req.cacheKey(), disk, func() (any, error) {
+	v, err := s.results.Do(r.Context(), req.cacheKey(), func() (*EvaluateResponse, error) {
 		defer s.track()()
 		rep, err := s.ev.RunJob(computeCtx, job)
 		if err != nil {
 			return nil, err
 		}
-		return EvaluateResponse{
+		if rep.FromStore {
+			s.diskHits.Add(1)
+		}
+		return &EvaluateResponse{
 			Workload: req.Workload,
 			Scheme:   req.Scheme,
 			Stats:    rep.Stats,

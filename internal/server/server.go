@@ -6,9 +6,10 @@
 //
 //   - internal/pipeline caches per-workload baselines inside one Evaluator
 //     (every normalized metric shares its denominator);
-//   - this package caches whole request results across HTTP clients (LRU +
-//     TTL, keyed by canonicalized request), and coalesces duplicate
-//     in-flight requests onto a single simulation (singleflight);
+//   - this package caches whole request results across HTTP clients in an
+//     internal/memo instance (LRU + TTL, keyed by canonicalized request and
+//     trace identity), and coalesces duplicate in-flight requests onto a
+//     single simulation (singleflight);
 //   - long-running sweeps go through a bounded async job queue with
 //     lifecycle-context cancellation, so graceful shutdown drains
 //     connections and cancels work instead of abandoning it;
@@ -39,6 +40,7 @@ import (
 
 	"prophet/internal/ingest"
 	"prophet/internal/mem"
+	"prophet/internal/memo"
 	"prophet/internal/resultstore"
 )
 
@@ -59,9 +61,10 @@ type Config struct {
 	// kept for polling before the oldest are evicted (default 256).
 	JobRetention int
 	// Store is the durable result store layered under the in-memory cache
-	// (lookup order: memory → disk → compute). Nil runs without a disk
-	// tier. The caller owns the store's lifecycle and must also attach it
-	// to the Evaluator (UseResultStore) so computed results write through.
+	// (lookup order: memory → disk → compute), reported at /v1/stats. The
+	// caller owns the store's lifecycle and attaches it to the Evaluator
+	// (UseResultStore), which answers stored jobs from it and writes
+	// computed results through. Nil runs without a disk tier.
 	Store *resultstore.Store
 	// PeerTTL is the heartbeat expiry window for dynamically joined peers
 	// (POST /v1/peers): a peer that has not re-registered within the TTL is
@@ -78,15 +81,18 @@ type Config struct {
 // result cache, async job store, and session registry. Construct with New,
 // mount Handler on an http.Server, and Close on the way out.
 type Server struct {
-	ev    *prophet.Evaluator
-	cache *resultCache
-	store *resultstore.Store // nil when serving without a disk tier
-	jobs  *jobStore
-	sess  *sessionStore
-	mux   *http.ServeMux
-	now   func() time.Time
-	start time.Time
-	logf  func(format string, args ...any)
+	ev      *prophet.Evaluator
+	results *memo.Memo[*EvaluateResponse]
+	// diskHits counts the results misses that RunJob answered from the
+	// durable store (Report.FromStore).
+	diskHits atomic.Int64
+	store    *resultstore.Store // reported at /v1/stats; nil without one
+	jobs     *jobStore
+	sess     *sessionStore
+	mux      *http.ServeMux
+	now      func() time.Time
+	start    time.Time
+	logf     func(format string, args ...any)
 
 	// engineInFlight counts evaluation requests currently executing —
 	// reported by GET /v1/health.
@@ -121,14 +127,14 @@ func New(cfg Config) *Server {
 		cfg.Logf = log.Printf
 	}
 	s := &Server{
-		ev:    cfg.Evaluator,
-		cache: newResultCache(cfg.CacheEntries, cfg.CacheTTL, now),
-		store: cfg.Store,
-		jobs:  newJobStore(cfg.JobWorkers, cfg.QueueDepth, cfg.JobRetention, now),
-		sess:  newSessionStore(now),
-		now:   now,
-		start: now(),
-		logf:  cfg.Logf,
+		ev:      cfg.Evaluator,
+		results: memo.New[*EvaluateResponse](cfg.CacheEntries, cfg.CacheTTL, now),
+		store:   cfg.Store,
+		jobs:    newJobStore(cfg.JobWorkers, cfg.QueueDepth, cfg.JobRetention, now),
+		sess:    newSessionStore(now),
+		now:     now,
+		start:   now(),
+		logf:    cfg.Logf,
 		// Peers configured at startup are static: no heartbeat expected,
 		// drained only by explicit DELETE /v1/peers.
 		peerReg:    newPeerRegistry(cfg.PeerTTL, now, cfg.Evaluator.Backends()),
@@ -213,6 +219,41 @@ func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SchemesResponse{Schemes: s.ev.Schemes()})
 }
 
+// CacheStats is a point-in-time snapshot of the serving cache, surfaced at
+// GET /v1/stats. Each cache-routed request lands in exactly one tier:
+// Hits+DiskHits+Misses+Coalesced equals the number of routed requests, and
+// Misses equals the number of computations actually executed for them
+// (coalesced requests piggybacked on a leader in flight — whether that
+// leader ultimately hit disk or computed, they count only as coalesced).
+// A leader still in flight counts as a miss until the store answers it.
+type CacheStats struct {
+	Hits      int64 `json:"hits"`
+	DiskHits  int64 `json:"diskHits"`
+	Misses    int64 `json:"misses"`
+	Coalesced int64 `json:"coalesced"`
+	Expired   int64 `json:"expired"`
+	Evictions int64 `json:"evictions"`
+	Entries   int   `json:"entries"`
+}
+
+// cacheStats splits the serving memo's misses into disk hits and
+// computations. The disk count is read first: the memo counts a leader's
+// miss before the leader can reach the store, so the split never goes
+// negative and the four tiers always sum to the routed requests.
+func (s *Server) cacheStats() CacheStats {
+	disk := s.diskHits.Load()
+	st := s.results.Stats()
+	return CacheStats{
+		Hits:      st.Hits,
+		DiskHits:  disk,
+		Misses:    st.Misses - disk,
+		Coalesced: st.Coalesced,
+		Expired:   st.Expired,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+	}
+}
+
 // StatsResponse is the GET /v1/stats body: the daemon's operational
 // introspection surface (load tests watch these counters).
 type StatsResponse struct {
@@ -262,7 +303,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.UptimeSeconds = s.now().Sub(s.start).Seconds()
 	resp.Workers = s.ev.Workers()
 	resp.Options = s.ev.Options()
-	resp.Cache = s.cache.Stats()
+	resp.Cache = s.cacheStats()
 	resp.Tiers.Memory = resp.Cache.Hits
 	resp.Tiers.Disk = resp.Cache.DiskHits
 	resp.Tiers.Coalesced = resp.Cache.Coalesced

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -539,5 +540,66 @@ func TestEvaluateFileWorkload(t *testing.T) {
 	json.Unmarshal(fileBody, &file)
 	if gen.Stats != file.Stats {
 		t.Fatalf("file trace diverged from generated workload:\n generated %+v\n file      %+v", gen.Stats, file.Stats)
+	}
+}
+
+// TestEvaluateRegeneratedExternalTrace: the serving cache keys an external
+// trace by its file identity, so rewriting the file under the same path
+// serves the new trace's result at once instead of the stale one until the
+// TTL expires.
+func TestEvaluateRegeneratedExternalTrace(t *testing.T) {
+	writeFile := func(t *testing.T, path, workload string, records uint64) {
+		t.Helper()
+		w, err := prophet.Find(workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := w.WithRecords(records).Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(path, ".csv") {
+			var b strings.Builder
+			for a, ok := src.Next(); ok; a, ok = src.Next() {
+				fmt.Fprintf(&b, "%d,%d,%d,%d,%d\n", a.PC, a.Addr, a.Kind, a.Dep, a.Gap)
+			}
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if _, err := mem.WriteTraceFile(path, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ prefix, file string }{
+		{"file:", "w.trc"},
+		{"csv:", "w.csv"},
+	} {
+		t.Run(strings.TrimSuffix(tc.prefix, ":"), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), tc.file)
+			body := fmt.Sprintf(`{"workload":{"name":"%s%s"},"scheme":"baseline"}`, tc.prefix, path)
+			_, ts := newTestServer(t, Config{})
+
+			writeFile(t, path, "sphinx3", 8_000)
+			code, first := post(t, ts, "/v1/evaluate", body)
+			if code != http.StatusOK {
+				t.Fatalf("first evaluate: %d %s", code, first)
+			}
+			// A different length changes the size, so the identity
+			// changes even on a coarse-mtime filesystem.
+			writeFile(t, path, "omnetpp", 6_000)
+			code, second := post(t, ts, "/v1/evaluate", body)
+			if code != http.StatusOK {
+				t.Fatalf("second evaluate: %d %s", code, second)
+			}
+			if bytes.Equal(first, second) {
+				t.Fatalf("regenerated trace served the stale result: %s", second)
+			}
+			_, fresh := newTestServer(t, Config{})
+			if _, want := post(t, fresh, "/v1/evaluate", body); !bytes.Equal(second, want) {
+				t.Fatalf("regenerated trace result differs from a fresh server's:\n got  %s\n want %s", second, want)
+			}
+		})
 	}
 }

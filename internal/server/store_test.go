@@ -86,6 +86,23 @@ func TestEvaluateWarmRestartServesFromDisk(t *testing.T) {
 	}
 }
 
+// TestColdEvaluateProbesStoreOnce: a cold evaluate consults the durable
+// store once, then computes and writes through.
+func TestColdEvaluateProbesStoreOnce(t *testing.T) {
+	setTestScheme(nil)
+	_, ts, st := storeServer(t, t.TempDir()+"/results.prst")
+	if code, b := post(t, ts, "/v1/evaluate", storeEvalBody); code != http.StatusOK {
+		t.Fatalf("cold evaluate: %d %s", code, b)
+	}
+	if ss := st.Stats(); ss.Misses != 1 || ss.Writes != 1 {
+		t.Fatalf("store %+v, want one probe (misses=1) and one write", ss)
+	}
+	tiers := stats(t, ts).Tiers
+	if tiers.Computed != 1 || tiers.Disk != 0 || tiers.Memory != 0 || tiers.Coalesced != 0 {
+		t.Fatalf("tiers %+v, want {computed: 1}", tiers)
+	}
+}
+
 // TestConcurrentEvaluatesWriteStoreOnce: N identical concurrent requests
 // coalesce onto one computation and leave exactly one store entry written
 // once — and the tier counters sum to N.
@@ -115,7 +132,7 @@ func TestConcurrentEvaluatesWriteStoreOnce(t *testing.T) {
 		}()
 	}
 	// Release the leader once everyone else has coalesced behind it.
-	for s.cache.Stats().Coalesced != clients-1 {
+	for s.cacheStats().Coalesced != clients-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
@@ -133,7 +150,7 @@ func TestConcurrentEvaluatesWriteStoreOnce(t *testing.T) {
 	if ss.Writes != 1 || ss.DupWrites != 0 || st.Len() != 1 {
 		t.Fatalf("store %+v len=%d, want exactly one write and one entry", ss, st.Len())
 	}
-	cs := s.cache.Stats()
+	cs := s.cacheStats()
 	if total := cs.Hits + cs.DiskHits + cs.Misses + cs.Coalesced; total != clients {
 		t.Fatalf("tier counters %+v sum to %d for %d requests", cs, total, clients)
 	}

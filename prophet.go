@@ -47,15 +47,15 @@
 package prophet
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	"prophet/internal/graphs"
 	"prophet/internal/ingest"
 	"prophet/internal/mem"
+	"prophet/internal/memo"
 	"prophet/internal/pipeline"
 	"prophet/internal/sim"
 	"prophet/internal/stats"
@@ -242,102 +242,62 @@ func (s *externalSource) Next() (mem.Access, bool) {
 	return a, ok
 }
 
-// ingestCountCache memoizes external-trace validation by path metadata, so a
-// 5-scheme sweep over one champsim: workload validates the file once, not
-// once per job. Only the record count is retained — never the records.
-var ingestCountCache struct {
-	sync.Mutex
-	entries map[string]ingestCountEntry
-	order   []string // FIFO of cached keys
+// Parsed trace files and external-trace validations are memoized by path,
+// size and mtime, so a regenerated file is a new key and its stale entries
+// age out of the bound. fileTraces holds the few most recently used parsed
+// trace files: without it, every factory() resolution — one per Find, one
+// per sweep job — re-reads and re-decodes the whole file, and a 5-scheme
+// sweep over one trace would hold 5 copies. ingestCounts lets a sweep over
+// one champsim: workload validate the file once, not once per job; it keeps
+// only the record count, never the records.
+const fileCacheEntries = 4
+
+var (
+	fileTraces   = memo.New[*mem.Packed](fileCacheEntries, 0, nil)
+	ingestCounts = memo.New[uint64](fileCacheEntries, 0, nil)
+)
+
+// fileStamp is the identity suffix of an on-disk trace: "#<size>.<mtime>".
+func fileStamp(path string) (string, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("#%d.%d", fi.Size(), fi.ModTime().UnixNano()), nil
 }
 
-type ingestCountEntry struct {
-	count   uint64
-	size    int64
-	modTime time.Time
+// stamp is the fileStamp of a workload backed by an on-disk file (file:,
+// champsim:, csv:), or "" for catalog and graph workloads and for a file
+// that cannot be stat'ed, which fails resolution instead.
+func (w Workload) stamp() string {
+	if path := externalPath(w.Name); path != "" {
+		if st, err := fileStamp(path); err == nil {
+			return st
+		}
+	}
+	return ""
+}
+
+// readTraceCached loads a trace file through fileTraces. The packed trace is
+// shared read-only across callers (each replay holds only a cursor).
+func readTraceCached(path string) (*mem.Packed, error) {
+	st, err := fileStamp(path)
+	if err != nil {
+		return nil, err
+	}
+	return fileTraces.Do(context.Background(), path+st, func() (*mem.Packed, error) {
+		return mem.ReadTraceFile(path)
+	})
 }
 
 func ingestCountCached(f ingest.Format, path string) (uint64, error) {
-	fi, err := os.Stat(path)
+	st, err := fileStamp(path)
 	if err != nil {
 		return 0, err
 	}
-	key := f.Name + ":" + path
-	ingestCountCache.Lock()
-	if e, ok := ingestCountCache.entries[key]; ok && e.size == fi.Size() && e.modTime.Equal(fi.ModTime()) {
-		ingestCountCache.Unlock()
-		return e.count, nil
-	}
-	ingestCountCache.Unlock()
-	n, err := ingest.Count(f, path)
-	if err != nil {
-		return 0, err
-	}
-	ingestCountCache.Lock()
-	if ingestCountCache.entries == nil {
-		ingestCountCache.entries = map[string]ingestCountEntry{}
-	}
-	if _, ok := ingestCountCache.entries[key]; !ok {
-		ingestCountCache.order = append(ingestCountCache.order, key)
-		if len(ingestCountCache.order) > traceCacheMax {
-			delete(ingestCountCache.entries, ingestCountCache.order[0])
-			ingestCountCache.order = ingestCountCache.order[1:]
-		}
-	}
-	ingestCountCache.entries[key] = ingestCountEntry{count: n, size: fi.Size(), modTime: fi.ModTime()}
-	ingestCountCache.Unlock()
-	return n, nil
-}
-
-// traceCache holds the few most recently used parsed trace files, keyed by
-// path and invalidated on size/mtime change. Without it, every factory()
-// resolution — one per Find, one per sweep job — re-reads and re-decodes
-// the whole file; a 5-scheme sweep over one trace would hold 5 copies.
-var traceCache struct {
-	sync.Mutex
-	entries map[string]traceEntry
-	order   []string // FIFO of cached paths
-}
-
-type traceEntry struct {
-	trace   *mem.Packed
-	size    int64
-	modTime time.Time
-}
-
-const traceCacheMax = 4
-
-// readTraceCached loads a trace file through the cache. The packed trace is
-// shared read-only across callers (each replay holds only a cursor).
-func readTraceCached(path string) (*mem.Packed, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	traceCache.Lock()
-	if e, ok := traceCache.entries[path]; ok && e.size == fi.Size() && e.modTime.Equal(fi.ModTime()) {
-		traceCache.Unlock()
-		return e.trace, nil
-	}
-	traceCache.Unlock()
-	trace, err := mem.ReadTraceFile(path)
-	if err != nil {
-		return nil, err
-	}
-	traceCache.Lock()
-	if traceCache.entries == nil {
-		traceCache.entries = map[string]traceEntry{}
-	}
-	if _, ok := traceCache.entries[path]; !ok {
-		traceCache.order = append(traceCache.order, path)
-		if len(traceCache.order) > traceCacheMax {
-			delete(traceCache.entries, traceCache.order[0])
-			traceCache.order = traceCache.order[1:]
-		}
-	}
-	traceCache.entries[path] = traceEntry{trace: trace, size: fi.Size(), modTime: fi.ModTime()}
-	traceCache.Unlock()
-	return trace, nil
+	return ingestCounts.Do(context.Background(), f.Name+":"+path+st, func() (uint64, error) {
+		return ingest.Count(f, path)
+	})
 }
 
 // key identifies the workload's exact trace for baseline caching. Records
@@ -356,12 +316,7 @@ func (w Workload) key() string {
 			records = graphs.DefaultRecords
 		}
 	}
-	if path := externalPath(w.Name); path != "" {
-		if fi, err := os.Stat(path); err == nil {
-			return fmt.Sprintf("%s@%d#%d.%d", w.Name, records, fi.Size(), fi.ModTime().UnixNano())
-		}
-	}
-	return fmt.Sprintf("%s@%d", w.Name, records)
+	return fmt.Sprintf("%s@%d%s", w.Name, records, w.stamp())
 }
 
 // Open returns a fresh deterministic trace source for the workload — the

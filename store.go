@@ -53,14 +53,17 @@ func StoreFingerprint(o Options) string {
 // with.
 func (e *Evaluator) StoreFingerprint() string { return StoreFingerprint(e.opts) }
 
-// StoreKey is the canonical durable-store key of a job: a pure function of
-// the request, shared by every tier (the prophetd serving cache, the disk
+// StoreKey is the canonical durable-store key of a job: a function of the
+// request, shared by every tier (the prophetd serving cache, the disk
 // store, and sweep dispatch), so one stored computation satisfies all of
 // them. The fields are joined positionally with newlines; workload names
-// never contain newlines.
+// never contain newlines. For a workload backed by an on-disk file the key
+// also carries the file's size and mtime, as its baseline key does: such
+// jobs never reach the durable store, but the serving cache must see a
+// regenerated trace as a new request.
 func StoreKey(j Job) string {
-	return fmt.Sprintf("evaluate\n%s\n%d\n%s\n%d",
-		j.Workload.Name, j.Workload.Records, j.Scheme, j.TuneRecords)
+	return fmt.Sprintf("evaluate\n%s\n%d\n%s\n%d%s",
+		j.Workload.Name, j.Workload.Records, j.Scheme, j.TuneRecords, j.Workload.stamp())
 }
 
 // storedResult is the canonical stored-value shape. encoding/json renders
@@ -121,8 +124,7 @@ func storable(j Job) bool {
 // read-side contract: storability (external-path workloads and unregistered
 // schemes are never served from a store), the canonical key, and strict
 // decoding (a corrupt or drifted-schema value reads as a miss, never as
-// zeroed stats). It is the lookup every tier uses — the evaluator internally
-// and prophetd's serving layer for its disk-tier probe.
+// zeroed stats). The returned report has FromStore set.
 func StoreLookup(rs ResultStore, j Job) (Report, bool) {
 	if rs == nil || !storable(j) {
 		return Report{}, false
@@ -135,6 +137,7 @@ func StoreLookup(rs ResultStore, j Job) (Report, bool) {
 	if err != nil {
 		return Report{}, false
 	}
+	rep.FromStore = true
 	return rep, true
 }
 
