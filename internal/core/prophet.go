@@ -184,7 +184,7 @@ func (p *Prophet) OnAccess(ev temporal.AccessEvent) []mem.Line {
 				// Section 4.5 insertion rule: only priority > 0
 				// targets enter the victim buffer.
 				if p.mvb != nil && ev.Priority > 0 {
-					p.mvb.Insert(ev.SrcKey(p.table.Config()), ev.Target)
+					p.mvb.Insert(ev.Src, ev.Target)
 				}
 			}
 		}
@@ -226,7 +226,9 @@ func (p *Prophet) predict(src uint32, priority uint8) []mem.Line {
 		// 4.5 "Prefetch" rule). The MVB is searched even when the
 		// table missed — the path may live only in the buffer.
 		if p.mvb != nil && priority >= mvbPrefetchMinPriority {
-			key := p.srcKey(cur)
+			// The table's lossy (set, tag) key, so MVB lookups
+			// match eviction-time keys.
+			key := p.table.Config().SrcKey(cur)
 			exclude := uint32(0xFFFFFFFF)
 			if hasPrimary {
 				exclude = primary
@@ -245,24 +247,6 @@ func (p *Prophet) predict(src uint32, priority uint8) []mem.Line {
 	}
 	p.scratch = out
 	return out
-}
-
-// srcKey reproduces the metadata table's lossy (set, tag) key for a
-// compressed index, so MVB lookups match eviction-time keys.
-func (p *Prophet) srcKey(src uint32) uint32 {
-	ev := temporal.Evicted{
-		Set: int(src & uint32(p.table.Config().Sets-1)),
-		Tag: uint16(src >> uint(setBitsOf(p.table.Config().Sets)) & 0x3FF),
-	}
-	return ev.SrcKey(p.table.Config())
-}
-
-func setBitsOf(sets int) int {
-	n := 0
-	for 1<<n < sets {
-		n++
-	}
-	return n
 }
 
 // PrefetchUseful implements temporal.Engine. Prophet's policies are profile-

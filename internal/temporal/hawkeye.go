@@ -21,8 +21,9 @@ package temporal
 
 const hawkeyeGhosts = 8 // ghost tags remembered per set
 
-// hawkeyeState holds the per-set ghost FIFO. It is kept in a side map so
-// Entry stays the packed 41-bit structure of the paper.
+// hawkeyeState holds the per-set ghost FIFO of evicted 10-bit tags, read
+// from the table's tag words. It is kept in a side map so the table's slots
+// carry nothing for it.
 type hawkeyeState struct {
 	ghosts map[int][]uint16
 }

@@ -20,13 +20,13 @@ func TestHawkeyePrematureEvictionProtects(t *testing.T) {
 	}
 	// Reinsert the evicted source: Hawkeye classifies it friendly
 	// (premature eviction) and inserts protected.
-	tb.Insert(uint32(ev.Tag)<<4, 42, 0)
+	tb.Insert(ev.Src, 42, 0)
 	// Churn: cache-averse inserts (never-seen tags) must be evicted
 	// before the protected entry.
 	for i := 10; i < 14; i++ {
 		tb.Insert(uint32(16*i), uint32(i), 0)
 	}
-	if got, ok := tb.Peek(uint32(ev.Tag) << 4); !ok || got != 42 {
+	if got, ok := tb.Peek(ev.Src); !ok || got != 42 {
 		t.Fatalf("protected entry evicted by cache-averse churn (got %v ok=%v)", got, ok)
 	}
 }

@@ -12,14 +12,12 @@ import (
 type Policy uint8
 
 const (
-	// MetaLRU evicts the least-recently-used entry in the set.
-	MetaLRU Policy = iota
 	// MetaSRRIP is the 2-bit RRIP policy Triangel uses for metadata.
-	MetaSRRIP
+	MetaSRRIP Policy = iota
 	// ProphetPriority implements the paper's profile-guided replacement:
 	// victim candidates are the entries with the lowest hint priority, and
-	// the runtime policy's state (RRIP, falling back to recency) chooses
-	// the final victim among them (Section 4.2).
+	// the runtime policy's RRIP state chooses the final victim among them
+	// (Section 4.2).
 	ProphetPriority
 	// MetaHawkeye is the Hawkeye-style predictor the original Triage used
 	// (Section 2.1.2): premature evictions mark entries cache-friendly and
@@ -30,8 +28,6 @@ const (
 // String names the policy.
 func (p Policy) String() string {
 	switch p {
-	case MetaLRU:
-		return "meta-lru"
 	case MetaSRRIP:
 		return "meta-srrip"
 	case ProphetPriority:
@@ -69,36 +65,34 @@ func (c TableConfig) MaxEntries() int { return c.MaxWays * c.EntriesPerWayTotal(
 const tagBits = 10
 const tagMask = 1<<tagBits - 1
 
-// Entry is one Markov metadata entry: a 10-bit tag identifying the source
-// line within its set and the 31-bit compressed target that followed it.
+// Entry is the payload of one Markov metadata slot: the 31-bit compressed
+// target that followed the source line, plus replacement state. The slot's
+// 10-bit tag and its live bit are not here: they live only in the table's
+// tag words (tag|tagLiveBit), which every probe scans anyway, so an Entry
+// packs into 8 bytes.
 type Entry struct {
-	Tag      uint16
 	Target   uint32
-	Priority uint8 // Prophet replacement state (2 bits)
-	valid    bool
+	Priority uint8 // Prophet replacement state (Equation 2's n bits)
 	rrpv     uint8
-	// last is the recency stamp for LRU victim choice, truncated to 32
-	// bits so Entry packs into 16 bytes (1.5x the scan density of the
-	// 24-byte layout). Comparisons are only meaningful among live entries
-	// of one set, and only the MetaLRU policy consults them; a table would
-	// need 2^32 touches before wraparound could reorder a set.
-	last uint32
 }
 
 // Evicted describes a metadata entry displaced from the table.
 type Evicted struct {
-	Set      int
-	Tag      uint16
+	// Src is the entry's lossy source key, set | tag<<setBits: the
+	// compressed source index truncated to its set and tag bits (see
+	// TableConfig.SrcKey).
+	Src      uint32
 	Target   uint32
 	Priority uint8
 	Valid    bool
 }
 
-// SrcKey reconstructs the (truncated) compressed source index of the evicted
-// entry from its set and tag. This is the key the Multi-path Victim Buffer
-// indexes with; like the hardware it is lossy beyond set+tag bits.
-func (e Evicted) SrcKey(cfg TableConfig) uint32 {
-	return uint32(e.Tag)<<uint(bits.TrailingZeros(uint(cfg.Sets))) | uint32(e.Set)
+// SrcKey truncates a compressed source index to the bits the table keeps of
+// it, its set and tag: two sources share a key exactly when they share a
+// slot. It is the key eviction records carry and the Multi-path Victim
+// Buffer indexes with; like the hardware it is lossy beyond set+tag bits.
+func (c TableConfig) SrcKey(src uint32) uint32 {
+	return src & (uint32(c.Sets)<<tagBits - 1)
 }
 
 // TableStats counts metadata-table events. Insertions - Replacements is the
@@ -123,27 +117,27 @@ func (s TableStats) AllocatedEntries() uint64 {
 // its capacity is ways x Sets x EntriesPerWay and changing ways is how
 // resizing policies trade metadata capacity against demand LLC capacity.
 //
-// Storage is one flat entry array of Sets x (MaxWays x EntriesPerWay) slots;
-// set s occupies the window starting at s*maxPerSet with count[s] live
-// slots. A flat backing array costs two allocations per table instead of one
-// (growing) slice per hot set, and keeps a set's entries on adjacent cache
-// lines for the per-access linear tag scans.
+// Storage is two flat arrays of Sets x (MaxWays x EntriesPerWay) slots, one
+// 2-byte tag word and one 8-byte Entry per slot; set s occupies the window
+// starting at s*maxPerSet with count[s] live slots. Flat backing arrays cost
+// a fixed number of allocations per table instead of one (growing) slice per
+// hot set, and keep a set's tag words on adjacent cache lines for the
+// per-access linear tag scans.
 type Table struct {
 	cfg       TableConfig
 	ways      int
 	setBits   uint
 	maxPerSet int
 	entries   []Entry  // flat: Sets consecutive windows of maxPerSet slots
-	tags      []uint16 // scan accelerator: tag|tagLiveBit per live slot
+	tags      []uint16 // tag|tagLiveBit per slot: the only copy of both
 	count     []int32  // live slots per set (the old per-set slice length)
-	clock     uint64
 	stats     TableStats
 	hawkeye   *hawkeyeState // non-nil for MetaHawkeye
 	free      atomic.Bool   // see recycler
 }
 
-// tagLiveBit marks a live slot in the tags accelerator array. Tags are 10
-// bits, so bit 15 is free; a zero tags word can never match a probe.
+// tagLiveBit marks a live slot in the tags array. Tags are 10 bits, so bit 15
+// is free; a zero tags word can never match a probe.
 const tagLiveBit = 1 << 15
 
 // tablePools recycles whole tables per geometry across runs. At the Table 1
@@ -151,8 +145,9 @@ const tagLiveBit = 1 << 15
 // constructor allocates (and the runtime zeroes) a fresh one per simulation
 // — a measurable slice of short-run CPU time. Recycling is sound without
 // touching that array: every read of entries/tags is bounded by count[set],
-// and a slot becomes live only through a full overwrite, so clearing the
-// small per-set count array alone restores the fresh-table contract.
+// and a slot becomes live only through a full overwrite of its entry and tag
+// word, so clearing the small per-set count array alone restores the
+// fresh-table contract.
 var tablePools struct {
 	sync.RWMutex
 	m map[TableConfig]*recycler[Table]
@@ -221,7 +216,6 @@ func NewTable(cfg TableConfig, ways int) *Table {
 func (t *Table) recycle(ways int) {
 	t.ways = ways
 	clear(t.count)
-	t.clock = 0
 	t.stats = TableStats{}
 	if t.hawkeye != nil {
 		clear(t.hawkeye.ghosts)
@@ -261,13 +255,29 @@ func (t *Table) Stats() TableStats { return t.stats }
 func (t *Table) Live() int {
 	n := 0
 	for set := range t.count {
-		for _, e := range t.setSlice(set) {
-			if e.valid {
+		for _, tg := range t.setTags(set) {
+			if tg&tagLiveBit != 0 {
 				n++
 			}
 		}
 	}
 	return n
+}
+
+// setTags returns the tag words of one set's live window.
+func (t *Table) setTags(set int) []uint16 {
+	base := set * t.maxPerSet
+	return t.tags[base : base+int(t.count[set])]
+}
+
+// evicted returns the displacement record of slot i of set. Its source key
+// is rebuilt from the set and the slot's tag word, so it must be taken
+// before the slot is overwritten.
+func (t *Table) evicted(set, i int) Evicted {
+	base := set * t.maxPerSet
+	e := t.entries[base+i]
+	src := uint32(set) | uint32(t.tags[base+i]&tagMask)<<t.setBits
+	return Evicted{Src: src, Target: e.Target, Priority: e.Priority, Valid: true}
 }
 
 func (t *Table) locate(src uint32) (set int, tag uint16) {
@@ -284,23 +294,19 @@ func (t *Table) Lookup(src uint32) (target uint32, ok bool) {
 	if i := t.findSlot(set, tag); i >= 0 {
 		e := &t.entries[set*t.maxPerSet+i]
 		t.stats.Hits++
-		t.clock++
 		e.rrpv = 0
-		e.last = uint32(t.clock)
 		return e.Target, true
 	}
 	return 0, false
 }
 
-// findSlot scans the tags accelerator for a live entry with the given tag
-// and returns its slot within the set, or -1. Scanning 2-byte tag words
-// instead of 24-byte entries keeps the (up to 96-entry) probe inside a few
-// cache lines.
+// findSlot scans the tag words for a live entry with the given tag and
+// returns its slot within the set, or -1. Scanning 2-byte tag words instead
+// of the 8-byte entries keeps the (up to 96-entry) probe inside three cache
+// lines.
 func (t *Table) findSlot(set int, tag uint16) int {
-	base := set * t.maxPerSet
-	tags := t.tags[base : base+int(t.count[set])]
 	want := tag | tagLiveBit
-	for i, tg := range tags {
+	for i, tg := range t.setTags(set) {
 		if tg == want {
 			return i
 		}
@@ -324,6 +330,9 @@ func (t *Table) Peek(src uint32) (target uint32, ok bool) {
 // source gains a new successor, its previous successor is exactly the
 // "Markov target evicted from the metadata table" the Multi-path Victim
 // Buffer exists to keep (Section 4.5).
+//
+// Every slot below count[set] is live (Resize compacts before it returns),
+// so a miss either appends at count[set] or replaces a victim.
 func (t *Table) Insert(src, target uint32, priority uint8) Evicted {
 	capPerSet := t.ways * t.cfg.EntriesPerWay
 	if capPerSet == 0 {
@@ -331,37 +340,20 @@ func (t *Table) Insert(src, target uint32, priority uint8) Evicted {
 	}
 	set, tag := t.locate(src)
 	base := set * t.maxPerSet
-	t.clock++
-	// One scan over the tags accelerator finds an existing entry AND
-	// remembers the first free slot for the miss path, fusing what used to
-	// be two passes (findSlot, then a free-slot scan) into one.
-	want := tag | tagLiveBit
-	match, free := -1, -1
-	for i, tg := range t.tags[base : base+int(t.count[set])] {
-		if tg == want {
-			match = i
-			break
-		}
-		if tg&tagLiveBit == 0 && free < 0 {
-			free = i
-		}
-	}
 	// Existing entry: update target in place, reporting the displaced
 	// target if it changed.
-	if match >= 0 {
-		e := &t.entries[base+match]
+	if i := t.findSlot(set, tag); i >= 0 {
+		e := &t.entries[base+i]
 		ev := Evicted{}
 		if e.Target != target {
-			ev = Evicted{Set: set, Tag: e.Tag, Target: e.Target, Priority: e.Priority, Valid: true}
+			ev = Evicted{Src: t.cfg.SrcKey(src), Target: e.Target, Priority: e.Priority, Valid: true}
 		}
 		e.Target = target
 		e.Priority = priority
 		e.rrpv = 0
-		e.last = uint32(t.clock)
 		t.stats.Updates++
 		return ev
 	}
-	entries := t.setSlice(set)
 	t.stats.Insertions++
 	insertRRPV := uint8(srripInsertRRPV)
 	if t.hawkeye != nil {
@@ -373,27 +365,21 @@ func (t *Table) Insert(src, target uint32, priority uint8) Evicted {
 			insertRRPV = srripMaxRRPV
 		}
 	}
-	// Free slot, remembered by the fused scan above. (Live slots ahead of
-	// count only lose their tag bit transiently inside Resize, which
-	// compacts before returning, so a zero word there is authoritative.)
-	if free >= 0 {
-		entries[free] = Entry{Tag: tag, Target: target, Priority: priority, valid: true, rrpv: insertRRPV, last: uint32(t.clock)}
-		t.tags[base+free] = tag | tagLiveBit
-		return Evicted{}
-	}
-	if len(entries) < capPerSet {
-		t.entries[base+len(entries)] = Entry{Tag: tag, Target: target, Priority: priority, valid: true, rrpv: insertRRPV, last: uint32(t.clock)}
-		t.tags[base+len(entries)] = tag | tagLiveBit
+	n := int(t.count[set])
+	if n < capPerSet {
+		t.entries[base+n] = Entry{Target: target, Priority: priority, rrpv: insertRRPV}
+		t.tags[base+n] = tag | tagLiveBit
 		t.count[set]++
 		return Evicted{}
 	}
-	// Replacement.
-	vi := t.victim(entries)
-	ev := Evicted{Set: set, Tag: entries[vi].Tag, Target: entries[vi].Target, Priority: entries[vi].Priority, Valid: true}
+	// Replacement. The victim's record and ghost read its tag word, so
+	// both come before the overwrite.
+	vi := t.victim(t.entries[base : base+n])
+	ev := t.evicted(set, vi)
 	if t.hawkeye != nil {
-		t.hawkeye.observeEviction(set, entries[vi].Tag)
+		t.hawkeye.observeEviction(set, t.tags[base+vi]&tagMask)
 	}
-	entries[vi] = Entry{Tag: tag, Target: target, Priority: priority, valid: true, rrpv: insertRRPV, last: uint32(t.clock)}
+	t.entries[base+vi] = Entry{Target: target, Priority: priority, rrpv: insertRRPV}
 	t.tags[base+vi] = tag | tagLiveBit
 	t.stats.Replacements++
 	return ev
@@ -408,8 +394,6 @@ const (
 // configured policy.
 func (t *Table) victim(entries []Entry) int {
 	switch t.cfg.Policy {
-	case MetaLRU:
-		return victimLRU(entries, math.MaxUint8)
 	case MetaSRRIP, MetaHawkeye:
 		return victimSRRIP(entries, math.MaxUint8)
 	case ProphetPriority:
@@ -429,51 +413,37 @@ func (t *Table) victim(entries []Entry) int {
 	panic("temporal: unknown table policy " + t.cfg.Policy.String())
 }
 
-// victimLRU returns the least recently used candidate. Candidates are the
-// entries whose Priority is at most maxPrio: math.MaxUint8 admits every
-// entry, and a set's minimum priority admits exactly its lowest level
-// without building a candidate list.
-func victimLRU(entries []Entry, maxPrio uint8) int {
-	best := -1
+// victimSRRIP returns the first candidate at the maximum RRPV, aging the
+// candidates until one is. Candidates are the entries whose Priority is at
+// most maxPrio: math.MaxUint8 admits every entry, and a set's minimum
+// priority admits exactly its lowest level without building a candidate
+// list. entries must hold at least one candidate.
+//
+// Aging takes one pass instead of one per step: SRRIP ages every candidate
+// by one until some candidate reaches the maximum, so the first candidate
+// at the oldest RRPV wins and every candidate ages by that RRPV's distance
+// from the maximum.
+func victimSRRIP(entries []Entry, maxPrio uint8) int {
+	best, oldest := -1, uint8(0)
 	for i := range entries {
-		if entries[i].Priority > maxPrio {
+		e := &entries[i]
+		if e.Priority > maxPrio {
 			continue
 		}
-		if best < 0 || entries[i].last < entries[best].last {
-			best = i
+		if e.rrpv >= srripMaxRRPV {
+			return i
+		}
+		if best < 0 || e.rrpv > oldest {
+			best, oldest = i, e.rrpv
+		}
+	}
+	age := srripMaxRRPV - oldest
+	for i := range entries {
+		if entries[i].Priority <= maxPrio {
+			entries[i].rrpv += age
 		}
 	}
 	return best
-}
-
-// victimSRRIP returns the first candidate (as for victimLRU) at the maximum
-// RRPV, aging the candidates until one is.
-func victimSRRIP(entries []Entry, maxPrio uint8) int {
-	for {
-		for i := range entries {
-			if entries[i].Priority > maxPrio {
-				continue
-			}
-			if entries[i].rrpv >= srripMaxRRPV {
-				return i
-			}
-		}
-		aged := false
-		for i := range entries {
-			if entries[i].Priority > maxPrio {
-				continue
-			}
-			if entries[i].rrpv < srripMaxRRPV {
-				entries[i].rrpv++
-				aged = true
-			}
-		}
-		if !aged {
-			// All candidates already at max but loop missed them
-			// (defensive); fall back to recency.
-			return victimLRU(entries, maxPrio)
-		}
-	}
 }
 
 // Resize changes the allocated ways, evicting surplus entries (victims chosen
@@ -490,15 +460,10 @@ func (t *Table) Resize(ways int) []Evicted {
 	if ways < t.ways {
 		capPerSet := ways * t.cfg.EntriesPerWay
 		for set := range t.count {
-			for countValid(t.setSlice(set)) > capPerSet {
-				entries := t.setSlice(set)
-				vi := t.victim(entries)
-				e := &entries[vi]
-				evs = append(evs, Evicted{Set: set, Tag: e.Tag, Target: e.Target, Priority: e.Priority, Valid: true})
-				e.valid = false
-				e.rrpv = srripMaxRRPV
-				e.last = 0
-				// Compact: drop invalid entries, preserving order.
+			for n := int(t.count[set]) - capPerSet; n > 0; n-- {
+				vi := t.victim(t.setSlice(set))
+				evs = append(evs, t.evicted(set, vi))
+				t.tags[set*t.maxPerSet+vi] &^= tagLiveBit
 				t.compactSet(set)
 			}
 		}
@@ -507,35 +472,23 @@ func (t *Table) Resize(ways int) []Evicted {
 	return evs
 }
 
-func countValid(entries []Entry) int {
-	n := 0
-	for i := range entries {
-		if entries[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
-// compactSet shifts a set's valid entries to the front of its window,
-// preserving their order, and shrinks the live count accordingly. The tags
-// accelerator moves in lock-step; slots beyond the new count are cleared so
-// stale tag words cannot match.
+// compactSet shifts a set's live entries to the front of its window,
+// preserving their order, and shrinks the live count accordingly. Entries
+// and tag words move in lock-step; tag words beyond the new count are
+// cleared so stale ones cannot match.
 func (t *Table) compactSet(set int) {
 	base := set * t.maxPerSet
-	entries := t.setSlice(set)
+	tags := t.setTags(set)
 	n := 0
-	for i := range entries {
-		if entries[i].valid {
+	for i, tg := range tags {
+		if tg&tagLiveBit != 0 {
 			if n != i {
-				entries[n] = entries[i]
-				t.tags[base+n] = t.tags[base+i]
+				t.entries[base+n] = t.entries[base+i]
+				tags[n] = tg
 			}
 			n++
 		}
 	}
-	for i := n; i < len(entries); i++ {
-		t.tags[base+i] = 0
-	}
+	clear(tags[n:])
 	t.count[set] = int32(n)
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"prophet/internal/mem"
 )
@@ -147,7 +148,7 @@ func TestCompressorSequentialAssignment(t *testing.T) {
 }
 
 func TestTableInsertLookup(t *testing.T) {
-	tb := NewTable(smallTable(MetaLRU), 4)
+	tb := NewTable(smallTable(MetaSRRIP), 4)
 	tb.Insert(5, 99, 0)
 	got, ok := tb.Lookup(5)
 	if !ok || got != 99 {
@@ -163,7 +164,7 @@ func TestTableInsertLookup(t *testing.T) {
 }
 
 func TestTableUpdateInPlace(t *testing.T) {
-	tb := NewTable(smallTable(MetaLRU), 4)
+	tb := NewTable(smallTable(MetaSRRIP), 4)
 	tb.Insert(5, 99, 0)
 	// Updating with a new target displaces the old target (which feeds
 	// the Multi-path Victim Buffer).
@@ -186,7 +187,7 @@ func TestTableUpdateInPlace(t *testing.T) {
 }
 
 func TestTableCapacityAndReplacement(t *testing.T) {
-	cfg := smallTable(MetaLRU)
+	cfg := smallTable(MetaSRRIP)
 	tb := NewTable(cfg, 1) // 2 entries per set
 	// Sources 0, 16, 32 map to set 0 with distinct tags.
 	tb.Insert(0, 1, 0)
@@ -200,18 +201,6 @@ func TestTableCapacityAndReplacement(t *testing.T) {
 	}
 	if live := tb.Live(); live != 2 {
 		t.Fatalf("live entries = %d, want 2", live)
-	}
-}
-
-func TestTableLRUVictim(t *testing.T) {
-	cfg := smallTable(MetaLRU)
-	tb := NewTable(cfg, 1)
-	tb.Insert(0, 1, 0)
-	tb.Insert(16, 2, 0)
-	tb.Lookup(0) // 0 recently used; 16 is LRU
-	ev := tb.Insert(32, 3, 0)
-	if !ev.Valid || ev.Target != 2 {
-		t.Fatalf("LRU evicted %+v, want the entry with target 2", ev)
 	}
 }
 
@@ -243,7 +232,7 @@ func TestTableZeroWaysDropsInserts(t *testing.T) {
 }
 
 func TestTableResizeShrinkEvicts(t *testing.T) {
-	cfg := smallTable(MetaLRU)
+	cfg := smallTable(MetaSRRIP)
 	tb := NewTable(cfg, 4) // 8 entries per set
 	// Fill set 0 with 8 entries (sources 0,16,...,112).
 	for i := 0; i < 8; i++ {
@@ -265,7 +254,7 @@ func TestTableResizeShrinkEvicts(t *testing.T) {
 }
 
 func TestTableResizeClamps(t *testing.T) {
-	tb := NewTable(smallTable(MetaLRU), 2)
+	tb := NewTable(smallTable(MetaSRRIP), 2)
 	tb.Resize(99)
 	if tb.Ways() != 4 {
 		t.Fatalf("ways = %d, want clamped 4", tb.Ways())
@@ -297,16 +286,58 @@ func TestDefaultGeometryMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestEvictedSrcKey pins the eviction record's source key to set | tag<<setBits:
+// the bits above the tag are dropped, as the hardware drops them.
 func TestEvictedSrcKey(t *testing.T) {
-	cfg := DefaultTableConfig() // 2048 sets -> 11 set bits
-	e := Evicted{Set: 5, Tag: 3}
-	if got := e.SrcKey(cfg); got != 3<<11|5 {
+	cfg := DefaultTableConfig()      // 2048 sets -> 11 set bits
+	src := uint32(7<<21 | 3<<11 | 5) // tag 3, set 5, and bits beyond the tag
+	if got := cfg.SrcKey(src); got != 3<<11|5 {
 		t.Fatalf("SrcKey = %d, want %d", got, 3<<11|5)
+	}
+	tb := NewTable(cfg, 1)
+	defer tb.Release()
+	tb.Insert(src, 1, 0)
+	if ev := tb.Insert(src, 2, 0); !ev.Valid || ev.Src != 3<<11|5 {
+		t.Fatalf("update displaced %+v, want Src %d", ev, 3<<11|5)
+	}
+	// A shrink to zero ways evicts it as a replacement would.
+	if evs := tb.Resize(0); len(evs) != 1 || evs[0].Src != 3<<11|5 || evs[0].Target != 2 {
+		t.Fatalf("shrink evicted %+v, want one entry with Src %d target 2", evs, 3<<11|5)
+	}
+}
+
+// TestSrcKeyMatchesSetTag checks the one-mask SrcKey against the key the
+// MVB path used to rebuild from an explicit set and 10-bit tag, for random
+// sources at the 16-set test geometry and the 2048-set Table 1 one.
+func TestSrcKeyMatchesSetTag(t *testing.T) {
+	rng := mem.NewPRNG(11)
+	for _, sets := range []int{16, 2048} {
+		cfg := TableConfig{Sets: sets}
+		setBits := 0
+		for 1<<setBits < sets {
+			setBits++
+		}
+		for range 10_000 {
+			src := uint32(rng.Uint64()) & MaxIndex
+			set := src & uint32(sets-1)
+			tag := src >> setBits & 0x3FF
+			if got, want := cfg.SrcKey(src), tag<<setBits|set; got != want {
+				t.Fatalf("sets %d: SrcKey(%#x) = %#x, set/tag key %#x", sets, src, got, want)
+			}
+		}
+	}
+}
+
+// TestEntrySize pins the metadata slot payload at 8 bytes: with the 2-byte
+// tag word that is 10 bytes per slot, 1.88 MiB for a Table 1 table.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 8 {
+		t.Fatalf("sizeof(Entry) = %d, want 8", got)
 	}
 }
 
 func TestChase(t *testing.T) {
-	tb := NewTable(smallTable(MetaLRU), 4)
+	tb := NewTable(smallTable(MetaSRRIP), 4)
 	comp := NewCompressor()
 	// Build chain A -> B -> C -> D.
 	lines := []mem.Line{1000, 2000, 3000, 4000}
@@ -433,7 +464,7 @@ func TestTargetHistogramEmpty(t *testing.T) {
 func TestTableInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := mem.NewPRNG(seed)
-		cfg := smallTable(Policy(seed % 3))
+		cfg := smallTable(Policy(seed % 3)) // SRRIP, priority or Hawkeye
 		tb := NewTable(cfg, 1+int(seed%4))
 		latest := map[uint32]uint32{}
 		for i := 0; i < 3000; i++ {
@@ -469,7 +500,7 @@ func TestTableInvariants(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if MetaLRU.String() == "" || MetaSRRIP.String() == "" || ProphetPriority.String() == "" {
+	if MetaSRRIP.String() == "" || ProphetPriority.String() == "" || MetaHawkeye.String() == "" {
 		t.Fatal("policies must have names")
 	}
 	if Policy(77).String() == "" {

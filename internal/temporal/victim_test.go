@@ -8,8 +8,8 @@ import (
 
 // candidateVictim is the ProphetPriority victim choice as a candidate-slice
 // filter: mark the entries at the set's lowest priority, then run SRRIP over
-// the marked ones, aging only them, and fall back to recency among them. It
-// is the reference the allocation-free Table.victim must match.
+// the marked ones, aging them one step at a time. It is the reference the
+// allocation-free, one-pass Table.victim must match.
 func candidateVictim(entries []Entry) int {
 	minPrio := entries[0].Priority
 	for _, e := range entries[1:] {
@@ -25,21 +25,10 @@ func candidateVictim(entries []Entry) int {
 				return i
 			}
 		}
-		aged := false
 		for i := range entries {
 			if cand[i] && entries[i].rrpv < srripMaxRRPV {
 				entries[i].rrpv++
-				aged = true
 			}
-		}
-		if !aged {
-			best := -1
-			for i := range entries {
-				if cand[i] && (best < 0 || entries[i].last < entries[best].last) {
-					best = i
-				}
-			}
-			return best
 		}
 	}
 }
@@ -61,6 +50,7 @@ func TestProphetVictimMatchesCandidateSlice(t *testing.T) {
 		}
 		set, tag := tb.locate(src)
 		want := append([]Entry(nil), tb.setSlice(set)...)
+		wantTags := append([]uint16(nil), tb.setTags(set)...)
 		before := tb.Stats().Replacements
 		ev := tb.Insert(src, uint32(op), uint8(rng.Intn(4)))
 		if tb.Stats().Replacements == before {
@@ -68,15 +58,16 @@ func TestProphetVictimMatchesCandidateSlice(t *testing.T) {
 		}
 		replacements++
 		vi := candidateVictim(want)
-		if !ev.Valid || ev.Tag != want[vi].Tag || ev.Target != want[vi].Target || ev.Priority != want[vi].Priority {
-			t.Fatalf("op %d: evicted %+v, reference victim %+v", op, ev, want[vi])
+		wantSrc := uint32(wantTags[vi]&tagMask)<<tb.setBits | uint32(set)
+		if !ev.Valid || ev.Src != wantSrc || ev.Target != want[vi].Target || ev.Priority != want[vi].Priority {
+			t.Fatalf("op %d: evicted %+v, reference victim %+v with src %#x", op, ev, want[vi], wantSrc)
 		}
-		got := tb.setSlice(set)
-		if got[vi].Tag != tag {
+		got, gotTags := tb.setSlice(set), tb.setTags(set)
+		if gotTags[vi] != tag|tagLiveBit {
 			t.Fatalf("op %d: new tag %#x not in the reference victim's slot %d", op, tag, vi)
 		}
 		for i := range want {
-			if i != vi && got[i] != want[i] {
+			if i != vi && (got[i] != want[i] || gotTags[i] != wantTags[i]) {
 				t.Fatalf("op %d: slot %d = %+v, reference %+v", op, i, got[i], want[i])
 			}
 		}
