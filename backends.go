@@ -27,10 +27,9 @@ import (
 // BatchJob is one job of a POST /v1/batch request: the serialized form of a
 // Job. Records 0 means the catalog default, exactly as in the Go API.
 type BatchJob struct {
-	Workload    string `json:"workload"`
-	Records     uint64 `json:"records,omitempty"`
-	Scheme      string `json:"scheme"`
-	TuneRecords uint64 `json:"tuneRecords,omitempty"`
+	Workload string `json:"workload"`
+	Records  uint64 `json:"records,omitempty"`
+	Scheme   string `json:"scheme"`
 }
 
 // Job resolves the wire form back to an engine job. Fields pass through
@@ -39,11 +38,7 @@ type BatchJob struct {
 // SweepLocal even for malformed names (both sides then produce the same
 // error row).
 func (bj BatchJob) Job() Job {
-	return Job{
-		Workload:    Workload{Name: bj.Workload, Records: bj.Records},
-		Scheme:      Scheme(bj.Scheme),
-		TuneRecords: bj.TuneRecords,
-	}
+	return Job{Workload: Workload{Name: bj.Workload, Records: bj.Records}, Scheme: Scheme(bj.Scheme)}
 }
 
 // BatchRequest is the POST /v1/batch body: a batch of sweep jobs executed
@@ -112,12 +107,7 @@ func (b *httpBackend) Name() string { return b.base }
 func (b *httpBackend) Execute(ctx context.Context, jobs []Job) ([]Result, error) {
 	req := BatchRequest{Jobs: make([]BatchJob, len(jobs))}
 	for i, j := range jobs {
-		req.Jobs[i] = BatchJob{
-			Workload:    j.Workload.Name,
-			Records:     j.Workload.Records,
-			Scheme:      string(j.Scheme),
-			TuneRecords: j.TuneRecords,
-		}
+		req.Jobs[i] = BatchJob{Workload: j.Workload.Name, Records: j.Workload.Records, Scheme: string(j.Scheme)}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

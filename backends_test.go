@@ -22,7 +22,6 @@ import (
 
 	"prophet"
 
-	"prophet/internal/experiments"
 	"prophet/internal/server"
 )
 
@@ -248,54 +247,6 @@ func TestShardedSweepErrorRowsAndChunking(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSweepsEqual(t, got, want)
-}
-
-// The figure suite against a fleet: F10 rendered through RemoteSweep must
-// be byte-identical to the purely local rendering.
-func TestShardedExperimentsMatchLocal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full F10 twice is not -short material")
-	}
-	opts := experiments.Options{Records: 6000, Workers: 2}
-	localRes, err := experiments.Run("F10", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := prophet.New(
-		prophet.WithBackends(startWorker(t), startWorker(t)),
-		prophet.WithWorkers(2),
-	)
-	remoteOpts := opts
-	remoteOpts.RemoteSweep = func(jobs []experiments.RemoteJob) []experiments.RemoteRun {
-		pj := make([]prophet.Job, len(jobs))
-		for i, j := range jobs {
-			pj[i] = prophet.Job{
-				Workload: prophet.Workload{Name: j.Workload, Records: j.Records},
-				Scheme:   prophet.Scheme(j.Scheme),
-			}
-		}
-		res, _ := coord.Sweep(context.Background(), pj...)
-		out := make([]experiments.RemoteRun, len(res))
-		for i, r := range res {
-			out[i] = experiments.RemoteRun{
-				IPC: r.Stats.IPC, Speedup: r.Stats.Speedup, Traffic: r.Stats.NormalizedTraffic,
-				Coverage: r.Stats.Coverage, Accuracy: r.Stats.Accuracy,
-				MetaWays: r.Stats.MetaWays, Meta: r.Meta, Err: r.Err,
-			}
-		}
-		return out
-	}
-	remoteRes, err := experiments.Run("F10", remoteOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := remoteRes.Render(), localRes.Render(); got != want {
-		t.Fatalf("remote F10 rendering differs from local:\n--- remote ---\n%s\n--- local ---\n%s", got, want)
-	}
-	if coord.DispatchStats().Remote == 0 {
-		t.Fatal("remote F10 never reached the backends")
-	}
 }
 
 // Placement decides where each chunk runs, never content or order, so the

@@ -4,7 +4,7 @@
 // (reduced workload sets, scaled traces) and report the headline metric of
 // each figure via b.ReportMetric, so `go test -bench=. -benchmem` regenerates
 // the whole evaluation at CI-friendly cost. Run cmd/experiments for the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// full-scale numbers; each figure prints its shape target beside them.
 package prophet_test
 
 import (

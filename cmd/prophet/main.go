@@ -9,16 +9,9 @@
 //	prophet -inputs gcc_166,gcc_expr -eval gcc_200
 //	prophet -inputs mcf            # profile and evaluate the same input
 //	prophet -inputs omnetpp -el-acc 0.25 -priority-bits 3
-//	prophet -inputs mcf -backends http://w1:8373,http://w2:8373
 //
-// With -backends, the Triangel reference runs are swept as one batch
-// sharded across the remote prophetd fleet. Baselines and the
-// profile-guided Prophet runs stay local: the Prophet runs carry this
-// process's learned hints and normalize against the locally cached
-// baselines, so shipping baselines out would only simulate them twice.
-// Results are byte-identical to a local run when the backends simulate the
-// same configuration, so point -backends at daemons started with matching
-// flags.
+// -inputs and -eval take comma-separated workload names; blanks and empty
+// entries are ignored.
 package main
 
 import (
@@ -42,7 +35,6 @@ func main() {
 	prioBits := flag.Int("priority-bits", 2, "replacement priority bits n (Equation 2)")
 	mvbCand := flag.Int("mvb-candidates", 1, "Multi-path Victim Buffer candidates per lookup")
 	learnL := flag.Int("learn-l", 4, "Equation 4 designer parameter L")
-	backends := flag.String("backends", "", "comma-separated prophetd base URLs to shard reference runs across")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -51,25 +43,22 @@ func main() {
 		return
 	}
 
-	if *inputs == "" {
+	inputList := cliutil.SplitList(*inputs)
+	if len(inputList) == 0 {
 		fmt.Fprintln(os.Stderr, "need -inputs (e.g. -inputs gcc_166,gcc_expr)")
 		os.Exit(1)
 	}
 
 	ctx := context.Background()
-	evOpts := []prophet.Option{
+	ev := prophet.New(
 		prophet.WithELAcc(*elAcc),
 		prophet.WithPriorityBits(*prioBits),
 		prophet.WithMVBCandidates(*mvbCand),
 		prophet.WithLearningL(*learnL),
-	}
-	if urls := cliutil.SplitList(*backends); len(urls) > 0 {
-		evOpts = append(evOpts, prophet.WithBackends(urls...))
-	}
-	ev := prophet.New(evOpts...)
+	)
 	s := ev.NewSession()
 
-	for _, name := range strings.Split(*inputs, ",") {
+	for _, name := range inputList {
 		w, err := resolve(name, *records)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -87,12 +76,12 @@ func main() {
 		bin.PCHints, bin.MetaWays, bin.TPDisabled)
 	printHints(bin)
 
-	evalList := *eval
-	if evalList == "" {
-		evalList = *inputs
+	evalList := cliutil.SplitList(*eval)
+	if len(evalList) == 0 {
+		evalList = inputList
 	}
 	var ws []prophet.Workload
-	for _, name := range strings.Split(evalList, ",") {
+	for _, name := range evalList {
 		w, err := resolve(name, *records)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -101,18 +90,10 @@ func main() {
 		ws = append(ws, w)
 	}
 
-	// Baselines run in process on purpose: the session's Prophet runs below
-	// need each workload's baseline to normalize their speedup, and a
-	// local sweep populates the shared cache so every baseline simulates
-	// exactly once. The Triangel reference runs carry no such coupling, so
-	// they go out as one sweep — sharded across the fleet with -backends,
-	// fanned over the local worker pool without.
-	bases, err := ev.SweepLocal(ctx, prophet.Jobs(ws, prophet.Baseline)...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	trs, err := ev.Sweep(ctx, prophet.Jobs(ws, prophet.Triangel)...)
+	// One sweep runs each workload's baseline and Triangel reference; the
+	// baselines land in the evaluator's cache, so the session's Prophet runs
+	// below normalize against them without simulating them again.
+	refs, err := ev.Sweep(ctx, prophet.Jobs(ws, prophet.Baseline, prophet.Triangel)...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -120,7 +101,7 @@ func main() {
 
 	fmt.Printf("\n%-16s %10s %10s %10s %12s %12s\n", "workload", "baseIPC", "triangel", "prophet", "vs baseline", "vs triangel")
 	for i, w := range ws {
-		base, tr := bases[i], trs[i]
+		base, tr := refs[2*i], refs[2*i+1]
 		if base.Err != nil {
 			fmt.Fprintln(os.Stderr, base.Err)
 			os.Exit(1)
@@ -157,7 +138,7 @@ func printHints(bin prophet.Binary) {
 }
 
 func resolve(name string, records uint64) (prophet.Workload, error) {
-	w, err := prophet.Find(strings.TrimSpace(name))
+	w, err := prophet.Find(name)
 	if err != nil {
 		known := prophet.Catalog()
 		sort.Strings(known)

@@ -197,9 +197,6 @@ func (e *Evaluator) Schemes() []string { return registry.Names() }
 type Job struct {
 	Workload Workload
 	Scheme   Scheme
-	// TuneRecords caps tuning traces for schemes that search runtime
-	// knobs (RPG2's prefetch-distance binary search). 0 = full-length.
-	TuneRecords uint64
 }
 
 // Jobs builds the cross product of workloads and schemes in workload-major
@@ -250,12 +247,11 @@ func (e *Evaluator) RunDetailed(ctx context.Context, w Workload, scheme Scheme) 
 	return e.RunJob(ctx, Job{Workload: w, Scheme: scheme})
 }
 
-// RunJob evaluates one sweep job synchronously — RunDetailed plus the
-// job-level knobs (TuneRecords). Single-run callers that need those knobs
-// (the prophetd evaluate endpoint) use this instead of building a
-// one-element Sweep. With a durable store attached, a stored result is
-// returned without simulating (FromStore set), and a computed one writes
-// through.
+// RunJob is RunDetailed for a Job value: it evaluates one sweep job
+// synchronously, which the prophetd evaluate endpoint uses instead of
+// building a one-element Sweep. With a durable store attached, a stored
+// result is returned without simulating (FromStore set), and a computed one
+// writes through.
 func (e *Evaluator) RunJob(ctx context.Context, j Job) (Report, error) {
 	// The store answers before the workload is resolved: only resolvable
 	// catalog and graph workloads are ever stored, and resolving one
@@ -391,10 +387,9 @@ func (e *Evaluator) job(j Job) (pipeline.Job, error) {
 		return pipeline.Job{}, err
 	}
 	return pipeline.Job{
-		Key:         j.Workload.key(),
-		Factory:     f,
-		Scheme:      string(j.Scheme),
-		TuneRecords: j.TuneRecords,
+		Key:     j.Workload.key(),
+		Factory: f,
+		Scheme:  string(j.Scheme),
 	}, nil
 }
 

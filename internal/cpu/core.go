@@ -15,7 +15,7 @@
 //
 // These five constraints are what make temporal prefetching matter: pointer
 // chases serialize on Dep, bandwidth-bound phases queue on MSHRs, and covered
-// misses shrink the critical path. The absolute IPC is not calibrated to any
+// misses shrink the critical path. The absolute IPC is not fitted to any
 // silicon; relative IPC between prefetching schemes is the quantity the
 // experiments report, mirroring the paper's use of speedups.
 package cpu

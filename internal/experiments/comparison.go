@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"prophet/internal/graphs"
 	"prophet/internal/pipeline"
 	"prophet/internal/sim"
 	"prophet/internal/stats"
@@ -13,7 +12,6 @@ import (
 
 // schemeRun is one workload's outcome under one scheme.
 type schemeRun struct {
-	Stats    sim.Stats
 	Speedup  float64
 	Traffic  float64 // normalized to baseline
 	Coverage float64
@@ -24,19 +22,18 @@ type schemeRun struct {
 // workload list — the data behind Figures 10, 11, 12, 15, 17 and 18.
 type comparison struct {
 	Labels   []string
-	Baseline []sim.Stats
 	RPG2     []schemeRun
 	Triangel []schemeRun
 	Prophet  []schemeRun
 	Notes    []string
 }
 
-// namedWorkload pairs a label with its trace factory. Records is the
-// effective trace length — what a remote backend needs alongside the name
-// to regenerate the identical trace.
+// namedWorkload pairs a label with its trace factory. Key names the trace
+// in the pipeline's trace cache; comparison entries set it (see
+// Options.traceKey), the learning studies key on Name.
 type namedWorkload struct {
 	Name    string
-	Records uint64
+	Key     string
 	Factory pipeline.SourceFactory
 }
 
@@ -45,20 +42,11 @@ type namedWorkload struct {
 var comparisonSchemes = []string{"rpg2", "triangel", "prophet"}
 
 // runComparisonDefault is runComparison for the figures that evaluate the
-// paper's default configuration (F10–F12, F15): exactly those sweeps can be
-// dispatched to a remote fleet, because remote daemons simulate their own
-// fixed configuration — the default, when started without tuning flags.
-// Quick mode always runs in process: its scaled-down workload specs exist
-// only locally, so a remote daemon resolving the same name would generate a
-// different trace.
-// Extra workloads ride along here and pin the figure in process: they
-// reference paths only this host can read.
+// paper's default configuration (F10–F12, F15); extra workloads ride along
+// at the end of the list.
 func runComparisonDefault(opts Options, list []namedWorkload) comparison {
 	for _, e := range opts.Extra {
-		list = append(list, namedWorkload{Name: e.Name, Records: e.Records, Factory: e.Factory})
-	}
-	if opts.RemoteSweep != nil && !opts.Quick && len(opts.Extra) == 0 {
-		return runRemoteComparison(opts, list)
+		list = append(list, namedWorkload{Name: e.Name, Key: "extra:" + opts.traceKey(e.Name), Factory: e.Factory})
 	}
 	return runComparison(pipeline.Default(), opts, list)
 }
@@ -74,7 +62,7 @@ func runComparison(cfg pipeline.Config, opts Options, list []namedWorkload) comp
 	jobs := make([]pipeline.Job, 0, len(list)*len(comparisonSchemes))
 	for _, w := range list {
 		for _, s := range comparisonSchemes {
-			jobs = append(jobs, pipeline.Job{Key: w.Name, Factory: w.Factory, Scheme: s})
+			jobs = append(jobs, pipeline.Job{Key: w.Key, Factory: w.Factory, Scheme: s})
 		}
 	}
 	outs, err := ev.Sweep(context.Background(), jobs...)
@@ -98,7 +86,6 @@ func runComparison(cfg pipeline.Config, opts Options, list []namedWorkload) comp
 		base := rp.Base
 		mk := func(s sim.Stats) schemeRun {
 			return schemeRun{
-				Stats:    s,
 				Speedup:  stats.Speedup(s.IPC(), base.IPC()),
 				Traffic:  stats.NormalizedTraffic(s.DRAMTraffic(), base.DRAMTraffic()),
 				Coverage: stats.Coverage(base.L2DemandMisses, s.L2DemandMisses),
@@ -115,62 +102,12 @@ func runComparison(cfg pipeline.Config, opts Options, list []namedWorkload) comp
 		}
 
 		c.Labels = append(c.Labels, w.Name)
-		c.Baseline = append(c.Baseline, base)
 		c.RPG2 = append(c.RPG2, rpRun)
 		c.Triangel = append(c.Triangel, mk(tr.Stats))
 		c.Prophet = append(c.Prophet, mk(pr.Stats))
 		c.Notes = append(c.Notes,
 			fmt.Sprintf("%s: baseIPC=%.3f rpg2Kernels=%d rpg2Dist=%d prophetWays=%d",
 				w.Name, base.IPC(), rp.Meta["kernels"], rp.Meta["distance"], pr.Stats.MetaWays))
-	}
-	return c
-}
-
-// runRemoteComparison is the fleet-dispatched comparison: one RemoteJob per
-// (workload, scheme) cell — plus an explicit baseline job per workload,
-// since the remote outcome rows arrive already normalized and the notes
-// need the raw baseline IPC. The normalization formulas run on the backend
-// (prophet's summarize uses the same stats helpers as the local path), so
-// the assembled comparison is byte-identical to runComparison over the
-// default configuration.
-func runRemoteComparison(opts Options, list []namedWorkload) comparison {
-	schemes := append([]string{"baseline"}, comparisonSchemes...)
-	jobs := make([]RemoteJob, 0, len(list)*len(schemes))
-	for _, w := range list {
-		for _, s := range schemes {
-			jobs = append(jobs, RemoteJob{Workload: w.Name, Records: w.Records, Scheme: s})
-		}
-	}
-	rows := opts.RemoteSweep(jobs)
-	if len(rows) != len(jobs) {
-		panic(fmt.Sprintf("experiments: remote sweep returned %d rows for %d jobs", len(rows), len(jobs)))
-	}
-	var c comparison
-	for i, w := range list {
-		cell := rows[i*len(schemes) : (i+1)*len(schemes)]
-		for k, r := range cell {
-			// Same contract as the local path: catalog workloads under
-			// registered schemes cannot fail, and a silently zero row
-			// would corrupt the figure.
-			if r.Err != nil {
-				panic(fmt.Sprintf("experiments: %s under %s (remote): %v", w.Name, schemes[k], r.Err))
-			}
-		}
-		base, rp, tr, pr := cell[0], cell[1], cell[2], cell[3]
-		mk := func(r RemoteRun) schemeRun {
-			return schemeRun{Speedup: r.Speedup, Traffic: r.Traffic, Coverage: r.Coverage, Accuracy: r.Accuracy}
-		}
-		rpRun := mk(rp)
-		if rp.Meta["kernels"] == 0 || rp.Meta["distance"] == 0 {
-			rpRun.Accuracy = 0 // Figure 12 footnote, as in the local path
-		}
-		c.Labels = append(c.Labels, w.Name)
-		c.RPG2 = append(c.RPG2, rpRun)
-		c.Triangel = append(c.Triangel, mk(tr))
-		c.Prophet = append(c.Prophet, mk(pr))
-		c.Notes = append(c.Notes,
-			fmt.Sprintf("%s: baseIPC=%.3f rpg2Kernels=%d rpg2Dist=%d prophetWays=%d",
-				w.Name, base.IPC, rp.Meta["kernels"], rp.Meta["distance"], pr.MetaWays))
 	}
 	return c
 }
@@ -194,11 +131,7 @@ func (c comparison) series(metric func(schemeRun) float64) []textplot.Series {
 func specWorkloads(opts Options) []namedWorkload {
 	var out []namedWorkload
 	for _, w := range specSet(opts) {
-		out = append(out, namedWorkload{
-			Name:    w.Name,
-			Records: opts.records(w.Spec.Records),
-			Factory: factoryFor(w, opts),
-		})
+		out = append(out, namedWorkload{Name: w.Name, Key: opts.traceKey(w.Name), Factory: factoryFor(w, opts)})
 	}
 	return out
 }
@@ -207,11 +140,7 @@ func specWorkloads(opts Options) []namedWorkload {
 func graphWorkloads(opts Options) []namedWorkload {
 	var out []namedWorkload
 	for _, g := range graphSet(opts) {
-		out = append(out, namedWorkload{
-			Name:    g.Name,
-			Records: opts.records(graphs.DefaultRecords),
-			Factory: graphFactory(g, opts),
-		})
+		out = append(out, namedWorkload{Name: g.Name, Key: opts.traceKey(g.Name), Factory: graphFactory(g, opts)})
 	}
 	return out
 }

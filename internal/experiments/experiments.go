@@ -5,8 +5,9 @@
 //
 // Absolute numbers differ from the paper — the substrate is this
 // repository's simulator, not the authors' gem5 testbed — but each runner's
-// Result carries the shape the paper's figure demonstrates, and
-// EXPERIMENTS.md records paper-vs-measured for all of them.
+// Result carries the shape the paper's figure demonstrates and prints it as
+// a "shape target" note beside the measured values. A generated
+// paper-vs-measured record (EXPERIMENTS.md) waits for per-runner checks.
 //
 // Runners execute on the pipeline Evaluator: per-workload baselines are
 // simulated once and cached, and independent (workload, scheme) runs fan
@@ -40,57 +41,20 @@ type Options struct {
 	// serial). Every experiment produces byte-identical output regardless
 	// of worker count: runs are pure and results are assembled by index.
 	Workers int
-	// RemoteSweep, when set, dispatches the comparison sweeps behind the
-	// default-configuration figures (F10–F12, F15) to an external backend
-	// fleet instead of the in-process evaluator. cmd/experiments wires it
-	// to a prophet.Evaluator with remote backends; the callback indirection
-	// keeps this package free of the public-API import cycle. Figures that
-	// override the pipeline configuration (F16–F18) and Quick mode (whose
-	// scaled workloads a remote catalog cannot reproduce) always run in
-	// process. Output stays byte-identical as long as the fleet simulates
-	// the default configuration.
-	RemoteSweep RemoteSweepFunc
 	// Extra appends externally supplied workloads (file: replays,
 	// champsim:/csv: ingested traces) to the default-configuration
-	// comparison figures (F10–F12, F15). Extras reference local paths, so
-	// their presence forces those figures in process even under
-	// RemoteSweep.
+	// comparison figures (F10–F12, F15).
 	Extra []ExtraWorkload
 }
 
-// ExtraWorkload is one externally supplied comparison workload: a label, an
-// effective trace length, and a factory of fresh deterministic sources
-// (prophet.Workload.SourceFactory provides one for any resolvable name).
+// ExtraWorkload is one externally supplied comparison workload: a label and
+// a factory of fresh deterministic sources (prophet.Workload.SourceFactory
+// provides one for any resolvable name). Under one Options, the label also
+// names the trace: two extras with the same Name must yield the same trace.
 type ExtraWorkload struct {
 	Name    string
-	Records uint64
 	Factory func() mem.Source
 }
-
-// RemoteJob names one (workload, scheme) unit of a remotely dispatched
-// comparison sweep. Workload is a catalog name resolvable on the backend.
-type RemoteJob struct {
-	Workload string
-	Records  uint64
-	Scheme   string
-}
-
-// RemoteRun is one remote job's outcome, already normalized to the
-// workload's baseline exactly as the in-process comparison normalizes.
-type RemoteRun struct {
-	IPC      float64
-	Speedup  float64
-	Traffic  float64
-	Coverage float64
-	Accuracy float64
-	MetaWays int
-	Meta     map[string]int
-	Err      error
-}
-
-// RemoteSweepFunc executes jobs on a backend fleet and returns one outcome
-// per job, in job order.
-type RemoteSweepFunc func(jobs []RemoteJob) []RemoteRun
 
 // workers resolves the worker-pool width.
 func (o Options) workers() int {
@@ -123,6 +87,14 @@ func (o Options) records(def uint64) uint64 {
 		return quickRecords
 	}
 	return def
+}
+
+// traceKey names a catalog workload's trace under these options. The
+// pipeline's trace cache is shared by every evaluator in the process, so the
+// name alone would let a trace made under one Options (a Quick-scaled spec,
+// another length) answer for another's.
+func (o Options) traceKey(name string) string {
+	return fmt.Sprintf("%s@records=%d,quick=%t", name, o.Records, o.Quick)
 }
 
 // Result is one experiment's outcome.
@@ -213,14 +185,23 @@ func Registry() []registryEntry {
 	}
 }
 
-// Run executes one experiment by ID.
-func Run(id string, opts Options) (Result, error) {
+// Lookup finds an experiment's runner by ID, ignoring case.
+func Lookup(id string) (Runner, error) {
 	for _, e := range Registry() {
 		if strings.EqualFold(e.ID, id) {
-			return e.Run(opts), nil
+			return e.Run, nil
 		}
 	}
-	return Result{}, fmt.Errorf("experiments: unknown experiment %q", id)
+	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+}
+
+// Run executes one experiment by ID.
+func Run(id string, opts Options) (Result, error) {
+	run, err := Lookup(id)
+	if err != nil {
+		return Result{}, err
+	}
+	return run(opts), nil
 }
 
 // specSet returns the SPEC workload list for the options.

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"prophet/internal/workloads"
 )
 
 var quick = Options{Quick: true}
@@ -150,6 +152,44 @@ func TestParallelRenderByteIdentical(t *testing.T) {
 		if s, p := serial.Render(), parallel.Render(); s != p {
 			t.Errorf("%s rendering differs between 1 and 8 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", id, s, p)
 		}
+	}
+}
+
+// TestExtraWorkloadRidesAlongComparison: Options.Extra appends a workload to
+// the default-configuration comparison after the catalog list. An extra
+// built on mcf's own factory must score exactly what mcf scores, and the
+// rendering must stay byte-identical whatever the worker count. Run after
+// the Quick-mode F10 tests, it also pins that comparison traces are cached
+// per Options: keyed by name alone, mcf reused the Quick-scaled trace here.
+func TestExtraWorkloadRidesAlongComparison(t *testing.T) {
+	var mcf workloads.Workload
+	for _, w := range workloads.SPEC() {
+		if w.Name == "mcf" {
+			mcf = w
+		}
+	}
+	render := func(workers int) Result {
+		opts := Options{Records: 6000, Workers: workers}
+		opts.Extra = []ExtraWorkload{{Name: "mcf-extra", Factory: factoryFor(mcf, opts)}}
+		res, err := Run("F10", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := render(1)
+	if n := len(res.Labels); n < 2 || res.Labels[n-2] != "mcf-extra" || res.Labels[n-1] != "Geomean" {
+		t.Fatalf("labels %v: want mcf-extra last before Geomean", res.Labels)
+	}
+	for _, s := range res.Series {
+		got, _ := res.Value(s.Name, "mcf-extra")
+		want, ok := res.Value(s.Name, "mcf")
+		if !ok || got != want {
+			t.Errorf("%s: mcf-extra = %v, mcf = %v (found %v); want equal", s.Name, got, want, ok)
+		}
+	}
+	if s, p := res.Render(), render(2).Render(); s != p {
+		t.Errorf("rendering with an extra workload differs between 1 and 2 workers:\n--- 1 ---\n%s\n--- 2 ---\n%s", s, p)
 	}
 }
 

@@ -26,9 +26,6 @@ type Job struct {
 	// Scheme is the registered scheme name ("baseline", "triage",
 	// "triangel", "rpg2", "prophet", or anything registered since).
 	Scheme string
-	// TuneRecords caps tuning traces for schemes that search runtime
-	// knobs (RPG2). 0 means full-length.
-	TuneRecords uint64
 }
 
 // Outcome is one job's result. Err is non-nil when the scheme is unknown,
@@ -176,12 +173,11 @@ func (e *Evaluator) Run(ctx context.Context, job Job) Outcome {
 		return out
 	}
 	res, err := factory().Run(registry.Context{
-		Sim:         e.cfg.Sim,
-		Opts:        e.cfg.Run,
-		Factory:     registry.SourceFactory(job.Factory),
-		TuneRecords: job.TuneRecords,
-		Baseline:    func() sim.Stats { return e.Baseline(job.Key, job.Factory) },
-		Prophet:     e,
+		Sim:      e.cfg.Sim,
+		Opts:     e.cfg.Run,
+		Factory:  registry.SourceFactory(job.Factory),
+		Baseline: func() sim.Stats { return e.Baseline(job.Key, job.Factory) },
+		Prophet:  e,
 	})
 	out.Stats, out.Meta, out.Err = res.Stats, res.Meta, err
 	return out

@@ -134,7 +134,7 @@ func TestRPG2NoKernelsFallsBackToBaseline(t *testing.T) {
 		Records:  30_000,
 	}}
 	f := func() mem.Source { return w.Source(0) }
-	res := rpg2.Evaluate(cfg.Sim, sim.Opts{}, f, 10_000, nil)
+	res := rpg2.Evaluate(cfg.Sim, sim.Opts{}, f, nil)
 	if res.Kernels != 0 {
 		t.Fatalf("pointer chase yielded %d kernels", res.Kernels)
 	}
@@ -153,7 +153,7 @@ func TestRPG2FindsStrideKernels(t *testing.T) {
 		Records:  40_000,
 	}}
 	f := func() mem.Source { return w.Source(0) }
-	res := rpg2.Evaluate(cfg.Sim, sim.Opts{}, f, 20_000, nil)
+	res := rpg2.Evaluate(cfg.Sim, sim.Opts{}, f, nil)
 	if res.Kernels == 0 {
 		t.Fatal("strided kernel not identified")
 	}

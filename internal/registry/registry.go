@@ -47,9 +47,6 @@ type Context struct {
 	Opts sim.Opts
 	// Factory produces the workload trace; call once per simulation pass.
 	Factory SourceFactory
-	// TuneRecords caps tuning traces for schemes that search runtime knobs
-	// (RPG2's prefetch-distance binary search). 0 means full-length.
-	TuneRecords uint64
 	// Baseline returns the no-prefetching run for this trace, served from
 	// the evaluator's cache — schemes that degenerate to the baseline
 	// (RPG2 without kernels) should call it instead of re-simulating.

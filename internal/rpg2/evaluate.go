@@ -22,12 +22,11 @@ func (o observer) OnDemandAccess(pc mem.Addr, line mem.Line, l1Hit, _ bool) {
 }
 
 // Evaluate performs the full RPG2 methodology: profile to find stride
-// kernels, tune the prefetch distance by binary search (on a trace capped at
-// tuneRecords when nonzero), then run with the best distance. With no
-// qualifying kernels the scheme degenerates to the baseline, as on most SPEC
-// workloads — baseline may supply that run from a cache (nil = simulate it
-// here).
-func Evaluate(cfg sim.Config, opts sim.Opts, factory func() mem.Source, tuneRecords uint64, baseline func() sim.Stats) EvalResult {
+// kernels, tune the prefetch distance by binary search, then run with the
+// best distance. With no qualifying kernels the scheme degenerates to the
+// baseline, as on most SPEC workloads — baseline may supply that run from a
+// cache (nil = simulate it here).
+func Evaluate(cfg sim.Config, opts sim.Opts, factory func() mem.Source, baseline func() sim.Stats) EvalResult {
 	prof := NewProfiler()
 	// Kernel identification profiles load misses the way PEBS counts
 	// retired-load misses: without the L1 prefetcher masking them.
@@ -41,25 +40,18 @@ func Evaluate(cfg sim.Config, opts sim.Opts, factory func() mem.Source, tuneReco
 	if len(kernels) == 0 {
 		return EvalResult{Stats: baseline(), Kernels: 0, Distance: 0}
 	}
-	tuneSrc := func() mem.Source {
-		src := factory()
-		if tuneRecords > 0 {
-			src = mem.Limit(src, tuneRecords)
-		}
-		return src
-	}
 	var bestIPC float64
 	best := TuneDistance(32, func(d int) float64 {
-		ipc := sim.RunOpts(cfg, opts, nil, NewPrefetcher(kernels, d), nil, nil, tuneSrc()).IPC()
+		ipc := sim.RunOpts(cfg, opts, nil, NewPrefetcher(kernels, d), nil, nil, factory()).IPC()
 		if ipc > bestIPC {
 			bestIPC = ipc
 		}
 		return ipc
 	})
 	// RPG2 is *robust*: prefetches that do not pay off are rolled back at
-	// runtime. If the tuned configuration loses to the plain baseline on
-	// the tuning trace, the kernels are dropped.
-	if baseTune := sim.RunOpts(cfg, opts, nil, nil, nil, nil, tuneSrc()).IPC(); bestIPC <= baseTune {
+	// runtime. If the tuned configuration loses to the plain baseline, the
+	// kernels are dropped.
+	if baseTune := sim.RunOpts(cfg, opts, nil, nil, nil, nil, factory()).IPC(); bestIPC <= baseTune {
 		return EvalResult{Stats: baseline(), Kernels: len(kernels), Distance: 0}
 	}
 	st := sim.RunOpts(cfg, opts, nil, NewPrefetcher(kernels, best), nil, nil, factory())

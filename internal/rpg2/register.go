@@ -8,7 +8,7 @@ import (
 func init() {
 	registry.MustRegister("rpg2", func() registry.Scheme {
 		return registry.Func(func(ctx registry.Context) (registry.Result, error) {
-			res := Evaluate(ctx.Sim, ctx.Opts, ctx.Factory, ctx.TuneRecords, ctx.Baseline)
+			res := Evaluate(ctx.Sim, ctx.Opts, ctx.Factory, ctx.Baseline)
 			return registry.Result{
 				Stats: res.Stats,
 				Meta:  map[string]int{"kernels": res.Kernels, "distance": res.Distance},

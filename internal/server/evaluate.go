@@ -24,9 +24,6 @@ func (w WorkloadRef) workload() prophet.Workload {
 type EvaluateRequest struct {
 	Workload WorkloadRef `json:"workload"`
 	Scheme   string      `json:"scheme"`
-	// TuneRecords caps tuning traces for schemes that search runtime knobs
-	// (RPG2). 0 means full-length.
-	TuneRecords uint64 `json:"tuneRecords,omitempty"`
 }
 
 // canonicalize trims free-text fields so trivially different spellings of
@@ -38,11 +35,7 @@ func (r *EvaluateRequest) canonicalize() {
 
 // job resolves the canonicalized request into an engine job.
 func (r EvaluateRequest) job() prophet.Job {
-	return prophet.Job{
-		Workload:    r.Workload.workload(),
-		Scheme:      prophet.Scheme(r.Scheme),
-		TuneRecords: r.TuneRecords,
-	}
+	return prophet.Job{Workload: r.Workload.workload(), Scheme: prophet.Scheme(r.Scheme)}
 }
 
 // cacheKey is the canonical identity of the request for every cache tier.
@@ -130,11 +123,7 @@ func (r SweepRequest) jobs() []prophet.Job {
 	}
 	for _, j := range r.Jobs {
 		j.canonicalize()
-		out = append(out, prophet.Job{
-			Workload:    j.Workload.workload(),
-			Scheme:      prophet.Scheme(j.Scheme),
-			TuneRecords: j.TuneRecords,
-		})
+		out = append(out, j.job())
 	}
 	return out
 }

@@ -158,6 +158,8 @@ func TestEvaluateValidation(t *testing.T) {
 		{`{"workload":{"name":"sphinx3"},"shceme":"x"}`, http.StatusBadRequest},     // unknown field
 		{`{"workload":{"name":"nope"},"scheme":"triangel"}`, http.StatusBadRequest}, // unknown workload
 		{`{"workload":{"name":"sphinx3","records":20000},"scheme":"warp"}`, http.StatusBadRequest},
+		// The RPG2 tuning-trace cap is no longer a request field.
+		{`{"workload":{"name":"mcf","records":20000},"scheme":"rpg2","tuneRecords":5000}`, http.StatusBadRequest},
 		// Missing and malformed trace files are client errors, not 500s.
 		{`{"workload":{"name":"file:/no/such.trc"},"scheme":"triangel"}`, http.StatusBadRequest},
 	} {

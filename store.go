@@ -36,8 +36,10 @@ type ResultStore interface {
 // Bump it whenever a change to the simulator alters RunStats for a fixed
 // request (the golden-fixture tests are the tripwire): the fingerprint
 // change invalidates every durable store, so an upgraded engine can never
-// serve bytes computed by an older one.
-const engineSchema = 1
+// serve bytes computed by an older one. Bump it too when StoreKey changes
+// shape, so entries stored under the old key, which no lookup can reach
+// again, go with the old fingerprint instead of filling the store.
+const engineSchema = 2
 
 // StoreFingerprint identifies the engine that produces a result: the
 // schema generation, the build version, and the resolved simulation
@@ -62,8 +64,8 @@ func (e *Evaluator) StoreFingerprint() string { return StoreFingerprint(e.opts) 
 // jobs never reach the durable store, but the serving cache must see a
 // regenerated trace as a new request.
 func StoreKey(j Job) string {
-	return fmt.Sprintf("evaluate\n%s\n%d\n%s\n%d%s",
-		j.Workload.Name, j.Workload.Records, j.Scheme, j.TuneRecords, j.Workload.stamp())
+	return fmt.Sprintf("evaluate\n%s\n%d\n%s%s",
+		j.Workload.Name, j.Workload.Records, j.Scheme, j.Workload.stamp())
 }
 
 // storedResult is the canonical stored-value shape. encoding/json renders

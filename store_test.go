@@ -183,12 +183,8 @@ func TestDecodeStoredResultRejectsUnknownFields(t *testing.T) {
 // every tier keys on the same canonical string, so a result stored by one
 // entry point satisfies all the others.
 func TestStoreKeyMatchesServingCacheShape(t *testing.T) {
-	j := prophet.Job{
-		Workload:    prophet.Workload{Name: "sphinx3", Records: 20_000},
-		Scheme:      prophet.Prophet,
-		TuneRecords: 5_000,
-	}
-	want := "evaluate\nsphinx3\n20000\nprophet\n5000"
+	j := prophet.Job{Workload: prophet.Workload{Name: "sphinx3", Records: 20_000}, Scheme: prophet.Prophet}
+	want := "evaluate\nsphinx3\n20000\nprophet"
 	if got := prophet.StoreKey(j); got != want {
 		t.Fatalf("StoreKey = %q, want %q", got, want)
 	}
