@@ -164,8 +164,8 @@ func (b *httpBackend) Execute(ctx context.Context, jobs []Job) ([]Result, error)
 type DispatchStats struct {
 	// Remote counts jobs completed by remote backends.
 	Remote int64 `json:"remote"`
-	// Local counts jobs completed in process (pinned file: workloads and
-	// failovers).
+	// Local counts jobs completed in process (pinned trace-file workloads
+	// and failovers).
 	Local int64 `json:"local"`
 	// Retries counts batch retry attempts.
 	Retries int64 `json:"retries"`
@@ -180,9 +180,9 @@ type DispatchStats struct {
 	ShortLocal int64 `json:"shortLocal"`
 }
 
-// pinnedLocal reports jobs that must not leave this process: file: traces
-// and external ingest traces (champsim:, csv:) reference paths remote
-// daemons cannot read.
+// pinnedLocal reports jobs that must not leave this process: recorded
+// traces (file:, champsim:, csv:) reference paths remote daemons cannot
+// read.
 func pinnedLocal(j Job) bool { return externalPath(j.Workload.Name) != "" }
 
 // newHTTPBackend builds the dispatch backend for one peer base URL.

@@ -7,23 +7,24 @@
 //	tracegen -workload omnetpp -records 100000 -o omnetpp.trc
 //	tracegen -workload bfs_100000_16 -o bfs.trc.gz   # gzip-compressed
 //	tracegen -workload mcf -stats            # print a pattern summary only
-//	tracegen -from champsim:trace.champsim.gz -o trace.trc.gz  # convert
+//	tracegen -workload file:omnetpp.trc -stats
+//	tracegen -workload champsim:trace.champsim.gz -o trace.trc.gz  # convert
 //
 // A ".gz" output suffix selects gzip compression; either form round-trips
 // through the "file:<path>" workload source (cmd/simulate -workload
 // file:omnetpp.trc, or the daemon's POST /v1/evaluate).
 //
-// -from converts an external trace (any internal/ingest format:
-// "champsim:<path>" or "csv:<path>", gzip auto-detected) into the native
-// format, so third-party traces can be archived and replayed via "file:"
-// without paying conversion on every run.
+// A -workload naming a recorded trace (any internal/ingest format:
+// "file:<path>", "champsim:<path>" or "csv:<path>", gzip auto-detected)
+// streams through its converter: -stats reads it in O(block) memory, and -o
+// converts it to the native format, so a third-party trace can be archived
+// and replayed via "file:" without paying conversion on every run.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"prophet"
 
@@ -32,8 +33,7 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "omnetpp", "workload name")
-	from := flag.String("from", "", "external trace to convert (e.g. champsim:<path>, csv:<path>); overrides -workload")
+	workload := flag.String("workload", "omnetpp", "workload name, or a recorded trace (file:<path>, champsim:<path>, csv:<path>)")
 	records := flag.Uint64("records", 0, "memory records (0 = workload default)")
 	out := flag.String("o", "", "output trace file; a .gz suffix gzip-compresses (required unless -stats)")
 	statsOnly := flag.Bool("stats", false, "print trace statistics instead of writing a file")
@@ -45,26 +45,8 @@ func main() {
 		return
 	}
 
-	if *from != "" {
-		convert(*from, *out, *records, *statsOnly)
-		return
-	}
-
-	// Summarizing an existing trace file is a single pass: stream it in
-	// reusable blocks instead of materializing the whole record slice the
-	// way the multi-pass file: workload source must.
-	if path, ok := strings.CutPrefix(*workload, "file:"); ok && *statsOnly && *records == 0 {
-		tr, err := mem.OpenTraceFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer tr.Close()
-		printStats(tr)
-		if err := tr.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if f, path, ok := ingest.Split(*workload); ok {
+		convert(f, path, *out, *records, *statsOnly)
 		return
 	}
 
@@ -95,20 +77,11 @@ func main() {
 	fmt.Printf("wrote %d records to %s\n", n, *out)
 }
 
-// convert streams an external trace through its ingest converter into the
+// convert streams a recorded trace through its ingest converter into the
 // native trace format (or -stats). The converter's terminal error is checked
 // after the stream drains: a truncated or corrupt input must fail the
 // conversion, never silently archive a short trace.
-func convert(from, out string, records uint64, statsOnly bool) {
-	f, path, ok := ingest.Split(from)
-	if !ok {
-		var names []string
-		for _, f := range ingest.Formats() {
-			names = append(names, f.Name+":<path>")
-		}
-		fmt.Fprintf(os.Stderr, "-from wants %s, got %q\n", strings.Join(names, " or "), from)
-		os.Exit(1)
-	}
+func convert(f ingest.Format, path, out string, records uint64, statsOnly bool) {
 	r, err := ingest.OpenFile(f, path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -131,6 +104,14 @@ func convert(from, out string, records uint64, statsOnly bool) {
 		fmt.Fprintln(os.Stderr, "need -o <file> (or -stats)")
 		os.Exit(1)
 	}
+	// Creating the output truncates it, and a failed conversion removes it:
+	// either would destroy an input written to itself.
+	if in, err := os.Stat(path); err == nil {
+		if o, err := os.Stat(out); err == nil && os.SameFile(in, o) {
+			fmt.Fprintf(os.Stderr, "-o %s would overwrite its input\n", out)
+			os.Exit(1)
+		}
+	}
 	n, err := mem.WriteTraceFile(out, src)
 	if err == nil {
 		err = r.Err()
@@ -140,7 +121,7 @@ func convert(from, out string, records uint64, statsOnly bool) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("converted %d records from %s to %s\n", n, from, out)
+	fmt.Printf("converted %d records from %s:%s to %s\n", n, f.Name, path, out)
 }
 
 func printStats(src mem.Source) {

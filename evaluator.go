@@ -10,7 +10,6 @@ import (
 	"prophet/internal/experiments"
 	"prophet/internal/pipeline"
 	"prophet/internal/registry"
-	"prophet/internal/sim"
 )
 
 // Evaluator is the stateful evaluation service: it owns a fixed system /
@@ -22,7 +21,6 @@ import (
 // one.
 type Evaluator struct {
 	opts    Options
-	l1pf    L1Prefetcher
 	workers int
 
 	backendURLs     []string
@@ -74,12 +72,8 @@ const (
 	L1None
 )
 
-// WithL1Prefetcher selects the L1 prefetcher.
-func WithL1Prefetcher(k L1Prefetcher) Option { return func(e *Evaluator) { e.l1pf = k } }
-
-// WithIPCPPrefetcher replaces the L1 stride prefetcher with the IPCP-style
-// composite (Figure 17). Shorthand for WithL1Prefetcher(L1IPCP).
-func WithIPCPPrefetcher() Option { return WithL1Prefetcher(L1IPCP) }
+// WithL1Prefetcher selects the L1 prefetcher (default L1Stride).
+func WithL1Prefetcher(k L1Prefetcher) Option { return func(e *Evaluator) { e.opts.L1Prefetcher = k } }
 
 // WithWorkers bounds the Sweep worker pool (default: runtime.NumCPU()).
 func WithWorkers(n int) Option { return func(e *Evaluator) { e.workers = n } }
@@ -91,9 +85,10 @@ func WithWorkers(n int) Option { return func(e *Evaluator) { e.workers = n } }
 // with the fewest chunks in flight, retries failed batches, and fails
 // over to the in-process engine when a backend stays down — results come
 // back in job order, byte-identical to a purely local sweep as long as the
-// backends simulate the same engine configuration. Jobs naming "file:"
-// trace workloads always run locally (remote daemons cannot read this
-// machine's files). Run, RunJob, and SweepLocal never leave the process.
+// backends simulate the same engine configuration. Jobs naming recorded
+// trace files (file:, champsim:, csv:) always run locally (remote daemons
+// cannot read this machine's files). Run, RunJob, and SweepLocal never
+// leave the process.
 func WithBackends(urls ...string) Option {
 	return func(e *Evaluator) { e.backendURLs = append([]string(nil), urls...) }
 }
@@ -130,17 +125,10 @@ func New(opts ...Option) *Evaluator {
 	for _, o := range opts {
 		o(e)
 	}
-	cfg := e.opts.pipelineConfig()
-	switch e.l1pf {
-	case L1IPCP:
-		cfg.Sim.L1PF = sim.L1IPCP
-		// Keep the bulk Options form in sync so Options() reports the
-		// configuration actually simulated.
-		e.opts.IPCPPrefetcher = true
-	case L1None:
-		cfg.Sim.L1PF = sim.L1None
-	}
-	e.eng = pipeline.NewEvaluator(cfg, e.workers)
+	// Options(), the store fingerprint and the batch echo all read the
+	// resolved value, so each describes the configuration simulated.
+	e.opts = e.opts.resolved()
+	e.eng = pipeline.NewEvaluator(e.opts.pipelineConfig(), e.workers)
 	if e.logf == nil {
 		e.logf = log.Printf
 	}
@@ -179,10 +167,9 @@ func (e *Evaluator) DispatchStats() DispatchStats {
 func (e *Evaluator) Workers() int { return e.eng.Workers() }
 
 // Options reports the resolved configuration the evaluator was built with
-// (functional options folded into the bulk form) — introspection for
-// services that surface their engine's knobs. L1None has no representation
-// in the legacy Options struct; WithL1Prefetcher(L1None) reports as the
-// default.
+// (functional options folded into the bulk form, unset fields filled from
+// the defaults) — introspection for services that surface their engine's
+// knobs.
 func (e *Evaluator) Options() Options { return e.opts }
 
 // BaselineCacheStats reports baseline cache hits and misses so far — each

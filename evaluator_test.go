@@ -265,3 +265,67 @@ func TestDeprecatedPipelineErrNoPanic(t *testing.T) {
 		t.Fatal("Session.Run swallowed the unknown-workload error")
 	}
 }
+
+// l1Stats is mcf's baseline under ev: of the options the L1 tests below
+// vary, only the L1 prefetcher changes it.
+func l1Stats(t *testing.T, ev *prophet.Evaluator) prophet.RunStats {
+	t.Helper()
+	r, err := ev.Run(context.Background(), prophet.Workload{Name: "mcf", Records: 20_000}, prophet.Baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestL1NoneHasItsOwnFingerprint: an engine without an L1 prefetcher says
+// so in Options, which the store fingerprint and the batch echo carry, so
+// neither a store nor a fleet peer can answer it with stride results.
+func TestL1NoneHasItsOwnFingerprint(t *testing.T) {
+	def, none := prophet.New(), prophet.New(prophet.WithL1Prefetcher(prophet.L1None))
+	if def.Options() == none.Options() {
+		t.Fatalf("L1None reports the default options %+v", none.Options())
+	}
+	if def.StoreFingerprint() == none.StoreFingerprint() {
+		t.Fatalf("L1None shares the stride fingerprint %q", none.StoreFingerprint())
+	}
+}
+
+// TestLaterL1OptionWins: WithL1Prefetcher after WithOptions selects the
+// prefetcher that runs, as any later option overrides an earlier one.
+func TestLaterL1OptionWins(t *testing.T) {
+	ev := prophet.New(prophet.WithOptions(prophet.Options{L1Prefetcher: prophet.L1IPCP}), prophet.WithL1Prefetcher(prophet.L1Stride))
+	stride := l1Stats(t, prophet.New())
+	if got := l1Stats(t, ev); got != stride {
+		t.Fatalf("stride selected last, simulated otherwise:\n got  %+v\n want %+v", got, stride)
+	}
+	if stride == l1Stats(t, prophet.New(prophet.WithL1Prefetcher(prophet.L1IPCP))) {
+		t.Fatal("L1Stride and L1IPCP simulate alike; the test cannot tell them apart")
+	}
+}
+
+// TestL1OptionsReportWhatRuns: Options reports the prefetcher simulated.
+func TestL1OptionsReportWhatRuns(t *testing.T) {
+	ev := prophet.New(prophet.WithOptions(prophet.Options{L1Prefetcher: prophet.L1IPCP}), prophet.WithL1Prefetcher(prophet.L1None))
+	if got := ev.Options().L1Prefetcher; got != prophet.L1None {
+		t.Fatalf("Options().L1Prefetcher = %v, want L1None", got)
+	}
+	none := l1Stats(t, prophet.New(prophet.WithL1Prefetcher(prophet.L1None)))
+	if got := l1Stats(t, ev); got != none {
+		t.Fatalf("L1None selected last, simulated otherwise:\n got  %+v\n want %+v", got, none)
+	}
+	if none == l1Stats(t, prophet.New(prophet.WithL1Prefetcher(prophet.L1IPCP))) {
+		t.Fatal("L1None and L1IPCP simulate alike; the test cannot tell them apart")
+	}
+}
+
+// TestOptionsResolvedFromDefaults: unset fields report the defaults that
+// run, so equal engines share one fingerprint.
+func TestOptionsResolvedFromDefaults(t *testing.T) {
+	ev := prophet.New(prophet.WithOptions(prophet.Options{}))
+	if got := ev.Options(); got != prophet.DefaultOptions() {
+		t.Fatalf("Options() = %+v, want the defaults %+v", got, prophet.DefaultOptions())
+	}
+	if ev.StoreFingerprint() != prophet.New().StoreFingerprint() {
+		t.Fatal("zero Options and the defaults simulate alike but fingerprint apart")
+	}
+}

@@ -136,6 +136,14 @@ func TestOverheadsWithinBudgets(t *testing.T) {
 	}
 }
 
+// TestOverheadsRenderStable: OV prints no measured duration, so two runs
+// render byte-identically.
+func TestOverheadsRenderStable(t *testing.T) {
+	if a, b := Overheads(quick).Render(), Overheads(quick).Render(); a != b {
+		t.Fatalf("OV differs between runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
 // TestParallelRenderByteIdentical pins the acceptance criterion for the
 // concurrent sweep engine: an experiment rendered with N workers is
 // byte-identical to the serial rendering.

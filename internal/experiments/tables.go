@@ -34,17 +34,15 @@ func Table1(Options) Result {
 }
 
 // Overheads reproduces Section 5.4: profiling payload (counters vs traces),
-// analysis wall-clock, and injected-instruction counts.
+// analysis wall-clock against the paper's bound, and injected-instruction
+// counts.
 func Overheads(opts Options) Result {
 	w := workloads.Omnetpp()
 	records := opts.records(w.Spec.Records)
 	cfg := pipeline.Default()
 	p := pipeline.NewProphet(cfg)
 
-	profStart := time.Now()
 	counters := p.Profile(w.Source(records))
-	profElapsed := time.Since(profStart)
-
 	p.Learn(counters)
 	res := p.Analyze()
 
@@ -55,18 +53,21 @@ func Overheads(opts Options) Result {
 	t.AddRow("Profiling payload (counters)", fmt.Sprintf("%d B", counterBytes), "~B per PC (Figure 2)")
 	t.AddRow("Equivalent trace payload", fmt.Sprintf("%d B", traceBytes), "~GB at full scale")
 	t.AddRow("Counter/trace ratio", fmt.Sprintf("%.5f", float64(counterBytes)/float64(traceBytes)), "<<1")
-	t.AddRow("Analysis wall-clock", res.Elapsed.String(), "< 1 s")
-	t.AddRow("Hint instructions injected", fmt.Sprintf("%d", res.HintInstructions), "<= 128")
-	t.AddRow("PEBS sampling overhead", "< 2% (2-3 PEBS + 1 PMU events)", "< 2% [15]")
-	t.AddRow("Profiling run wall-clock (simulator)", profElapsed.Round(time.Millisecond).String(), "n/a (simulator cost)")
-
+	// The wall-clock is rendered against the paper's bound, not as a
+	// duration, so the table is identical between runs.
+	analysis := "< 1 s"
 	notes := []string{}
 	if res.HintInstructions > core.HintBufferEntries {
 		notes = append(notes, "VIOLATION: hint instructions exceed the 128-entry budget")
 	}
 	if res.Elapsed >= time.Second {
+		analysis = ">= 1 s"
 		notes = append(notes, "VIOLATION: analysis took >= 1s")
 	}
+	t.AddRow("Analysis wall-clock", analysis, "< 1 s")
+	t.AddRow("Hint instructions injected", fmt.Sprintf("%d", res.HintInstructions), "<= 128")
+	t.AddRow("PEBS sampling overhead", "< 2% (2-3 PEBS + 1 PMU events)", "< 2% [15]")
+
 	return Result{ID: "OV", Title: "Profiling, analysis and instruction overhead (Section 5.4)", Tables: []textplot.Table{t}, Notes: notes}
 }
 

@@ -1,29 +1,29 @@
-// Package ingest converts external trace formats into the simulator's
-// native mem.Access stream. It is the front door for third-party workloads:
-// a pluggable registry of streaming format converters (ChampSim-style load
-// traces, generic CSV access logs), each decoding block-buffered records on
-// demand — the same zero-materialization discipline as mem.TraceReader —
-// so a multi-gigabyte external trace replays in O(block) memory.
+// Package ingest is the one front door for recorded traces. A pluggable
+// registry of streaming format converters — the repository's native trace
+// ("file", cmd/tracegen output), ChampSim-style load traces, generic CSV
+// access logs — each decodes block-buffered records on demand into the
+// simulator's mem.Access stream.
 //
 // Formats self-register in their init functions under a short name that
 // doubles as the public workload-source prefix: the workload name
 // "champsim:<path>" resolves through Split to the "champsim" converter.
-// Compression is orthogonal to format: OpenFile detects gzip from the
-// stream's leading magic bytes, never the file name.
+// Compression is orthogonal to format: OpenFile, the only reader of trace
+// files, detects gzip from the stream's leading magic bytes, never the file
+// name.
 //
-// The conversion contract mirrors trace replay everywhere else in the
-// repository: a fixed input file yields a byte-identical record stream on
-// every pass, so multi-pass schemes (RPG2, Prophet) and repeated sweeps see
-// the exact trace the validation pass saw. Errors are reported through
-// Reader.Err, never panics; Count streams a whole file once to surface
-// corrupt headers and mid-record truncation as errors before a simulation
-// silently runs on a short trace.
+// Read decodes a file once, validating it to the end, into a packed
+// in-memory trace: mem.Source has no error channel, so a corrupt header or
+// a mid-record truncation must fail there, before a simulation silently
+// runs on a short stream. Every pass of a run then replays that one packed
+// trace. OpenFile streams a file in O(block) memory for one-pass tools
+// (cmd/tracegen's conversion and -stats). A fixed input file yields a
+// byte-identical record stream either way. Errors are reported through
+// Reader.Err and classified under ErrBadTrace, never panics.
 package ingest
 
 import (
 	"bufio"
 	"compress/gzip"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -34,10 +34,25 @@ import (
 	"prophet/internal/mem"
 )
 
-// ErrBadTrace reports a malformed external trace (corrupt record, truncated
-// file, unparsable field). It wraps every converter's decode errors so
-// callers can classify ingestion failures without knowing the format.
-var ErrBadTrace = errors.New("ingest: malformed external trace")
+// ErrBadTrace reports a malformed trace (corrupt record, truncated file,
+// unparsable field). It wraps every converter's decode errors so callers
+// can classify ingestion failures without knowing the format; it is
+// mem.ErrBadTrace itself, the native reader's sentinel.
+var ErrBadTrace = mem.ErrBadTrace
+
+func init() {
+	MustRegister(Format{
+		Name:        "file",
+		Description: "native trace file replay (tracegen output, gzip auto-detected)",
+		Open: func(r io.Reader) (Reader, error) {
+			tr, err := mem.NewTraceReader(r)
+			if err != nil {
+				return nil, err
+			}
+			return tr, nil
+		},
+	})
+}
 
 // Reader is a streaming converted trace: a mem.Source plus the error that
 // terminated it early, if any. A Reader is single-use; re-open the file for
@@ -119,7 +134,7 @@ func Formats() []Format {
 // Split parses a "<format>:<path>" workload-source name against the
 // registered formats. Names whose prefix is not a registered format (or
 // that have no prefix at all) report ok=false — they belong to another
-// resolver, like the catalog or "file:".
+// resolver, like the catalog.
 func Split(name string) (f Format, path string, ok bool) {
 	prefix, rest, found := strings.Cut(name, ":")
 	if !found || rest == "" {
@@ -166,26 +181,19 @@ func OpenFile(f Format, path string) (*FileReader, error) {
 	return &FileReader{Reader: r, f: file}, nil
 }
 
-// Count streams the whole file through the converter, returning the number
-// of access records it yields. It is the validation pass behind workload
-// resolution: a corrupt header, a truncated record, or an absurd field
-// surfaces here as an error — before a simulation would silently run on a
-// short stream.
-func Count(f Format, path string) (uint64, error) {
+// Read decodes the whole file under format f into a packed trace in one
+// pass. It is the validation behind workload resolution: a corrupt header,
+// a truncated record, or an absurd field surfaces here as an error, before
+// a simulation would silently run on a short stream.
+func Read(f Format, path string) (*mem.Packed, error) {
 	r, err := OpenFile(f, path)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer r.Close()
-	var n uint64
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		n++
-	}
+	p := mem.Pack(r)
 	if err := r.Err(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return n, nil
+	return p, nil
 }

@@ -111,12 +111,12 @@ func TestChampSimGzipAutoDetect(t *testing.T) {
 	}
 	f, _ := Lookup("champsim")
 	for _, path := range []string{plain, zipped} {
-		n, err := Count(f, path)
+		p, err := Read(f, path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if n != 5 {
-			t.Errorf("%s: Count = %d, want 5", path, n)
+		if p.Len() != 5 {
+			t.Errorf("%s: Read %d records, want 5", path, p.Len())
 		}
 	}
 }
@@ -127,12 +127,12 @@ func TestChampSimGzipAutoDetect(t *testing.T) {
 func TestGoldenChampSim(t *testing.T) {
 	f, _ := Lookup("champsim")
 	const path = "../../testdata/sample.champsim.gz"
-	n, err := Count(f, path)
+	p, err := Read(f, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 6336 {
-		t.Fatalf("fixture record count = %d, want 6336", n)
+	if p.Len() != 6336 {
+		t.Fatalf("fixture record count = %d, want 6336", p.Len())
 	}
 	r, err := OpenFile(f, path)
 	if err != nil {
@@ -213,18 +213,20 @@ func TestCSVErrors(t *testing.T) {
 	}
 }
 
-func TestCountValidates(t *testing.T) {
+// TestReadValidates: Read decodes to the end, so a truncated trace fails
+// under ErrBadTrace instead of packing a short stream.
+func TestReadValidates(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.champsim")
 	if err := os.WriteFile(bad, sampleChampSim()[:70], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, _ := Lookup("champsim")
-	if _, err := Count(f, bad); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("Count(truncated) = %v, want ErrBadTrace", err)
+	if _, err := Read(f, bad); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("Read(truncated) = %v, want ErrBadTrace", err)
 	}
-	if _, err := Count(f, filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("Count(missing) succeeded")
+	if _, err := Read(f, filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("Read(missing) succeeded")
 	}
 }
 
@@ -235,7 +237,10 @@ func TestSplit(t *testing.T) {
 	if _, _, ok := Split("csv:relative/dir/log.csv.gz"); !ok {
 		t.Fatal("Split(csv:...) not ok")
 	}
-	for _, name := range []string{"mcf", "file:/tmp/x.trc", "champsim:", "nope:path", ""} {
+	if f, path, ok := Split("file:/tmp/x.trc"); !ok || f.Name != "file" || path != "/tmp/x.trc" {
+		t.Fatalf("Split(file:...) = %v %q %v", f.Name, path, ok)
+	}
+	for _, name := range []string{"mcf", "champsim:", "file:", "nope:path", ""} {
 		if _, _, ok := Split(name); ok {
 			t.Errorf("Split(%q) unexpectedly ok", name)
 		}
@@ -247,8 +252,8 @@ func TestRegistry(t *testing.T) {
 	for _, f := range Formats() {
 		names = append(names, f.Name)
 	}
-	if len(names) < 2 || names[0] != "champsim" || names[1] != "csv" {
-		t.Fatalf("Formats() = %v, want [champsim csv ...]", names)
+	if len(names) < 3 || names[0] != "champsim" || names[1] != "csv" || names[2] != "file" {
+		t.Fatalf("Formats() = %v, want [champsim csv file ...]", names)
 	}
 	open := func(io.Reader) (Reader, error) { return nil, nil }
 	if err := Register(Format{Name: "champsim", Open: open}); err == nil {

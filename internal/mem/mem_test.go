@@ -299,7 +299,7 @@ func TestReadTraceRejectsTruncated(t *testing.T) {
 }
 
 // forgedTrace returns a 43-byte trace: a valid header declaring 2^28
-// records (the largest count ReadTrace accepts) followed by one record.
+// records (the largest count NewTraceReader accepts) followed by one record.
 func forgedTrace(t testing.TB) []byte {
 	var buf bytes.Buffer
 	if _, err := WriteTrace(&buf, NewSliceSource([]Access{{PC: 1, Addr: 64}})); err != nil {
@@ -328,5 +328,16 @@ func TestReadTraceForgedCountBounded(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
 		t.Fatalf("ReadTrace of a forged header allocated %d bytes", grew)
+	}
+}
+
+// TestTraceReaderRefusesHugeCount: a header count past maxTraceRecords is
+// refused by NewTraceReader itself, so every reader of a native trace
+// (ReadTrace, the ingest "file" format) rejects it before decoding.
+func TestTraceReaderRefusesHugeCount(t *testing.T) {
+	data := forgedTrace(t)
+	binary.LittleEndian.PutUint64(data[12:], maxTraceRecords+1)
+	if tr, err := NewTraceReader(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("NewTraceReader = %v, %v; want ErrBadTrace", tr, err)
 	}
 }

@@ -2,8 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"io"
-	"path/filepath"
 	"testing"
 )
 
@@ -85,41 +83,4 @@ func TestTraceReaderTruncation(t *testing.T) {
 	}
 }
 
-// TestOpenTraceFileStreams round-trips plain and gzip files through the
-// streaming opener and matches ReadTraceFile's result.
-func TestOpenTraceFileStreams(t *testing.T) {
-	recs := sampleRecords(5000)
-	for _, name := range []string{"t.trc", "t.trc.gz"} {
-		path := filepath.Join(t.TempDir(), name)
-		if _, err := WriteTraceFile(path, NewSliceSource(recs)); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := OpenTraceFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := Collect(tr, 0)
-		if err := tr.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		packed, err := ReadTraceFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Collect(packed.Source(), 0)
-		if len(got) != len(want) {
-			t.Fatalf("%s: streamed %d records, read %d", name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: record %d: %+v != %+v", name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-var _ io.Closer = (*TraceReader)(nil)
 var _ Source = (*TraceReader)(nil)

@@ -25,8 +25,10 @@ var traceMagic = [8]byte{'P', 'R', 'O', 'P', 'H', 'T', 'R', 'C'}
 
 const traceVersion = 1
 
-// ErrBadTrace reports a malformed trace file.
-var ErrBadTrace = errors.New("mem: malformed trace file")
+// ErrBadTrace reports a malformed trace: a corrupt header or record, a
+// truncated file, an unparsable field. It is the one sentinel for every
+// trace format, native or ingested (ingest.ErrBadTrace is this value).
+var ErrBadTrace = errors.New("malformed trace")
 
 // WriteTrace writes all records from src to w in the trace file format,
 // returning the number of records written.
@@ -58,7 +60,8 @@ func WriteTrace(w io.Writer, src Source) (uint64, error) {
 
 // WriteTraceFile writes all records from src to the named file,
 // gzip-compressing when the path ends in ".gz". It returns the number of
-// records written; ReadTraceFile round-trips either form byte-identically.
+// records written; the ingest package's "file" format reads either form back
+// byte-identically.
 func WriteTraceFile(path string, src Source) (uint64, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -97,7 +100,7 @@ const traceBlockRecords = 4096
 // decodes records on demand. It implements Source, so a trace file can be
 // replayed directly into the simulator with O(block) memory whatever the
 // trace length. Callers that need random access or multiple passes should
-// read the whole trace instead (ReadTrace / ReadTraceFile).
+// Pack it instead.
 type TraceReader struct {
 	r         io.Reader
 	count     uint64 // total records in the trace
@@ -105,11 +108,12 @@ type TraceReader struct {
 	block     []byte // reusable block buffer (whole records only)
 	pos       int    // consumed bytes within block
 	err       error
-	closer    io.Closer // set by OpenTraceFile
 }
 
 // NewTraceReader parses the header from r and returns a streaming reader
-// positioned at the first record.
+// positioned at the first record. A header count past maxTraceRecords is
+// refused here, so no reader of a native trace decodes a forged count
+// toward an out-of-memory.
 func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [8]byte
@@ -128,6 +132,9 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, version)
 	}
 	count := binary.LittleEndian.Uint64(head[4:])
+	if count > maxTraceRecords {
+		return nil, fmt.Errorf("%w: record count %d too large", ErrBadTrace, count)
+	}
 	return &TraceReader{
 		r:     br,
 		count: count,
@@ -141,17 +148,6 @@ func (t *TraceReader) Count() uint64 { return t.count }
 // Err returns the error that terminated the stream early, if any. A stream
 // that delivered all Count records reports nil.
 func (t *TraceReader) Err() error { return t.err }
-
-// Close releases the underlying file when the reader came from
-// OpenTraceFile; it is a no-op otherwise.
-func (t *TraceReader) Close() error {
-	if t.closer != nil {
-		err := t.closer.Close()
-		t.closer = nil
-		return err
-	}
-	return nil
-}
 
 // Next implements Source, decoding the next record from the block buffer.
 func (t *TraceReader) Next() (Access, bool) {
@@ -191,53 +187,17 @@ func (t *TraceReader) refill() bool {
 	return true
 }
 
-// OpenTraceFile opens a trace file for streaming replay, transparently
-// decompressing gzip (detected from the stream's leading magic bytes, not
-// the file name). The caller owns the returned reader and must Close it.
-func OpenTraceFile(path string) (*TraceReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(f)
-	var src io.Reader = br
-	if head, err := br.Peek(2); err == nil && head[0] == 0x1f && head[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		src = zr
-	}
-	tr, err := NewTraceReader(src)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	tr.closer = f
-	return tr, nil
-}
-
-// ReadTraceFile reads an entire trace file written by WriteTraceFile (or by
-// WriteTrace to a plain file), transparently decompressing gzip, into a
-// packed in-memory trace. Use OpenTraceFile to stream instead of holding
-// every record.
-func ReadTraceFile(path string) (*Packed, error) {
-	tr, err := OpenTraceFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-	return readTrace(tr, Pack)
-}
-
 // ReadTrace reads an entire trace produced by WriteTrace.
 func ReadTrace(r io.Reader) ([]Access, error) {
 	tr, err := NewTraceReader(r)
 	if err != nil {
 		return nil, err
 	}
-	return readTrace(tr, func(src Source) []Access { return Collect(src, 0) })
+	recs := Collect(tr, 0)
+	if err := tr.Err(); err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // maxTracePrealloc caps the records a TraceReader reports through Len, and
@@ -246,26 +206,13 @@ func ReadTrace(r io.Reader) ([]Access, error) {
 // (2 MiB) up front; an honest larger trace grows past it by append.
 const maxTracePrealloc = 1 << 16
 
-// maxTraceRecords is the largest header count ReadTrace accepts; larger
-// files are refused outright rather than decoded toward an out-of-memory.
+// maxTraceRecords is the largest header count NewTraceReader accepts;
+// larger files are refused outright rather than decoded toward an
+// out-of-memory.
 const maxTraceRecords = 1 << 28
 
 // Len implements Sized: the records the header says are left, clamped to
 // maxTracePrealloc because the header is untrusted input.
 func (t *TraceReader) Len() int {
 	return int(min(t.count-t.delivered, maxTracePrealloc))
-}
-
-// readTrace drains tr through collect, refusing header counts past
-// maxTraceRecords and reporting a stream that ended early.
-func readTrace[T any](tr *TraceReader, collect func(Source) T) (T, error) {
-	var zero T
-	if tr.Count() > maxTraceRecords {
-		return zero, fmt.Errorf("%w: record count %d too large", ErrBadTrace, tr.Count())
-	}
-	out := collect(tr)
-	if err := tr.Err(); err != nil {
-		return zero, err
-	}
-	return out, nil
 }

@@ -97,7 +97,7 @@ func cachedFactory(key string, f SourceFactory) SourceFactory {
 		once.Do(func() {
 			var err error
 			// Pack returns the storage of an unread packed source as is
-			// (file: traces packed by the root-level cache), so the two
+			// (trace files packed by the root-level cache), so the two
 			// cache layers never hold duplicate copies of one trace.
 			trace, err = traces.Do(context.Background(), key, func() (*mem.Packed, error) {
 				return mem.Pack(f()), nil

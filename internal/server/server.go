@@ -39,7 +39,6 @@ import (
 	"prophet"
 
 	"prophet/internal/ingest"
-	"prophet/internal/mem"
 	"prophet/internal/memo"
 	"prophet/internal/resultstore"
 )
@@ -389,10 +388,10 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // statusFor maps an engine error to an HTTP status: resolution failures
 // (unknown workload/scheme, missing or malformed trace file) are the
 // client's fault. File errors carry sentinels (fs.ErrNotExist,
-// mem.ErrBadTrace, ingest.ErrBadTrace); the catalog errors are plain
+// ingest.ErrBadTrace for every trace format); the catalog errors are plain
 // fmt.Errorf values, so those are matched by their stable message prefixes.
 func statusFor(err error) int {
-	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, mem.ErrBadTrace) || errors.Is(err, ingest.ErrBadTrace) {
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, ingest.ErrBadTrace) {
 		return http.StatusBadRequest
 	}
 	msg := err.Error()

@@ -148,6 +148,16 @@ func TestMetadataEndpoints(t *testing.T) {
 
 func TestEvaluateValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	dir := t.TempDir()
+	corrupt := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	badTrace := corrupt("bad.trc", "not a trace")
+	badCSV := corrupt("bad.csv", "0x400000,0x1000\nnot-a-pc,0x2000\n")
 	for _, tc := range []struct {
 		body string
 		want int
@@ -162,6 +172,8 @@ func TestEvaluateValidation(t *testing.T) {
 		{`{"workload":{"name":"mcf","records":20000},"scheme":"rpg2","tuneRecords":5000}`, http.StatusBadRequest},
 		// Missing and malformed trace files are client errors, not 500s.
 		{`{"workload":{"name":"file:/no/such.trc"},"scheme":"triangel"}`, http.StatusBadRequest},
+		{`{"workload":{"name":"file:` + badTrace + `"},"scheme":"triangel"}`, http.StatusBadRequest},
+		{`{"workload":{"name":"csv:` + badCSV + `"},"scheme":"triangel"}`, http.StatusBadRequest},
 	} {
 		if code, b := post(t, ts, "/v1/evaluate", tc.body); code != tc.want {
 			t.Errorf("body %s: status %d (%s), want %d", tc.body, code, b, tc.want)

@@ -50,7 +50,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strings"
 
 	"prophet/internal/graphs"
 	"prophet/internal/ingest"
@@ -67,16 +66,15 @@ import (
 // happens lazily at run time, and unknown names surface as errors from
 // Evaluator.Run (never a panic).
 //
-// Beyond the catalog, a "file:<path>" name replays an exported trace file
-// (cmd/tracegen output, plain or gzip), and an ingest-format prefix
-// ("champsim:<path>", "csv:<path>") streams an external trace through the
-// internal/ingest converters — so recorded and third-party traces run
-// through the same Evaluator/Sweep/daemon machinery as generated ones.
-// Sources lists the full prefix table.
+// Beyond the catalog, an ingest-format prefix names a recorded trace file:
+// "file:<path>" replays an exported trace (cmd/tracegen output, plain or
+// gzip), and "champsim:<path>" or "csv:<path>" converts a third-party one
+// through internal/ingest — so recorded traces run through the same
+// Evaluator/Sweep/daemon machinery as generated ones. Sources lists the
+// full prefix table.
 type Workload struct {
-	// Name is the catalog identifier ("mcf", "gcc_166", "bfs_100000_16"),
-	// a "file:<path>" trace-file reference, or an external-trace reference
-	// like "champsim:<path>".
+	// Name is the catalog identifier ("mcf", "gcc_166", "bfs_100000_16")
+	// or a trace-file reference like "file:<path>" or "champsim:<path>".
 	Name string
 	// Records is the trace length in memory records (0 = catalog default).
 	Records uint64
@@ -155,14 +153,14 @@ func (w Workload) factory() (pipeline.SourceFactory, error) {
 	if g, err := graphs.Parse(w.Name); err == nil {
 		return func() mem.Source { return g.Source(records) }, nil
 	}
-	if path, ok := strings.CutPrefix(w.Name, "file:"); ok {
-		// The parsed trace is shared, packed, through a small cache; the
-		// factory then replays it from memory, so the multi-pass schemes
-		// (RPG2, Prophet) and multi-scheme sweeps over one file see
-		// identical streams without re-reading the file. A whole-trace
-		// source stays unwrapped, so the sweep's trace store keeps this
-		// same packed storage instead of a second copy.
-		trace, err := readTraceCached(path)
+	if f, path, ok := ingest.Split(w.Name); ok {
+		// A recorded trace is read and validated once, packed, through a
+		// small cache; the factory then replays it from memory, so the
+		// multi-pass schemes (RPG2, Prophet) and multi-scheme sweeps over
+		// one file see identical streams without re-reading the file. A
+		// whole-trace source stays unwrapped, so the sweep's trace store
+		// keeps this same packed storage instead of a second copy.
+		trace, err := readTraceCached(f, path)
 		if err != nil {
 			return nil, fmt.Errorf("prophet: workload %q: %w", w.Name, err)
 		}
@@ -174,88 +172,27 @@ func (w Workload) factory() (pipeline.SourceFactory, error) {
 			return src
 		}, nil
 	}
-	if f, path, ok := ingest.Split(w.Name); ok {
-		// External traces are streamed, not materialized: each pass
-		// re-opens and re-decodes the file in O(block) memory. Because
-		// mem.Source has no error channel, a full validation pass runs
-		// here at resolution time (cached by size/mtime, metadata only),
-		// so corrupt or truncated traces fail loudly before any
-		// simulation consumes a silently short stream.
-		if _, err := ingestCountCached(f, path); err != nil {
-			return nil, fmt.Errorf("prophet: workload %q: %w", w.Name, err)
-		}
-		return func() mem.Source {
-			src := mem.Source(openExternal(f, path))
-			if records > 0 {
-				src = mem.Limit(src, records)
-			}
-			return src
-		}, nil
-	}
 	return nil, fmt.Errorf("prophet: unknown workload %q", w.Name)
 }
 
 // externalPath returns the on-disk path behind a workload backed by a
-// mutable external file — "file:" replays and every registered ingest format
-// — or "" for catalog/graph workloads. Dispatch pinning (backends.go) and
-// the durable result store (store.go) both branch on this: external files
-// exist only on the local host and can change under the same name.
+// mutable trace file — every registered ingest format, "file:" included —
+// or "" for catalog/graph workloads. Dispatch pinning (backends.go) and the
+// durable result store (store.go) both branch on this: trace files exist
+// only on the local host and can change under the same name.
 func externalPath(name string) string {
-	if path, ok := strings.CutPrefix(name, "file:"); ok {
-		return path
-	}
-	if _, path, ok := ingest.Split(name); ok {
-		return path
-	}
-	return ""
+	_, path, _ := ingest.Split(name)
+	return path
 }
 
-// externalSource adapts an ingest.FileReader to a plain mem.Source,
-// releasing the file as soon as the stream ends. A source abandoned
-// mid-stream (a Limit cut, an aborted sweep) is closed by the runtime's file
-// finalizer instead — acceptable for the handful of passes a run makes.
-type externalSource struct {
-	r *ingest.FileReader
-}
-
-func openExternal(f ingest.Format, path string) *externalSource {
-	r, err := ingest.OpenFile(f, path)
-	if err != nil {
-		// The file validated at resolution time; losing it between then
-		// and the pass is the same mid-run mutation race file: accepts.
-		// An empty stream keeps the run deterministic and error-free.
-		return &externalSource{}
-	}
-	return &externalSource{r: r}
-}
-
-// Next implements mem.Source.
-func (s *externalSource) Next() (mem.Access, bool) {
-	if s.r == nil {
-		return mem.Access{}, false
-	}
-	a, ok := s.r.Next()
-	if !ok {
-		s.r.Close()
-		s.r = nil
-	}
-	return a, ok
-}
-
-// Parsed trace files and external-trace validations are memoized by path,
-// size and mtime, so a regenerated file is a new key and its stale entries
-// age out of the bound. fileTraces holds the few most recently used parsed
-// trace files: without it, every factory() resolution — one per Find, one
-// per sweep job — re-reads and re-decodes the whole file, and a 5-scheme
-// sweep over one trace would hold 5 copies. ingestCounts lets a sweep over
-// one champsim: workload validate the file once, not once per job; it keeps
-// only the record count, never the records.
+// Packed trace files are memoized by format, path, size and mtime, so a
+// regenerated file is a new key and its stale entries age out of the bound.
+// fileTraces holds the few most recently used: without it, every factory()
+// resolution — one per Find, one per sweep job — re-reads and re-decodes
+// the whole file, and a 5-scheme sweep over one trace would hold 5 copies.
 const fileCacheEntries = 4
 
-var (
-	fileTraces   = memo.New[*mem.Packed](fileCacheEntries, 0, nil)
-	ingestCounts = memo.New[uint64](fileCacheEntries, 0, nil)
-)
+var fileTraces = memo.New[*mem.Packed](fileCacheEntries, 0, nil)
 
 // fileStamp is the identity suffix of an on-disk trace: "#<size>.<mtime>".
 func fileStamp(path string) (string, error) {
@@ -278,25 +215,15 @@ func (w Workload) stamp() string {
 	return ""
 }
 
-// readTraceCached loads a trace file through fileTraces. The packed trace is
-// shared read-only across callers (each replay holds only a cursor).
-func readTraceCached(path string) (*mem.Packed, error) {
+// readTraceCached reads a trace file through fileTraces. The packed trace
+// is shared read-only across callers (each replay holds only a cursor).
+func readTraceCached(f ingest.Format, path string) (*mem.Packed, error) {
 	st, err := fileStamp(path)
 	if err != nil {
 		return nil, err
 	}
-	return fileTraces.Do(context.Background(), path+st, func() (*mem.Packed, error) {
-		return mem.ReadTraceFile(path)
-	})
-}
-
-func ingestCountCached(f ingest.Format, path string) (uint64, error) {
-	st, err := fileStamp(path)
-	if err != nil {
-		return 0, err
-	}
-	return ingestCounts.Do(context.Background(), f.Name+":"+path+st, func() (uint64, error) {
-		return ingest.Count(f, path)
+	return fileTraces.Do(context.Background(), f.Name+":"+path+st, func() (*mem.Packed, error) {
+		return ingest.Read(f, path)
 	})
 }
 
@@ -353,12 +280,11 @@ type SourceInfo struct {
 }
 
 // Sources lists every workload-source prefix this build resolves: the
-// catalog/graph namespace, native trace replay, and each registered
-// external-trace ingest format.
+// catalog/graph namespace and each registered ingest format, native trace
+// replay ("file:") among them.
 func Sources() []SourceInfo {
 	out := []SourceInfo{
 		{Prefix: "", Description: "catalog workload or graph grammar, resolved by name"},
-		{Prefix: "file:", Description: "native trace file replay (tracegen output, gzip auto-detected)"},
 	}
 	for _, f := range ingest.Formats() {
 		out = append(out, SourceInfo{Prefix: f.Name + ":", Description: f.Description})
@@ -368,7 +294,7 @@ func Sources() []SourceInfo {
 
 // Options configure the simulated system and the Prophet pipeline. The
 // functional options of New cover the same knobs; Options remains the
-// bulk-configuration form (WithOptions).
+// bulk-configuration form (WithOptions). A zero field selects its default.
 type Options struct {
 	// ELAcc is the Equation 1 insertion threshold (default 0.15).
 	ELAcc float64
@@ -380,35 +306,55 @@ type Options struct {
 	LearningL int
 	// DRAMChannels widens memory bandwidth (default 1, Table 1).
 	DRAMChannels int
-	// IPCPPrefetcher replaces the L1 stride prefetcher with the IPCP-style
-	// composite (Figure 17).
-	IPCPPrefetcher bool
+	// L1Prefetcher selects the L1 prefetcher (default L1Stride; L1IPCP is
+	// Figure 17's).
+	L1Prefetcher L1Prefetcher
 }
 
 // DefaultOptions returns the paper's evaluated configuration.
 func DefaultOptions() Options {
-	return Options{ELAcc: 0.15, PriorityBits: 2, MVBCandidates: 1, LearningL: 4, DRAMChannels: 1}
+	return Options{ELAcc: 0.15, PriorityBits: 2, MVBCandidates: 1, LearningL: 4, DRAMChannels: 1, L1Prefetcher: L1Stride}
 }
 
+// resolved fills every unset field from DefaultOptions: non-positive
+// numbers, and an L1 prefetcher outside the three kinds, which simulates
+// the stride default. The result names exactly what pipelineConfig builds.
+func (o Options) resolved() Options {
+	d := DefaultOptions()
+	if o.ELAcc <= 0 {
+		o.ELAcc = d.ELAcc
+	}
+	if o.PriorityBits <= 0 {
+		o.PriorityBits = d.PriorityBits
+	}
+	if o.MVBCandidates <= 0 {
+		o.MVBCandidates = d.MVBCandidates
+	}
+	if o.LearningL <= 0 {
+		o.LearningL = d.LearningL
+	}
+	if o.DRAMChannels <= 0 {
+		o.DRAMChannels = d.DRAMChannels
+	}
+	if o.L1Prefetcher != L1IPCP && o.L1Prefetcher != L1None {
+		o.L1Prefetcher = d.L1Prefetcher
+	}
+	return o
+}
+
+// pipelineConfig builds the configuration of resolved options.
 func (o Options) pipelineConfig() pipeline.Config {
 	cfg := pipeline.Default()
-	if o.ELAcc > 0 {
-		cfg.Analysis.ELAcc = o.ELAcc
-	}
-	if o.PriorityBits > 0 {
-		cfg.Analysis.PriorityBits = o.PriorityBits
-	}
-	if o.MVBCandidates > 0 {
-		cfg.Prophet.MVBCandidates = o.MVBCandidates
-	}
-	if o.LearningL > 0 {
-		cfg.L = o.LearningL
-	}
-	if o.DRAMChannels > 1 {
-		cfg.Sim.DRAM.Channels = o.DRAMChannels
-	}
-	if o.IPCPPrefetcher {
+	cfg.Analysis.ELAcc = o.ELAcc
+	cfg.Analysis.PriorityBits = o.PriorityBits
+	cfg.Prophet.MVBCandidates = o.MVBCandidates
+	cfg.L = o.LearningL
+	cfg.Sim.DRAM.Channels = o.DRAMChannels
+	switch o.L1Prefetcher {
+	case L1IPCP:
 		cfg.Sim.L1PF = sim.L1IPCP
+	case L1None:
+		cfg.Sim.L1PF = sim.L1None
 	}
 	return cfg
 }
