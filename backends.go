@@ -77,8 +77,6 @@ type Health struct {
 	Engine string `json:"engine"`
 	// Workers is the daemon's sweep worker pool width.
 	Workers int `json:"workers"`
-	// QueueDepth is the number of queued async jobs awaiting a worker.
-	QueueDepth int `json:"queueDepth"`
 	// InFlight counts evaluation requests executing right now, whoever
 	// submitted them.
 	InFlight int `json:"inFlight"`

@@ -1,6 +1,7 @@
 // Command prophetd serves the evaluation engine over HTTP/JSON: single
-// runs, concurrent sweeps (sync or async through a bounded job queue), and
-// the Figure 5 profile→optimize→run loop as stateful session resources.
+// runs, concurrent sweeps (one buffered reply, or rows streamed as NDJSON
+// as they finish), and the Figure 5 profile→optimize→run loop as stateful
+// session resources.
 // Results are cached serving-side (LRU + TTL) and duplicate in-flight
 // requests coalesce onto one simulation; GET /v1/stats exposes the
 // counters. See the "Running the service" section of README.md for the
@@ -10,7 +11,7 @@
 //
 //	prophetd                          # serve on :8373 with default engine
 //	prophetd -addr :9000 -workers 8
-//	prophetd -cache-ttl 1h -queue 128
+//	prophetd -cache-ttl 1h -cache-entries 1024
 //	prophetd -store results.prst              # durable result store
 //	prophetd -peers http://w1:8373,http://w2:8373   # coordinate a fleet
 //	prophetd -peer-ttl 15s                    # coordinator for joining workers
@@ -46,13 +47,12 @@
 // under /debug/pprof/*, so `curl -o cpu.pprof 'localhost:8373/debug/pprof/profile?seconds=30'`
 // captures a CPU profile of whatever the daemon is serving.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: intake stops, open
-// connections drain, queued jobs are cancelled.
+// SIGINT/SIGTERM trigger a graceful shutdown: intake stops and open
+// connections, in-flight sweeps included, drain within -drain.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -89,9 +89,6 @@ func main() {
 	channels := flag.Int("channels", 1, "DRAM channels")
 	cacheEntries := flag.Int("cache-entries", 256, "result cache capacity (-1 = unbounded)")
 	cacheTTL := flag.Duration("cache-ttl", 10*time.Minute, "result cache TTL (-1s = never expire)")
-	jobWorkers := flag.Int("job-workers", 2, "async job pool size")
-	queueDepth := flag.Int("queue", 64, "async job queue bound")
-	jobRetention := flag.Int("job-retention", 256, "finished jobs kept for polling before eviction")
 	storePath := flag.String("store", "", "durable result store file (empty = no disk tier)")
 	storeMax := flag.Int64("store-max-bytes", 256<<20, "result store size cap before LRU compaction (0 = unbounded)")
 	peers := flag.String("peers", "", "comma-separated peer prophetd base URLs to shard sweeps across (coordinator mode)")
@@ -153,9 +150,6 @@ func main() {
 		Evaluator:    ev,
 		CacheEntries: *cacheEntries,
 		CacheTTL:     *cacheTTL,
-		JobWorkers:   *jobWorkers,
-		QueueDepth:   *queueDepth,
-		JobRetention: *jobRetention,
 		Store:        store,
 		PeerTTL:      *peerTTL,
 		Logf:         log.Printf,
@@ -174,8 +168,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("prophetd %s listening on %s (%d sweep workers, %d job workers, queue %d)",
-		prophet.Version(), *addr, ev.Workers(), *jobWorkers, *queueDepth)
+	log.Printf("prophetd %s listening on %s (%d sweep workers)", prophet.Version(), *addr, ev.Workers())
 	if len(peerList) > 0 {
 		log.Printf("coordinating sweeps across %d peers: %s (peer ttl %s)", len(peerList), strings.Join(peerList, ", "), *peerTTL)
 	}
@@ -200,9 +193,7 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if err := srv.Close(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("job drain: %v", err)
-	}
+	srv.Close(shutdownCtx)
 	log.Printf("bye")
 }
 

@@ -95,6 +95,20 @@ func (p *Packed) Len() int { return p.n }
 // dictionary.
 func (p *Packed) Bytes() int { return p.bytes + 8*len(p.pcs) }
 
+// Prefix returns the trace's first n records as a view that shares this
+// trace's dictionary and chunks, so a shorter replay of a held trace costs
+// no second encoding; its Bytes is the shared storage's. For n == 0 or
+// n >= Len() it returns p itself. Pack hands a fresh replay of the view
+// through like any other Packed.
+func (p *Packed) Prefix(n uint64) *Packed {
+	if n == 0 || n >= uint64(p.n) {
+		return p
+	}
+	view := *p
+	view.n = int(n)
+	return &view
+}
+
 // Source returns a fresh replay of the trace. Sources over one Packed are
 // independent and may run concurrently.
 func (p *Packed) Source() *PackedSource {

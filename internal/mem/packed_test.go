@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -146,6 +147,38 @@ func TestPackReusesFreshSource(t *testing.T) {
 	}
 	if got, _ := rest.Source().Next(); got != recs[1] {
 		t.Fatalf("first record of the rest = %+v, want %+v", got, recs[1])
+	}
+}
+
+// TestPackedPrefix pins that a prefix is a view: it replays exactly the
+// first n records from the trace's own chunks, packing its replay returns
+// the view, and a prefix covering the whole trace is the trace itself.
+func TestPackedPrefix(t *testing.T) {
+	recs := make([]Access, 50_000) // several chunks
+	for i := range recs {
+		recs[i] = Access{PC: Addr(0x400000 + 8*(i%7)), Addr: Addr(64 * i), Dep: uint32(i), Gap: uint16(i)}
+	}
+	p := Pack(NewSliceSource(recs))
+	if len(p.chunks) < 2 {
+		t.Fatalf("%d chunks, want several", len(p.chunks))
+	}
+	for _, n := range []uint64{0, uint64(len(recs)), uint64(len(recs)) + 1} {
+		if p.Prefix(n) != p {
+			t.Errorf("Prefix(%d) is not the trace itself", n)
+		}
+	}
+	for _, n := range []int{1, 1000, len(recs) - 1} {
+		view := p.Prefix(uint64(n))
+		if view.Len() != n || &view.chunks[0][0] != &p.chunks[0][0] {
+			t.Fatalf("Prefix(%d): %d records, shared chunks %v", n, view.Len(), &view.chunks[0][0] == &p.chunks[0][0])
+		}
+		if Pack(view.Source()) != view {
+			t.Fatalf("Pack re-encoded a fresh replay of Prefix(%d)", n)
+		}
+		got := Collect(view.Source(), 0)
+		if !slices.Equal(got, recs[:n]) {
+			t.Fatalf("Prefix(%d) replayed %d records, not the trace's first %d", n, len(got), n)
+		}
 	}
 }
 

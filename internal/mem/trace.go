@@ -31,9 +31,11 @@ const traceVersion = 1
 var ErrBadTrace = errors.New("malformed trace")
 
 // WriteTrace writes all records from src to w in the trace file format,
-// returning the number of records written.
+// returning the number of records written. The header needs the count
+// first, so src is held packed (about 6 bytes a record) until it is
+// written; a fresh PackedSource is written from its own storage.
 func WriteTrace(w io.Writer, src Source) (uint64, error) {
-	recs := Collect(src, 0)
+	p := Pack(src)
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(traceMagic[:]); err != nil {
 		return 0, err
@@ -41,21 +43,25 @@ func WriteTrace(w io.Writer, src Source) (uint64, error) {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(traceVersion)); err != nil {
 		return 0, err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(recs))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint64(p.Len())); err != nil {
 		return 0, err
 	}
-	var buf [23]byte
-	for _, r := range recs {
-		binary.LittleEndian.PutUint64(buf[0:], uint64(r.PC))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(r.Addr))
-		buf[16] = byte(r.Kind)
-		binary.LittleEndian.PutUint32(buf[17:], r.Dep)
-		binary.LittleEndian.PutUint16(buf[21:], r.Gap)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return 0, err
+	var buf [recordBytes]byte
+	block := make([]Access, traceBlockRecords)
+	rs := p.Source()
+	for recs := rs.NextBlock(block); len(recs) > 0; recs = rs.NextBlock(block) {
+		for _, r := range recs {
+			binary.LittleEndian.PutUint64(buf[0:], uint64(r.PC))
+			binary.LittleEndian.PutUint64(buf[8:], uint64(r.Addr))
+			buf[16] = byte(r.Kind)
+			binary.LittleEndian.PutUint32(buf[17:], r.Dep)
+			binary.LittleEndian.PutUint16(buf[21:], r.Gap)
+			if _, err := bw.Write(buf[:]); err != nil {
+				return 0, err
+			}
 		}
 	}
-	return uint64(len(recs)), bw.Flush()
+	return uint64(p.Len()), bw.Flush()
 }
 
 // WriteTraceFile writes all records from src to the named file,

@@ -103,13 +103,11 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 // SweepRequest is the POST /v1/sweep body: the cross product of Workloads ×
 // Schemes (workload-major, like prophet.Jobs), plus any explicit extra
-// Jobs, fanned out over the evaluator's worker pool. Async routes the sweep
-// through the job queue and returns 202 with a job ID to poll.
+// Jobs, fanned out over the evaluator's worker pool.
 type SweepRequest struct {
 	Workloads []WorkloadRef     `json:"workloads,omitempty"`
 	Schemes   []string          `json:"schemes,omitempty"`
 	Jobs      []EvaluateRequest `json:"jobs,omitempty"`
-	Async     bool              `json:"async,omitempty"`
 }
 
 // jobs expands the request into engine jobs (grid first, explicit extras
@@ -138,20 +136,17 @@ type SweepResult struct {
 	Error    string            `json:"error,omitempty"`
 }
 
-// SweepResponse is the synchronous POST /v1/sweep reply (and the Result
-// payload of an async sweep job).
+// SweepResponse is the buffered POST /v1/sweep reply.
 type SweepResponse struct {
 	Results []SweepResult `json:"results"`
 }
 
-// SweepAccepted is the asynchronous POST /v1/sweep reply.
-type SweepAccepted struct {
-	JobID string `json:"jobId"`
-	// Poll is the status URL for the job.
-	Poll string `json:"poll"`
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	stream, err := streamed(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	var req SweepRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -161,20 +156,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty sweep: need workloads×schemes or jobs")
 		return
 	}
-	if mode := streamMode(r); mode != "" && !req.Async {
-		s.streamSweep(w, r, jobs, mode)
-		return
-	}
-	if req.Async {
-		id, err := s.jobs.Submit("sweep", func(ctx context.Context) (any, error) {
-			return s.sweep(ctx, jobs)
-		})
-		if err != nil {
-			status := http.StatusServiceUnavailable
-			writeError(w, status, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusAccepted, SweepAccepted{JobID: id, Poll: "/v1/jobs/" + id})
+	if stream {
+		s.streamSweep(w, r, jobs)
 		return
 	}
 	resp, err := s.sweep(r.Context(), jobs)

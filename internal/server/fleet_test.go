@@ -44,8 +44,8 @@ func TestHealthEndpoint(t *testing.T) {
 	if h.Workers < 1 {
 		t.Errorf("workers %d, want >= 1", h.Workers)
 	}
-	if h.InFlight != 0 || h.QueueDepth != 0 || h.Peers != 0 {
-		t.Errorf("idle daemon reported inFlight=%d queueDepth=%d peers=%d", h.InFlight, h.QueueDepth, h.Peers)
+	if h.InFlight != 0 || h.Peers != 0 {
+		t.Errorf("idle daemon reported inFlight=%d peers=%d", h.InFlight, h.Peers)
 	}
 }
 
@@ -206,7 +206,7 @@ var streamRowIndex = regexp.MustCompile(`^\{"index":(\d+),`)
 
 // splitStream parses a stream body into indexed row payloads (with the
 // index field stripped, as the protocol documents) and the trailer.
-func splitStream(t *testing.T, body, prefix string) (map[int]string, StreamTrailer) {
+func splitStream(t *testing.T, body string) (map[int]string, StreamTrailer) {
 	t.Helper()
 	rows := make(map[int]string)
 	var trailer StreamTrailer
@@ -215,13 +215,6 @@ func splitStream(t *testing.T, body, prefix string) (map[int]string, StreamTrail
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
-		}
-		if prefix != "" {
-			rest, ok := strings.CutPrefix(line, prefix)
-			if !ok {
-				t.Fatalf("stream line %q lacks prefix %q", line, prefix)
-			}
-			line = rest
 		}
 		if m := streamRowIndex.FindStringSubmatch(line); m != nil {
 			i, _ := strconv.Atoi(m[1])
@@ -277,7 +270,7 @@ func TestSweepStreamMatchesBuffered(t *testing.T) {
 	if _, err := io.Copy(&sb, resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	rows, trailer := splitStream(t, sb.String(), "")
+	rows, trailer := splitStream(t, sb.String())
 	if !trailer.Done || trailer.Results != len(raw.Results) {
 		t.Fatalf("trailer %+v, want done with %d results", trailer, len(raw.Results))
 	}
@@ -291,29 +284,30 @@ func TestSweepStreamMatchesBuffered(t *testing.T) {
 	}
 }
 
-// TestSweepStreamSSE checks the alternative framing: the same rows wrapped
-// in data: lines for EventSource clients.
+// TestSweepStreamSSE pins that NDJSON is the only stream framing: a
+// stream value other than 1, true or ndjson (the old SSE spelling
+// included) is a 400 naming the accepted values, never a silently
+// buffered sweep.
 func TestSweepStreamSSE(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"workloads":[{"name":"sphinx3","records":20000}],"schemes":["baseline"]}`
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []string{"sse", "0", "yes"} {
+		code, b := post(t, ts, "/v1/sweep?stream="+v, body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("stream=%s: %d %s, want 400", v, code, b)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{`"` + v + `"`, "1", "true", "ndjson"} {
+			if !strings.Contains(e.Error, want) {
+				t.Errorf("stream=%s: error %q does not name %s", v, e.Error, want)
+			}
+		}
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	var sb strings.Builder
-	if _, err := io.Copy(&sb, resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	rows, trailer := splitStream(t, sb.String(), "data: ")
-	if !trailer.Done || trailer.Results != 1 || len(rows) != 1 {
-		t.Fatalf("rows %v trailer %+v", rows, trailer)
+	if st := stats(t, ts); st.Tiers.Computed != 0 || st.Baseline.Misses != 0 {
+		t.Errorf("a refused sweep simulated: tiers %+v, baseline misses %d", st.Tiers, st.Baseline.Misses)
 	}
 }
 

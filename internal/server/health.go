@@ -8,7 +8,7 @@ import (
 
 // track counts one evaluation request as in flight for the duration of the
 // returned release func. GET /v1/health reports the count, so every
-// compute path — evaluate, sweeps (buffered, streamed, async), and fleet
+// compute path — evaluate, sweeps (buffered and streamed), and fleet
 // batches — must pass through it for the load report to mean anything.
 func (s *Server) track() func() {
 	s.engineInFlight.Add(1)
@@ -20,11 +20,10 @@ func (s *Server) track() func() {
 // — so it reads counters only and never touches the engine.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, prophet.Health{
-		Version:    prophet.Version(),
-		Engine:     s.ev.StoreFingerprint(),
-		Workers:    s.ev.Workers(),
-		QueueDepth: s.jobs.Depth(),
-		InFlight:   int(s.engineInFlight.Load()),
-		Peers:      len(s.ev.Backends()),
+		Version:  prophet.Version(),
+		Engine:   s.ev.StoreFingerprint(),
+		Workers:  s.ev.Workers(),
+		InFlight: int(s.engineInFlight.Load()),
+		Peers:    len(s.ev.Backends()),
 	})
 }

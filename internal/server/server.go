@@ -10,9 +10,9 @@
 //     internal/memo instance (LRU + TTL, keyed by canonicalized request and
 //     trace identity), and coalesces duplicate in-flight requests onto a
 //     single simulation (singleflight);
-//   - long-running sweeps go through a bounded async job queue with
-//     lifecycle-context cancellation, so graceful shutdown drains
-//     connections and cancels work instead of abandoning it;
+//   - a long sweep can stream its rows (NDJSON) as cells finish; with a
+//     durable store, the cells finished before a client disconnects are
+//     kept, so re-sending the sweep reads them back from disk;
 //   - POST /v1/batch is the fleet-internal bulk endpoint: a coordinator
 //     (Evaluator with WithBackends, or prophetd -peers) ships a whole
 //     shard of sweep jobs in one request, executed strictly on this
@@ -52,13 +52,6 @@ type Config struct {
 	CacheEntries int
 	// CacheTTL expires cached results (default 10m; <0 caches forever).
 	CacheTTL time.Duration
-	// JobWorkers sizes the async job pool (default 2).
-	JobWorkers int
-	// QueueDepth bounds the async job queue (default 64).
-	QueueDepth int
-	// JobRetention bounds how many finished jobs (and their results) are
-	// kept for polling before the oldest are evicted (default 256).
-	JobRetention int
 	// Store is the durable result store layered under the in-memory cache
 	// (lookup order: memory → disk → compute), reported at /v1/stats. The
 	// caller owns the store's lifecycle and attaches it to the Evaluator
@@ -77,7 +70,7 @@ type Config struct {
 }
 
 // Server is the prophetd request handler set plus its serving-side state:
-// result cache, async job store, and session registry. Construct with New,
+// result cache, session registry and peer registry. Construct with New,
 // mount Handler on an http.Server, and Close on the way out.
 type Server struct {
 	ev      *prophet.Evaluator
@@ -86,7 +79,6 @@ type Server struct {
 	// durable store (Report.FromStore).
 	diskHits atomic.Int64
 	store    *resultstore.Store // reported at /v1/stats; nil without one
-	jobs     *jobStore
 	sess     *sessionStore
 	mux      *http.ServeMux
 	now      func() time.Time
@@ -129,7 +121,6 @@ func New(cfg Config) *Server {
 		ev:      cfg.Evaluator,
 		results: memo.New[*EvaluateResponse](cfg.CacheEntries, cfg.CacheTTL, now),
 		store:   cfg.Store,
-		jobs:    newJobStore(cfg.JobWorkers, cfg.QueueDepth, cfg.JobRetention, now),
 		sess:    newSessionStore(now),
 		now:     now,
 		start:   now(),
@@ -158,8 +149,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
 	mux.HandleFunc("GET /v1/sessions", s.handleSessionList)
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
@@ -175,13 +164,12 @@ func New(cfg Config) *Server {
 // Handler returns the routed handler for mounting on an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close shuts the async machinery down: the peer reaper stops, job intake
-// stops, queued jobs are cancelled, and workers are awaited up to ctx's
-// deadline. Call after (or concurrently with) http.Server.Shutdown —
-// in-flight HTTP requests coalesced on the cache drain on their own.
-func (s *Server) Close(ctx context.Context) error {
+// Close stops the peer reaper. Every request runs on its own connection,
+// so http.Server.Shutdown is what drains in-flight work; call Close after
+// it. It is safe to call more than once and always returns nil.
+func (s *Server) Close(context.Context) error {
 	s.reaperOnce.Do(func() { close(s.reaperStop) })
-	return s.jobs.Shutdown(ctx)
+	return nil
 }
 
 // VersionResponse is the GET /v1/version body.
@@ -281,11 +269,6 @@ type StatsResponse struct {
 		Hits   int64 `json:"hits"`
 		Misses int64 `json:"misses"`
 	} `json:"baseline"`
-	Jobs struct {
-		Depth   int `json:"depth"`
-		Running int `json:"running"`
-		Total   int `json:"total"`
-	} `json:"jobs"`
 	Sessions int `json:"sessions"`
 	// Dispatch reports the sweep fleet: the live peers (static and
 	// dynamically joined) and the coordinator's remote/local/retry/failover
@@ -312,32 +295,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Store = &st
 	}
 	resp.Baseline.Hits, resp.Baseline.Misses = s.ev.BaselineCacheStats()
-	resp.Jobs.Depth = s.jobs.Depth()
-	resp.Jobs.Running = s.jobs.Running()
-	resp.Jobs.Total = s.jobs.Len()
 	resp.Sessions = s.sess.Len()
 	s.reapPeers() // stats must reflect expiries even on an idle coordinator
 	resp.Dispatch.Peers = s.ev.Backends()
 	resp.Dispatch.Stats = s.ev.DispatchStats()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// JobsResponse is the GET /v1/jobs body.
-type JobsResponse struct {
-	Jobs []JobInfo `json:"jobs"`
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, JobsResponse{Jobs: s.jobs.List()})
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	info, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
 }
 
 // errorResponse is the uniform error body.

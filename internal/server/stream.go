@@ -1,40 +1,35 @@
-// Streaming sweep delivery: POST /v1/sweep with Accept:
-// application/x-ndjson (or ?stream=1), or Accept: text/event-stream (or
-// ?stream=sse), emits result rows incrementally as chunks complete instead
-// of buffering the whole sweep. Every row carries the job's index; rows
-// arrive in completion order, so clients reconstruct the exact buffered
-// response by sorting rows by index and dropping the index field — the
-// payload fields are identical, in identical order, to SweepResult. A
-// final trailer object ({"done":true,...}) marks a complete stream; its
-// absence means the stream was cut.
+// Streaming sweep delivery: POST /v1/sweep with ?stream=1 (or Accept:
+// application/x-ndjson) emits result rows as NDJSON, one line each as
+// chunks complete, instead of buffering the whole sweep. Every row carries
+// the job's index; rows arrive in completion order, so clients reconstruct
+// the exact buffered response by sorting rows by index and dropping the
+// index field — the payload fields are identical, in identical order, to
+// SweepResult. A final trailer object ({"done":true,...}) marks a complete
+// stream; its absence means the stream was cut.
 package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 
 	"prophet"
 )
 
-// streamMode classifies a sweep request's delivery: "ndjson", "sse", or ""
-// (buffered). The query parameter wins over the Accept header, so curl
-// one-liners don't need header flags.
-func streamMode(r *http.Request) string {
-	switch strings.ToLower(r.URL.Query().Get("stream")) {
-	case "sse":
-		return "sse"
+// streamed reports whether a sweep request asks for NDJSON delivery. The
+// query parameter wins over the Accept header, so curl one-liners don't
+// need header flags; a stream value other than 1, true or ndjson is an
+// error rather than a silent fall back to the buffered body.
+func streamed(r *http.Request) (bool, error) {
+	v := r.URL.Query().Get("stream")
+	switch strings.ToLower(v) {
+	case "":
+		return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson"), nil
 	case "1", "true", "ndjson":
-		return "ndjson"
+		return true, nil
 	}
-	accept := r.Header.Get("Accept")
-	if strings.Contains(accept, "text/event-stream") {
-		return "sse"
-	}
-	if strings.Contains(accept, "application/x-ndjson") {
-		return "ndjson"
-	}
-	return ""
+	return false, fmt.Errorf("invalid stream=%q: want 1, true or ndjson", v)
 }
 
 // StreamRow is one streamed sweep result: Index is the job's position in
@@ -60,7 +55,7 @@ type StreamTrailer struct {
 
 // streamSweep executes the sweep with incremental delivery. The client
 // disconnecting cancels the sweep through the request context.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, jobs []prophet.Job, mode string) {
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, jobs []prophet.Job) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		// No flushing, no streaming: fall back to the buffered path rather
@@ -73,30 +68,20 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, jobs []prop
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	if mode == "sse" {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush() // commit headers before the first (possibly slow) chunk
 
+	// Rows and trailer share SetEscapeHTML(false) with writeJSON, so a
+	// streamed row's payload bytes match the buffered response's. Encode
+	// writes each value as one newline-terminated line.
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
 	writeEvent := func(v any) {
-		// Rows and trailer share SetEscapeHTML(false) with writeJSON, so a
-		// streamed row's payload bytes match the buffered response's.
-		body, err := marshalNoEscape(v)
-		if err != nil {
-			return
-		}
-		if mode == "sse" {
-			w.Write([]byte("data: "))
-			w.Write(body)
-			w.Write([]byte("\n\n"))
-		} else {
-			w.Write(body)
-			w.Write([]byte("\n"))
-		}
+		// A failed write means the client is gone; the request context
+		// then cancels the sweep, so there is nothing more to do here.
+		_ = enc.Encode(v)
 		flusher.Flush()
 	}
 
@@ -119,16 +104,4 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, jobs []prop
 		trailer.Error = err.Error()
 	}
 	writeEvent(trailer)
-}
-
-// marshalNoEscape is json.Marshal with HTML escaping off, matching
-// writeJSON's encoder settings.
-func marshalNoEscape(v any) ([]byte, error) {
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return []byte(strings.TrimSuffix(sb.String(), "\n")), nil
 }

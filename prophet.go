@@ -158,19 +158,15 @@ func (w Workload) factory() (pipeline.SourceFactory, error) {
 		// small cache; the factory then replays it from memory, so the
 		// multi-pass schemes (RPG2, Prophet) and multi-scheme sweeps over
 		// one file see identical streams without re-reading the file. A
-		// whole-trace source stays unwrapped, so the sweep's trace store
-		// keeps this same packed storage instead of a second copy.
+		// shorter record budget replays a prefix view of the same chunks,
+		// so the sweep's trace store keeps this packed storage, never a
+		// second copy, whatever the budget.
 		trace, err := readTraceCached(f, path)
 		if err != nil {
 			return nil, fmt.Errorf("prophet: workload %q: %w", w.Name, err)
 		}
-		return func() mem.Source {
-			src := mem.Source(trace.Source())
-			if records > 0 && records < uint64(trace.Len()) {
-				src = mem.Limit(src, records)
-			}
-			return src
-		}, nil
+		trace = trace.Prefix(records)
+		return func() mem.Source { return trace.Source() }, nil
 	}
 	return nil, fmt.Errorf("prophet: unknown workload %q", w.Name)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,12 +14,14 @@ import (
 )
 
 // TestFileTraceSharesPackedStorage pins that a recorded trace is held once,
-// whatever its format. The factory of a file:, champsim: or csv: workload
-// replays the root cache's packed trace unwrapped whenever the record
-// budget covers the whole file, so mem.Pack, which is how the sweep's trace
-// store materializes a factory's source, returns the cached trace itself
-// rather than a second encoding, and so does every later resolution of the
-// unchanged file.
+// whatever its format and record budget. The factory of a file:, champsim:
+// or csv: workload replays the root cache's packed trace unwrapped whenever
+// the record budget covers the whole file, so mem.Pack, which is how the
+// sweep's trace store materializes a factory's source, returns the cached
+// trace itself rather than a second encoding, and so does every later
+// resolution of the unchanged file. A shorter budget replays a prefix view
+// of the same storage, which mem.Pack hands through without encoding
+// anything.
 func TestFileTraceSharesPackedStorage(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := workloads.Get("sphinx3")
@@ -59,6 +63,24 @@ func TestFileTraceSharesPackedStorage(t *testing.T) {
 			if p != cached {
 				t.Fatalf("%s records=%d: the trace store would hold a second copy of the file", tc.format, budget)
 			}
+		}
+
+		budget := tc.records - 1000
+		factory, err := Workload{Name: name, Records: budget}.factory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := factory()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p := mem.Pack(src)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<10 {
+			t.Fatalf("%s records=%d: packing the replay allocated %d bytes, a second copy of the file", tc.format, budget, grew)
+		}
+		want := mem.Collect(cached.Source(), int(budget))
+		if got := mem.Collect(p.Source(), 0); !slices.Equal(got, want) {
+			t.Fatalf("%s records=%d: replayed %d records, not the file's first %d", tc.format, budget, len(got), budget)
 		}
 	}
 }

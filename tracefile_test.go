@@ -5,7 +5,9 @@ package prophet_test
 
 import (
 	"context"
+	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"prophet"
@@ -124,5 +126,33 @@ func TestFileWorkloadWithRecords(t *testing.T) {
 	}
 	if n := len(mem.Collect(src, 0)); n != 5_000 {
 		t.Fatalf("records override replayed %d records, want 5000", n)
+	}
+}
+
+// TestWriteTraceHoldsPacked: the trace-file writer needs the record count
+// before the records, so it holds the whole trace until it writes; it holds
+// it packed, so exporting 400,000 mcf records from a stream of unknown
+// length (an ingest reader, say) allocates a few MB, not the 24-byte
+// records and their append growth.
+func TestWriteTraceHoldsPacked(t *testing.T) {
+	const records = 400_000
+	w, err := prophet.Find("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := w.WithRecords(records).Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsized := mem.FuncSource(src.Next)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := mem.WriteTrace(io.Discard, unsized)
+	runtime.ReadMemStats(&after)
+	if err != nil || n != records {
+		t.Fatalf("WriteTrace = %d, %v; want %d records", n, err, records)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("WriteTrace of %d records allocated %.1f MB, want under 8 MiB", records, float64(grew)/1e6)
 	}
 }
