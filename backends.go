@@ -225,7 +225,7 @@ func (e *Evaluator) newDispatcher() *dispatch.Dispatcher[Job, Result] {
 		Backends: ring,
 		Logf:     e.logf,
 		Local: func(ctx context.Context, jobs []Job) []Result {
-			rs, _ := e.sweepLocal(ctx, jobs...)
+			rs, _ := e.sweepLocal(ctx, jobs, nil)
 			return rs
 		},
 		Pin:      pinnedLocal,

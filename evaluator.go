@@ -274,7 +274,7 @@ func (e *Evaluator) Sweep(ctx context.Context, jobs ...Job) ([]Result, error) {
 	if e.disp.NumPeers() > 0 {
 		return e.disp.Dispatch(ctx, jobs), ctx.Err()
 	}
-	return e.sweepLocal(ctx, jobs...)
+	return e.sweepLocal(ctx, jobs, nil)
 }
 
 // SweepStream is Sweep with incremental delivery: emit is called exactly
@@ -286,38 +286,29 @@ func (e *Evaluator) Sweep(ctx context.Context, jobs ...Job) ([]Result, error) {
 // byte-for-byte.
 //
 // With live backends the fleet coordinator streams chunk completions;
-// without, jobs run through the local engine in bounded chunks so progress
-// still renders incrementally.
+// without, all jobs run through the one worker pool Sweep uses, and each
+// row is emitted as its job finishes.
 func (e *Evaluator) SweepStream(ctx context.Context, emit func(i int, r Result), jobs ...Job) error {
 	if e.disp.NumPeers() > 0 {
 		e.disp.DispatchFunc(ctx, jobs, emit)
 		return ctx.Err()
 	}
-	chunk := e.backendMaxBatch
-	if chunk <= 0 {
-		chunk = e.Workers()
-		if chunk < 1 {
-			chunk = 1
-		}
+	// Workers hand rows to this goroutine, which alone calls emit. The
+	// buffer holds every row, so a slow emit never stalls a worker.
+	type row struct {
+		i int
+		r Result
 	}
-	var firstErr error
-	for start := 0; start < len(jobs); start += chunk {
-		end := start + chunk
-		if end > len(jobs) {
-			end = len(jobs)
-		}
-		// A failed chunk (context cancellation) still emits its rows — the
-		// engine stamps the per-job errors — so every index is covered and
-		// the stream mirrors what a buffered sweep would have returned.
-		rs, err := e.sweepLocal(ctx, jobs[start:end]...)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		for k, r := range rs {
-			emit(start+k, r)
-		}
+	rows := make(chan row, len(jobs))
+	var err error
+	go func() {
+		defer close(rows)
+		_, err = e.sweepLocal(ctx, jobs, func(i int, r Result) { rows <- row{i, r} })
+	}()
+	for x := range rows {
+		emit(x.i, x.r)
 	}
-	return firstErr
+	return err
 }
 
 // SweepLocal is Sweep restricted to the in-process engine, ignoring any
@@ -325,10 +316,14 @@ func (e *Evaluator) SweepStream(ctx context.Context, emit func(i int, r Result),
 // so fleet fan-out terminates after one hop instead of cascading between
 // peers.
 func (e *Evaluator) SweepLocal(ctx context.Context, jobs ...Job) ([]Result, error) {
-	return e.sweepLocal(ctx, jobs...)
+	return e.sweepLocal(ctx, jobs, nil)
 }
 
-func (e *Evaluator) sweepLocal(ctx context.Context, jobs ...Job) ([]Result, error) {
+// sweepLocal runs the jobs on the in-process worker pool and returns their
+// results in job order; done, if not nil, is called with each row as soon
+// as it is final, from the goroutine that finished it. Cancelling the
+// context aborts the sweep: jobs not yet started report the context error.
+func (e *Evaluator) sweepLocal(ctx context.Context, jobs []Job, done func(i int, r Result)) ([]Result, error) {
 	results := make([]Result, len(jobs))
 	valid := make([]pipeline.Job, 0, len(jobs))
 	validIdx := make([]int, 0, len(jobs))
@@ -339,32 +334,38 @@ func (e *Evaluator) sweepLocal(ctx context.Context, jobs ...Job) ([]Result, erro
 			// Unresolvable workloads land in their result row; the rest
 			// of the sweep still runs.
 			results[i].Err = jerr
-			continue
-		}
-		// Durable-store hits are answered without touching the engine, so
-		// a warm restart's repeat sweep runs zero simulations (not even
-		// the baselines the engine would otherwise share per workload).
-		if rep, ok := e.storeGet(j); ok {
+		} else if rep, ok := e.storeGet(j); ok {
+			// Durable-store hits are answered without touching the
+			// engine, so a warm restart's repeat sweep runs zero
+			// simulations (not even the baselines the engine would
+			// otherwise share per workload).
 			results[i].Stats = rep.Stats
 			results[i].Meta = rep.Meta
+		} else {
+			valid = append(valid, pj)
+			validIdx = append(validIdx, i)
 			continue
 		}
-		valid = append(valid, pj)
-		validIdx = append(validIdx, i)
+		if done != nil {
+			done(i, results[i])
+		}
 	}
-	outs, err := e.eng.Sweep(ctx, valid...)
-	for k, out := range outs {
+	pipeline.ForEach(e.eng.Workers(), len(valid), func(k int) {
 		i := validIdx[k]
+		out := e.eng.Run(ctx, valid[k])
 		if out.Err != nil {
 			results[i].Err = fmt.Errorf("prophet: %s under %s: %w",
 				jobs[i].Workload.Name, jobs[i].Scheme, out.Err)
-			continue
+		} else {
+			results[i].Stats = summarize(out.Stats, out.Base)
+			results[i].Meta = out.Meta
+			e.storePut(jobs[i], Report{Stats: results[i].Stats, Meta: results[i].Meta})
 		}
-		results[i].Stats = summarize(out.Stats, out.Base)
-		results[i].Meta = out.Meta
-		e.storePut(jobs[i], Report{Stats: results[i].Stats, Meta: results[i].Meta})
-	}
-	return results, err
+		if done != nil {
+			done(i, results[i])
+		}
+	})
+	return results, ctx.Err()
 }
 
 // job resolves a public Job into an engine job.

@@ -7,7 +7,10 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"prophet"
 
@@ -328,4 +331,77 @@ func TestOptionsResolvedFromDefaults(t *testing.T) {
 	if ev.StoreFingerprint() != prophet.New().StoreFingerprint() {
 		t.Fatal("zero Options and the defaults simulate alike but fingerprint apart")
 	}
+}
+
+// streamGate holds the channel the "test-stream-block" scheme waits on
+// before it runs; registerStreamBlock installs the scheme once per process.
+var (
+	streamGate          atomic.Pointer[chan struct{}]
+	registerStreamBlock = sync.OnceValue(func() error {
+		return prophet.RegisterScheme("test-stream-block", func() registry.Scheme {
+			return registry.Func(func(ctx registry.Context) (registry.Result, error) {
+				<-*streamGate.Load()
+				return registry.Result{Stats: ctx.Baseline()}, nil
+			})
+		})
+	})
+)
+
+// TestSweepStreamEmitsPastABlockedJob: without peers, SweepStream runs every
+// job through one worker pool, so while job 0 is blocked the other worker
+// finishes and emits every later job's row. Merged by index, the streamed
+// rows equal the buffered Sweep.
+func TestSweepStreamEmitsPastABlockedJob(t *testing.T) {
+	if err := registerStreamBlock(); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	streamGate.Store(&gate)
+	var jobs []prophet.Job
+	for k, name := range []string{"mcf", "omnetpp", "sphinx3"} {
+		w, err := prophet.Find(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w = w.WithRecords(3000)
+		if k == 0 {
+			jobs = append(jobs, prophet.Job{Workload: w, Scheme: "test-stream-block"})
+			continue
+		}
+		jobs = append(jobs, prophet.Jobs([]prophet.Workload{w}, prophet.Baseline, prophet.Triage, prophet.Triangel)...)
+	}
+
+	ev := prophet.New(prophet.WithWorkers(2))
+	merged := make([]prophet.Result, len(jobs))
+	rows := make(chan int, len(jobs))
+	errc := make(chan error, 1)
+	go func() {
+		errc <- ev.SweepStream(context.Background(), func(i int, r prophet.Result) {
+			merged[i] = r
+			rows <- i
+		}, jobs...)
+	}()
+	for range len(jobs) - 1 {
+		select {
+		case i := <-rows:
+			if i == 0 {
+				t.Fatal("job 0 emitted while its scheme was blocked")
+			}
+		case <-time.After(time.Minute):
+			close(gate)
+			t.Fatal("later rows were not emitted while job 0 was blocked")
+		}
+	}
+	close(gate)
+	if i := <-rows; i != 0 {
+		t.Fatalf("last row emitted is %d, want job 0", i)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	want, err := prophet.New(prophet.WithWorkers(2)).Sweep(context.Background(), jobs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSweepsEqual(t, merged, want)
 }

@@ -9,7 +9,10 @@
 // time to charge partial latency for late prefetches.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Policy selects a replacement policy for a cache.
 type Policy uint8
@@ -92,22 +95,45 @@ func (s *lruState) reset() { clear(s.last) }
 
 // --- tree PLRU (power-of-two ways) with CLOCK fallback ---
 
+// plruState keeps one tree of ways-1 bits per set. Bit i is node i (root =
+// 1, children of node n are 2n and 2n+1, leaf w is node ways+w); a set bit
+// points at the right subtree, which is then the colder half.
 type plruState struct {
-	ways int
-	pow2 bool
-	bits []uint64 // per-set tree bits; bit i is node i (root = 1), pointing to the colder half
-	ref  []bool   // CLOCK fallback, sets*ways flat
-	hand []int32  // CLOCK hand per set
+	ways   int
+	pow2   bool
+	levels int      // log2(ways): tree depth from root to leaf
+	bits   []uint64 // per-set tree bits
+	set    []uint64 // per way: the path nodes promote points right (w is left of them)
+	clr    []uint64 // per way: the path nodes promote points left
+	ref    []bool   // CLOCK fallback, sets*ways flat
+	hand   []int32  // CLOCK hand per set
 }
 
 func newPLRU(sets, ways int) *plruState {
-	return &plruState{
+	s := &plruState{
 		ways: ways,
 		pow2: ways&(ways-1) == 0,
 		bits: make([]uint64, sets),
 		ref:  make([]bool, sets*ways),
 		hand: make([]int32, sets),
 	}
+	if s.pow2 {
+		s.levels = bits.TrailingZeros(uint(ways))
+		s.set = make([]uint64, ways)
+		s.clr = make([]uint64, ways)
+		// Promoting w points every node on its path away from it: walk
+		// from leaf w up, marking each parent by the side w came from.
+		for w := range ways {
+			for node := ways + w; node > 1; node >>= 1 {
+				if node&1 == 0 {
+					s.set[w] |= 1 << uint(node>>1)
+				} else {
+					s.clr[w] |= 1 << uint(node>>1)
+				}
+			}
+		}
+	}
+	return s
 }
 
 func (s *plruState) touch(si, w int, _ uint64)  { s.promote(si, w) }
@@ -115,24 +141,7 @@ func (s *plruState) insert(si, w int, _ uint64) { s.promote(si, w) }
 
 func (s *plruState) promote(si, w int) {
 	if s.pow2 {
-		// Walk from root to leaf w, flipping each node away from w.
-		bits := s.bits[si]
-		node := 1
-		span := s.ways
-		lo := 0
-		for span > 1 {
-			span /= 2
-			if w < lo+span {
-				// w in left half: point node at right half (bit=1).
-				bits |= 1 << uint(node)
-				node = node * 2
-			} else {
-				bits &^= 1 << uint(node)
-				node = node*2 + 1
-				lo += span
-			}
-		}
-		s.bits[si] = bits
+		s.bits[si] = s.bits[si]&^s.clr[w] | s.set[w]
 		return
 	}
 	s.ref[si*s.ways+w] = true
@@ -140,21 +149,13 @@ func (s *plruState) promote(si, w int) {
 
 func (s *plruState) victim(si, limit int) int {
 	if s.pow2 && limit == s.ways {
-		bits := s.bits[si]
+		// Follow the bits from the root to the colder leaf.
+		tree := s.bits[si]
 		node := 1
-		span := s.ways
-		lo := 0
-		for span > 1 {
-			span /= 2
-			if bits&(1<<uint(node)) != 0 {
-				// Bit points right (colder).
-				node = node*2 + 1
-				lo += span
-			} else {
-				node = node * 2
-			}
+		for range s.levels {
+			node = node<<1 | int(tree>>uint(node)&1)
 		}
-		return lo
+		return node - s.ways
 	}
 	// CLOCK over [0, limit).
 	base := si * s.ways

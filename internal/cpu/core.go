@@ -74,6 +74,9 @@ func (s Stats) IPC() float64 {
 // Dep below this; larger values are clamped.
 const depRingSize = 8192
 
+// robBufLQs is robBuf's length in load queues.
+const robBufLQs = 4
+
 type inflight struct {
 	index uint64 // record index (for ROB/LQ distance) in instruction terms
 	done  uint64 // completion cycle
@@ -92,10 +95,15 @@ type Core struct {
 	completions [depRingSize]uint64
 
 	// robLoads holds incomplete loads in program order for the ROB and LQ
-	// occupancy checks. Entries are popped once their completion is in the
-	// past or once they must be waited on. Occupancy never exceeds LQ, so
-	// the backing array is allocated once, at construction.
+	// occupancy checks, as a window onto robBuf. Entries are popped, by
+	// reslicing the window forward, once their completion is in the past or
+	// once they must be waited on. Occupancy never exceeds LQ, so robBuf
+	// (robBufLQs × LQ entries) is allocated once, at construction, and an
+	// append that reaches its end moves the window back to the start
+	// (pushLoad) — one copy of at most LQ entries per (robBufLQs-1) × LQ
+	// appends, instead of one per pop.
 	robLoads []inflight
+	robBuf   []inflight
 	// mshrs holds completion cycles of outstanding L1 misses (unordered,
 	// at most L1MSHRs — preallocated likewise).
 	mshrs []uint64
@@ -109,12 +117,14 @@ func New(cfg Config, m Memory) *Core {
 	if cfg.FetchWidth <= 0 || cfg.ROB <= 0 || cfg.LQ <= 0 || cfg.L1MSHRs <= 0 {
 		panic("cpu: non-positive core configuration")
 	}
-	return &Core{
-		cfg:      cfg,
-		mem:      m,
-		robLoads: make([]inflight, 0, cfg.LQ),
-		mshrs:    make([]uint64, 0, cfg.L1MSHRs),
+	c := &Core{
+		cfg:    cfg,
+		mem:    m,
+		robBuf: make([]inflight, robBufLQs*cfg.LQ),
+		mshrs:  make([]uint64, 0, cfg.L1MSHRs),
 	}
+	c.robLoads = c.robBuf[:0]
+	return c
 }
 
 // Reset restores the just-constructed state over a (possibly new) memory,
@@ -127,7 +137,7 @@ func (c *Core) Reset(m Memory) {
 	c.instrCount = 0
 	c.recIndex = 0
 	clear(c.completions[:])
-	c.robLoads = c.robLoads[:0]
+	c.robLoads = c.robBuf[:0]
 	c.mshrs = c.mshrs[:0]
 	c.st = Stats{}
 }
@@ -211,7 +221,7 @@ func (c *Core) Step(a mem.Access) {
 			c.mshrs = append(c.mshrs, done)
 		}
 		if done > cycle {
-			c.robLoads = append(c.robLoads, inflight{index: c.instrCount, done: done})
+			c.pushLoad(inflight{index: c.instrCount, done: done})
 		}
 	} else {
 		// Stores retire through the store queue; the fill happened at
@@ -230,10 +240,17 @@ func (c *Core) Step(a mem.Access) {
 	}
 }
 
+// pushLoad appends an incomplete load to robLoads, first moving the window
+// to the start of robBuf if it already reaches robBuf's end.
+func (c *Core) pushLoad(f inflight) {
+	if len(c.robLoads) == cap(c.robLoads) {
+		c.robLoads = c.robBuf[:copy(c.robBuf, c.robLoads)]
+	}
+	c.robLoads = append(c.robLoads, f)
+}
+
 // drainOccupancy applies the ROB and LQ limits, advancing cycle past the
-// completions that must retire first. The slice stays anchored at its
-// backing array's start (pops are deferred into one compaction) so the
-// preallocated capacity is never abandoned.
+// completions that must retire first.
 //
 // Completed loads are pruned lazily: a stale entry (done <= cycle) is
 // cycle-neutral in every max-over-done pop — entry cycles are non-decreasing
@@ -246,40 +263,30 @@ func (c *Core) drainOccupancy(cycle uint64) uint64 {
 	// ROB: oldest incomplete load must be within ROB instructions. Stale
 	// completed entries in the prefix advance nothing and are popped along
 	// the way.
-	pop := 0
-	n := len(c.robLoads)
-	for pop < n && c.instrCount-c.robLoads[pop].index >= uint64(c.cfg.ROB) {
-		if d := c.robLoads[pop].done; d > cycle {
-			cycle = d
+	q := c.robLoads
+	for len(q) > 0 && c.instrCount-q[0].index >= uint64(c.cfg.ROB) {
+		if q[0].done > cycle {
+			cycle = q[0].done
 		}
-		pop++
+		q = q[1:]
 	}
-	if pop > 0 {
-		n = copy(c.robLoads, c.robLoads[pop:])
-		c.robLoads = c.robLoads[:n]
-	}
-	if n < c.cfg.LQ {
+	if len(q) < c.cfg.LQ {
+		c.robLoads = q
 		return cycle
 	}
 	// LQ may bind: prune completed loads, then pop until under the limit.
-	keep := c.robLoads[:0]
-	for _, f := range c.robLoads {
+	keep := q[:0]
+	for _, f := range q {
 		if f.done > cycle {
 			keep = append(keep, f)
 		}
 	}
-	c.robLoads = keep
-	pop = 0
-	for len(c.robLoads)-pop >= c.cfg.LQ {
-		if d := c.robLoads[pop].done; d > cycle {
-			cycle = d
+	for q = keep; len(q) >= c.cfg.LQ; q = q[1:] {
+		if q[0].done > cycle {
+			cycle = q[0].done
 		}
-		pop++
 	}
-	if pop > 0 {
-		n = copy(c.robLoads, c.robLoads[pop:])
-		c.robLoads = c.robLoads[:n]
-	}
+	c.robLoads = q
 	return cycle
 }
 

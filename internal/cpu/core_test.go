@@ -212,3 +212,183 @@ func TestDepClampOutOfRange(t *testing.T) {
 		t.Fatalf("MemRecords = %d", st.MemRecords)
 	}
 }
+
+// randomTrace mixes loads and stores, hits and misses, dependences and
+// instruction gaps, seeded.
+func randomTrace(seed uint64, n int) ([]mem.Access, map[mem.Line]bool) {
+	rng := mem.NewPRNG(seed)
+	recs := make([]mem.Access, 0, n)
+	misses := map[mem.Line]bool{}
+	for range n {
+		addr := mem.Addr(rng.Intn(1<<16) * 64)
+		if rng.Intn(3) == 0 {
+			misses[mem.LineOf(addr)] = true
+		}
+		a := loadAt(mem.Addr(rng.Intn(16)), addr, uint32(rng.Intn(4)), uint16(rng.Intn(12)))
+		if rng.Intn(5) == 0 {
+			a.Kind = mem.Store
+		}
+		recs = append(recs, a)
+	}
+	return recs, misses
+}
+
+// recordSource hides SliceSource's NextBlock, so RunBlocks drains it
+// record by record.
+type recordSource struct{ s *mem.SliceSource }
+
+func (r recordSource) Next() (mem.Access, bool) { return r.s.Next() }
+
+func TestRunBlocksMatchesRun(t *testing.T) {
+	recs, misses := randomTrace(7, 20000)
+	run := func(f func(*Core) Stats) Stats {
+		return f(New(Default(), &fixedMemory{hitLat: 3, missLat: 180, misses: misses}))
+	}
+	want := run(func(c *Core) Stats { return c.Run(mem.NewSliceSource(recs)) })
+	for _, size := range []int{0, 1, 7, 64, 4096} {
+		got := run(func(c *Core) Stats {
+			return c.RunBlocks(mem.NewSliceSource(recs), make([]mem.Access, size))
+		})
+		if got != want {
+			t.Errorf("RunBlocks, %d-record blocks: %+v, Run: %+v", size, got, want)
+		}
+		got = run(func(c *Core) Stats {
+			return c.RunBlocks(recordSource{mem.NewSliceSource(recs)}, make([]mem.Access, size))
+		})
+		if got != want {
+			t.Errorf("RunBlocks over a record source, %d-record blocks: %+v, Run: %+v", size, got, want)
+		}
+	}
+}
+
+// TestResetMatchesNew: a core Reset after a run (with its load queue left
+// part-way through its backing array) runs the next trace exactly as a new
+// core does, on the same buffers.
+func TestResetMatchesNew(t *testing.T) {
+	first, firstMisses := randomTrace(11, 5000)
+	second, misses := randomTrace(12, 5000)
+	c := New(Default(), &fixedMemory{hitLat: 2, missLat: 300, misses: firstMisses})
+	c.Run(mem.NewSliceSource(first))
+	buf := &c.robBuf[0]
+	c.Reset(&fixedMemory{hitLat: 2, missLat: 300, misses: misses})
+	if len(c.robLoads) != 0 || &c.robLoads[:1][0] != buf {
+		t.Fatal("Reset left load-queue entries or moved the queue off its buffer")
+	}
+	got := c.Run(mem.NewSliceSource(second))
+	want := New(Default(), &fixedMemory{hitLat: 2, missLat: 300, misses: misses}).Run(mem.NewSliceSource(second))
+	if got != want {
+		t.Fatalf("after Reset: %+v, new core: %+v", got, want)
+	}
+}
+
+// TestLQBindsOnIncompleteLoads: with a 4-entry load queue, the fifth of
+// eight independent 1000-cycle misses waits for the first to complete, and
+// the three after it find the queue freed by then.
+func TestLQBindsOnIncompleteLoads(t *testing.T) {
+	cfg := Default()
+	cfg.LQ = 4
+	misses := map[mem.Line]bool{}
+	var recs []mem.Access
+	for i := range 8 {
+		addr := mem.Addr(i * 64)
+		misses[mem.LineOf(addr)] = true
+		recs = append(recs, loadAt(1, addr, 0, 0))
+	}
+	st := New(cfg, &fixedMemory{hitLat: 1, missLat: 1000, misses: misses}).Run(mem.NewSliceSource(recs))
+	if st.Cycles != 2000 {
+		t.Fatalf("Cycles = %d, want 2000: loads 1-4 done at 1000, 5-8 issue then", st.Cycles)
+	}
+}
+
+// TestLQPrunesCompletedLoads: completed loads left in the queue do not
+// count against the LQ. One 1000-cycle miss is followed by twenty 1-cycle
+// hits two cycles apart; once the raw count reaches the 4-entry LQ the
+// completed hits are pruned, so no hit waits for the miss.
+func TestLQPrunesCompletedLoads(t *testing.T) {
+	cfg := Default()
+	cfg.LQ = 4
+	recs := []mem.Access{loadAt(1, 0, 0, 9)}
+	for i := range 20 {
+		recs = append(recs, loadAt(2, mem.Addr(0x10000+i*64), 0, 9)) // 10 instructions: 2 cycles
+	}
+	m := &fixedMemory{hitLat: 1, missLat: 1000, misses: map[mem.Line]bool{0: true}}
+	st := New(cfg, m).Run(mem.NewSliceSource(recs))
+	if st.Cycles != 1002 {
+		t.Fatalf("Cycles = %d, want 1002: the miss issues at cycle 2 and no hit waits for it", st.Cycles)
+	}
+}
+
+// refQueue is the load queue as a plain slice, popped and pushed by the
+// rules drainOccupancy and pushLoad follow, without a fixed backing array.
+type refQueue []inflight
+
+func (r *refQueue) drain(instrCount, cycle uint64, cfg Config) uint64 {
+	q := *r
+	for len(q) > 0 && instrCount-q[0].index >= uint64(cfg.ROB) {
+		cycle = max(cycle, q[0].done)
+		q = q[1:]
+	}
+	if len(q) >= cfg.LQ {
+		var keep []inflight
+		for _, f := range q {
+			if f.done > cycle {
+				keep = append(keep, f)
+			}
+		}
+		for q = keep; len(q) >= cfg.LQ; q = q[1:] {
+			cycle = max(cycle, q[0].done)
+		}
+	}
+	*r = append(refQueue(nil), q...)
+	return cycle
+}
+
+// TestROBQueueCompaction drives the load queue through a 3-entry LQ, so
+// its window crosses the 12-entry backing array many times, and checks
+// after every step that it matches refQueue, holds at most LQ entries and
+// still lives in the array New allocated.
+func TestROBQueueCompaction(t *testing.T) {
+	cfg := Default()
+	cfg.LQ = 3
+	cfg.ROB = 40
+	c := New(cfg, &fixedMemory{})
+	buf := c.robBuf
+	var ref refQueue
+	rng := mem.NewPRNG(5)
+	var cycle uint64
+	moves := 0
+	for step := range 50000 {
+		c.instrCount += uint64(1 + rng.Intn(12))
+		cycle += uint64(rng.Intn(4))
+		got, want := c.drainOccupancy(cycle), ref.drain(c.instrCount, cycle, cfg)
+		if got != want {
+			t.Fatalf("step %d: drainOccupancy = %d, reference %d", step, got, want)
+		}
+		cycle = got
+		if rng.Intn(3) != 0 {
+			f := inflight{index: c.instrCount, done: cycle + 1 + uint64(rng.Intn(200))}
+			if len(c.robLoads) == cap(c.robLoads) {
+				moves++
+			}
+			c.pushLoad(f)
+			ref = append(ref, f)
+		}
+		if len(c.robLoads) > cfg.LQ {
+			t.Fatalf("step %d: queue holds %d entries, LQ is %d", step, len(c.robLoads), cfg.LQ)
+		}
+		if &c.robBuf[0] != &buf[0] || cap(c.robLoads) > 0 && &c.robLoads[:cap(c.robLoads)][cap(c.robLoads)-1] != &buf[len(buf)-1] {
+			t.Fatalf("step %d: the queue left the backing array New allocated", step)
+		}
+		if len(ref) != len(c.robLoads) {
+			t.Fatalf("step %d: queue %v, reference %v", step, c.robLoads, ref)
+		}
+		for i := range ref {
+			if ref[i] != c.robLoads[i] {
+				t.Fatalf("step %d: queue %v, reference %v", step, c.robLoads, ref)
+			}
+		}
+	}
+	if moves < 100 {
+		t.Fatalf("the window moved back to the array start %d times; want many", moves)
+	}
+}

@@ -242,7 +242,7 @@ func splitStream(t *testing.T, body string) (map[int]string, StreamTrailer) {
 // end: NDJSON rows sorted by index, index stripped, must equal the
 // buffered /v1/sweep results array element-for-element, byte-for-byte.
 func TestSweepStreamMatchesBuffered(t *testing.T) {
-	ev := prophet.New(prophet.WithBackendMaxBatch(1))
+	ev := prophet.New()
 	_, ts := newTestServer(t, Config{Evaluator: ev})
 	body := `{"workloads":[{"name":"sphinx3","records":20000},{"name":"xalancbmk","records":20000}],` +
 		`"schemes":["baseline","triangel"],"jobs":[{"workload":{"name":"nosuch"},"scheme":"baseline"}]}`
@@ -312,11 +312,12 @@ func TestSweepStreamSSE(t *testing.T) {
 }
 
 // TestSweepStreamIncremental proves streaming is actually incremental: the
-// first row must be readable while a later job is still blocked inside the
+// first row must be readable while another job is still blocked inside the
 // engine — a buffered response could never do that.
 func TestSweepStreamIncremental(t *testing.T) {
-	// With MaxBatch 1 the local stream runs one-job chunks in order, so the
-	// scheme's second invocation is exactly the second job.
+	// The scheme's second invocation blocks. Which job that is depends on
+	// the worker pool's interleaving; the other job's row must stream
+	// first either way.
 	release := make(chan struct{})
 	var calls atomic.Int64
 	setTestScheme(func(ctx registry.Context) (registry.Result, error) {
@@ -326,12 +327,13 @@ func TestSweepStreamIncremental(t *testing.T) {
 		return registry.Result{Stats: ctx.Baseline()}, nil
 	})
 	t.Cleanup(func() { setTestScheme(nil) })
-	// Guarantee the release even if an assertion fails first.
+
+	ev := prophet.New()
+	_, ts := newTestServer(t, Config{Evaluator: ev})
+	// Registered after the server's cleanup, so it runs first: closing
+	// the server waits for the blocked handler.
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(release) }) })
-
-	ev := prophet.New(prophet.WithBackendMaxBatch(1))
-	_, ts := newTestServer(t, Config{Evaluator: ev})
 	body := `{"workloads":[{"name":"sphinx3","records":20000},{"name":"xalancbmk","records":20000}],` +
 		`"schemes":["server-test"]}`
 	resp, err := http.Post(ts.URL+"/v1/sweep?stream=1", "application/json", strings.NewReader(body))
@@ -345,21 +347,24 @@ func TestSweepStreamIncremental(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatalf("no first row before release: %v", sc.Err())
 	}
-	first := sc.Text()
-	if !strings.HasPrefix(first, `{"index":0,`) {
-		t.Fatalf("first streamed line %q, want index 0", first)
+	var first StreamRow
+	if err := json.Unmarshal(sc.Bytes(), &first); err != nil || first.Index < 0 || first.Index > 1 || first.Scheme != "server-test" {
+		t.Fatalf("first streamed line %q (err %v), want the row of job 0 or 1", sc.Text(), err)
 	}
 	once.Do(func() { close(release) })
 
-	got := 1
-	var trailerLine string
+	var lines []string
 	for sc.Scan() {
-		trailerLine = sc.Text()
-		got++
+		lines = append(lines, sc.Text())
 	}
-	if got != 3 { // two rows + trailer
-		t.Fatalf("streamed %d lines, want 3", got)
+	if len(lines) != 2 { // the other row + trailer
+		t.Fatalf("streamed %d lines, want 3", 1+len(lines))
 	}
+	var second StreamRow
+	if err := json.Unmarshal([]byte(lines[0]), &second); err != nil || second.Index != 1-first.Index {
+		t.Fatalf("second streamed line %q (err %v), want the row of job %d", lines[0], err, 1-first.Index)
+	}
+	trailerLine := lines[1]
 	var trailer StreamTrailer
 	if err := json.Unmarshal([]byte(trailerLine), &trailer); err != nil || !trailer.Done {
 		t.Fatalf("trailer %q (err %v), want done", trailerLine, err)

@@ -9,9 +9,15 @@
 // 2048 sets) one way holds 2048 lines x 12 = 24,576 entries, so the paper's
 // 1MB maximum table is 8 ways = 196,608 entries — the exact figure Section
 // 5.10 uses.
+//
+// Two hash structures sit on the per-access path. The Compressor keeps its
+// own key-free index table (4 bytes a slot, see below); probeMap, a generic
+// open-addressed map, backs the smaller per-engine indexes (LineIndex, the
+// reuse buffer, the histogram).
 package temporal
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"prophet/internal/mem"
@@ -31,38 +37,53 @@ const MaxIndex = 1<<IndexBits - 1
 // the mapping wraps (overwriting the oldest index) if a run ever exceeds
 // 2^31 distinct lines, which no simulated workload approaches.
 //
-// Index sits on the per-access hot path of every temporal scheme, so the
-// line -> index direction is an open-addressed probe map rather than a Go
-// map: one flat probe per lookup, no per-entry allocations.
+// Index sits on the per-access hot path of every temporal scheme, and the
+// compressor is the largest live structure of a temporal run, so the
+// line -> index direction is a linear-probing table that stores no keys:
+// a slot holds index+1 (0 = empty), and its key is toLine[index]. That is
+// 4 bytes a slot plus the 8-byte toLine entry every index needs anyway.
+// toLine's capacity is ¾ of the slot count, so both arrays grow together,
+// by doubling, when the table reaches ¾ load.
 type Compressor struct {
-	toIndex *probeMap[mem.Line]
-	toLine  []mem.Line
-	free    atomic.Bool // see recycler
+	slots  []uint32    // index+1 of the line homed at or probed to this slot; 0 = empty
+	mask   uint64      // len(slots)-1
+	toLine []mem.Line  // index -> line; cap(toLine) = len(slots)*3/4
+	wrap   uint32      // next index to recycle once all 2^31 are in use
+	free   atomic.Bool // see recycler
 }
+
+// compressorSlots is a new compressor's slot count, sized for the tens of
+// thousands of distinct lines a typical simulated trace touches.
+const compressorSlots = 1 << 15
 
 // compressors recycles Released compressors across runs. A compressor
 // grows to the distinct-line footprint of its run (tens to hundreds of
-// thousands of lines); a fresh one per run would regrow from the presize
-// below, leaving every intermediate probe table and toLine slice behind as
-// garbage.
+// thousands of lines); a fresh one per run would regrow from the presize,
+// leaving every intermediate slot and toLine array behind as garbage.
 var compressors = recycler[Compressor]{free: func(c *Compressor) *atomic.Bool { return &c.free }}
 
 // NewCompressor returns an empty compressor, reusing the storage of a
 // Released one when available. A reused compressor is observably fresh:
-// its probe map is cleared and toLine truncated, so indices are assigned
+// its slots are cleared and toLine truncated, so indices are assigned
 // first-touch from 0 exactly as in a new one.
 func NewCompressor() *Compressor {
 	if c := compressors.get(); c != nil {
-		c.toIndex.clear()
+		clear(c.slots)
 		c.toLine = c.toLine[:0]
+		c.wrap = 0
 		return c
 	}
-	// Presized for the tens of thousands of distinct lines a typical
-	// simulated trace touches, so steady-state Index calls rarely rehash.
-	return &Compressor{
-		toIndex: newProbeMap[mem.Line](1 << 15),
-		toLine:  make([]mem.Line, 0, 1<<14),
-	}
+	c := &Compressor{}
+	c.alloc(compressorSlots)
+	return c
+}
+
+// alloc gives the compressor n empty slots (a power of two) and an empty
+// toLine of capacity ¾ n.
+func (c *Compressor) alloc(n int) {
+	c.slots = make([]uint32, n)
+	c.mask = uint64(n - 1)
+	c.toLine = make([]mem.Line, 0, n/4*3)
 }
 
 // Release makes the compressor's storage available to a future
@@ -75,26 +96,90 @@ func (c *Compressor) Release() {
 	compressors.put(c)
 }
 
+// home is l's first probe slot: a Fibonacci hash whose high product bits
+// feed the table index, so nearby lines spread across the table.
+func (c *Compressor) home(l mem.Line) uint64 {
+	return bits.RotateLeft64(uint64(l)*0x9e3779b97f4a7c15, 31) & c.mask
+}
+
+// find returns l's index+1, or 0 with the empty slot that ends l's probe
+// run.
+func (c *Compressor) find(l mem.Line) (v uint32, slot uint64) {
+	i := c.home(l)
+	for {
+		v := c.slots[i]
+		if v == 0 || c.toLine[v-1] == l {
+			return v, i
+		}
+		i = (i + 1) & c.mask
+	}
+}
+
 // Index returns the compressed index for line l, allocating one on first use.
 func (c *Compressor) Index(l mem.Line) uint32 {
-	if idx, ok := c.toIndex.get(l); ok {
-		return idx
+	v, i := c.find(l)
+	if v != 0 {
+		return v - 1
 	}
-	idx := uint32(len(c.toLine)) & MaxIndex
-	if len(c.toLine) <= int(idx) {
-		c.toLine = append(c.toLine, l)
-	} else {
-		// Wrapped: recycle the slot.
-		c.toIndex.del(c.toLine[idx])
-		c.toLine[idx] = l
+	n := len(c.toLine)
+	if n > MaxIndex {
+		return c.replace(l)
 	}
-	c.toIndex.set(l, idx)
+	if n == cap(c.toLine) {
+		c.grow()
+		_, i = c.find(l)
+	}
+	c.toLine = append(c.toLine, l)
+	c.slots[i] = uint32(n) + 1
+	return uint32(n)
+}
+
+// replace reassigns the oldest index to l once all 2^31 are in use: the
+// old line's slot is deleted by backward shift, so no tombstones are
+// needed, and l is inserted under the recycled index.
+func (c *Compressor) replace(l mem.Line) uint32 {
+	idx := c.wrap
+	c.wrap = (c.wrap + 1) & MaxIndex
+	_, hole := c.find(c.toLine[idx])
+	// Shift later entries of the probe run back into the hole when their
+	// home slot does not sit strictly between the hole and them
+	// (cyclically) — otherwise probing for them would stop at the hole.
+	for j := (hole + 1) & c.mask; c.slots[j] != 0; j = (j + 1) & c.mask {
+		home := c.home(c.toLine[c.slots[j]-1])
+		if (j-home)&c.mask >= (j-hole)&c.mask {
+			c.slots[hole] = c.slots[j]
+			hole = j
+		}
+	}
+	c.slots[hole] = 0
+	c.toLine[idx] = l
+	_, i := c.find(l)
+	c.slots[i] = idx + 1
 	return idx
+}
+
+// grow doubles the slot count and toLine's capacity together, re-homing
+// every index. Lines are distinct, so each re-insert takes the first empty
+// slot of its probe run.
+func (c *Compressor) grow() {
+	old := c.toLine
+	c.alloc(2 * len(c.slots))
+	c.toLine = append(c.toLine, old...)
+	for k, l := range old {
+		i := c.home(l)
+		for c.slots[i] != 0 {
+			i = (i + 1) & c.mask
+		}
+		c.slots[i] = uint32(k) + 1
+	}
 }
 
 // Lookup returns the index for l without allocating.
 func (c *Compressor) Lookup(l mem.Line) (uint32, bool) {
-	return c.toIndex.get(l)
+	if v, _ := c.find(l); v != 0 {
+		return v - 1, true
+	}
+	return 0, false
 }
 
 // Line translates a compressed index back to its line address.
@@ -106,4 +191,4 @@ func (c *Compressor) Line(idx uint32) (mem.Line, bool) {
 }
 
 // Entries returns the number of live mappings (for storage accounting).
-func (c *Compressor) Entries() int { return c.toIndex.len() }
+func (c *Compressor) Entries() int { return len(c.toLine) }

@@ -1,0 +1,154 @@
+package temporal
+
+import (
+	"testing"
+
+	"prophet/internal/mem"
+)
+
+// refCompressor is the compressor's contract as a Go map plus a slice.
+type refCompressor struct {
+	toIndex map[mem.Line]uint32
+	toLine  []mem.Line
+}
+
+func newRefCompressor() *refCompressor {
+	return &refCompressor{toIndex: map[mem.Line]uint32{}}
+}
+
+func (r *refCompressor) index(l mem.Line) uint32 {
+	if idx, ok := r.toIndex[l]; ok {
+		return idx
+	}
+	idx := uint32(len(r.toLine))
+	r.toIndex[l] = idx
+	r.toLine = append(r.toLine, l)
+	return idx
+}
+
+// checkCompressor compares every mapping of c against r, both ways.
+func checkCompressor(t *testing.T, c *Compressor, r *refCompressor) {
+	t.Helper()
+	if c.Entries() != len(r.toLine) {
+		t.Fatalf("Entries = %d, reference %d", c.Entries(), len(r.toLine))
+	}
+	for idx, l := range r.toLine {
+		if got, ok := c.Line(uint32(idx)); !ok || got != l {
+			t.Fatalf("Line(%d) = %d,%v, reference %d", idx, got, ok, l)
+		}
+		if got, ok := c.Lookup(l); !ok || got != uint32(idx) {
+			t.Fatalf("Lookup(%d) = %d,%v, reference %d", l, got, ok, idx)
+		}
+	}
+	used := 0
+	for _, v := range c.slots {
+		if v != 0 {
+			used++
+		}
+	}
+	if used != len(r.toLine) {
+		t.Fatalf("%d slots in use for %d lines", used, len(r.toLine))
+	}
+}
+
+// TestCompressorMatchesModel runs a seeded mix of Index, Lookup, Line and
+// Entries calls against refCompressor, through several doublings of the
+// table and across Release and reuse.
+func TestCompressorMatchesModel(t *testing.T) {
+	rng := mem.NewPRNG(42)
+	c := NewCompressor()
+	for round := range 3 {
+		r := newRefCompressor()
+		// Lines are drawn from a pool that outgrows the presize several
+		// times; a third of the draws come from a hot set near zero so
+		// line 0 and hits on early indices are exercised too.
+		pool := 120_000 * (round + 1)
+		for op := range 400_000 {
+			var l mem.Line
+			if rng.Intn(3) == 0 {
+				l = mem.Line(rng.Intn(64))
+			} else {
+				l = mem.Line(rng.Uint64() % uint64(pool) * 7919)
+			}
+			switch rng.Intn(8) {
+			case 0:
+				got, ok := c.Lookup(l)
+				want, wok := r.toIndex[l]
+				if ok != wok || got != want {
+					t.Fatalf("round %d op %d: Lookup(%d) = %d,%v, reference %d,%v", round, op, l, got, ok, want, wok)
+				}
+			case 1:
+				idx := uint32(rng.Intn(len(r.toLine) + 8))
+				got, ok := c.Line(idx)
+				wok := int(idx) < len(r.toLine)
+				if ok != wok || wok && got != r.toLine[idx] {
+					t.Fatalf("round %d op %d: Line(%d) = %d,%v", round, op, idx, got, ok)
+				}
+			case 2:
+				if c.Entries() != len(r.toLine) {
+					t.Fatalf("round %d op %d: Entries = %d, reference %d", round, op, c.Entries(), len(r.toLine))
+				}
+			default:
+				if got, want := c.Index(l), r.index(l); got != want {
+					t.Fatalf("round %d op %d: Index(%d) = %d, reference %d", round, op, l, got, want)
+				}
+			}
+		}
+		if len(c.slots) <= compressorSlots {
+			t.Fatalf("round %d: %d lines never grew the table", round, len(r.toLine))
+		}
+		checkCompressor(t, c, r)
+		c.Release()
+		if n := NewCompressor(); n != c {
+			t.Fatal("the Released compressor was not reused")
+		}
+	}
+	c.Release()
+}
+
+// TestCompressorWrapReplace exercises the path Index takes once all 2^31
+// indices are in use, which no test can reach by filling the table: replace
+// recycles the oldest index, deleting the old line's slot by backward
+// shift. A small, nearly full table with clustered probe runs (including
+// runs that wrap past the table's end) makes the shifts long.
+func TestCompressorWrapReplace(t *testing.T) {
+	c := &Compressor{}
+	c.alloc(64)
+	r := newRefCompressor()
+	rng := mem.NewPRNG(9)
+	next := mem.Line(1)
+	for len(r.toLine) < cap(c.toLine) {
+		if got, want := c.Index(next), r.index(next); got != want {
+			t.Fatalf("Index(%d) = %d, reference %d", next, got, want)
+		}
+		next++
+	}
+	checkCompressor(t, c, r)
+	for step := range 10 * len(r.toLine) {
+		// Recycle indices in order, as Index does after the wrap.
+		idx := c.wrap
+		var l mem.Line
+		if rng.Intn(4) == 0 {
+			l = r.toLine[rng.Intn(len(r.toLine))] + 1000 // unrelated new line
+		} else {
+			l = next
+			next++
+		}
+		if _, live := r.toIndex[l]; live {
+			continue
+		}
+		if got := c.replace(l); got != idx {
+			t.Fatalf("step %d: replace reused index %d, want %d", step, got, idx)
+		}
+		if c.wrap == uint32(len(r.toLine)) {
+			c.wrap = 0 // keep the cursor inside this small table
+		}
+		delete(r.toIndex, r.toLine[idx])
+		r.toIndex[l] = idx
+		r.toLine[idx] = l
+		checkCompressor(t, c, r)
+		if got, ok := c.Lookup(l); !ok || got != idx {
+			t.Fatalf("step %d: replaced line %d looks up as %d,%v", step, l, got, ok)
+		}
+	}
+}

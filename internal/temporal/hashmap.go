@@ -3,9 +3,10 @@ package temporal
 import "math/bits"
 
 // probeMap is a small open-addressed hash map from integer keys to uint32
-// values, used on the simulator's per-access hot paths (address compression,
-// the metadata reuse buffer, Triangel's samplers) in place of Go's built-in
-// map. It exists for speed and allocation behaviour, not generality:
+// values, used on the simulator's per-access hot paths (the metadata reuse
+// buffer, Triangel's samplers, LineIndex) in place of Go's built-in map.
+// The Compressor does not use it: it keeps its own key-free table.
+// probeMap exists for speed and allocation behaviour, not generality:
 //
 //   - linear probing in one flat backing array — no per-entry allocations,
 //     no bucket pointers, cache-line-friendly probes;
@@ -115,12 +116,6 @@ func (m *probeMap[K]) del(k K) {
 
 // len returns the number of stored entries.
 func (m *probeMap[K]) len() int { return m.count }
-
-// clear empties the map, keeping its capacity.
-func (m *probeMap[K]) clear() {
-	clear(m.state)
-	m.count = 0
-}
 
 func (m *probeMap[K]) grow() {
 	oldKeys, oldVals, oldState := m.keys, m.vals, m.state

@@ -30,23 +30,33 @@ func (x *LineIndex) Del(l mem.Line) { x.m.del(l) }
 // Len returns the number of indexed lines.
 func (x *LineIndex) Len() int { return x.m.len() }
 
-// U32Set is an open-addressed set of uint32 keys — the distinct-source
-// estimator of Triage's resizing logic, which adds one element per trainable
-// access and must not pay a Go-map assignment for it.
-type U32Set struct {
-	m *probeMap[uint32]
+// IndexSet is a set of compressed indices — the distinct-source estimator
+// of Triage's resizing logic, which adds one element per trainable access.
+// Compressed indices are dense from 0 (first-touch order), so the set is a
+// bitset with one bit per index, grown to the largest index added. The zero
+// value is an empty set.
+type IndexSet struct {
+	words []uint64
+	n     int
 }
 
-// NewU32Set returns a set pre-sized for capHint elements.
-func NewU32Set(capHint int) *U32Set {
-	return &U32Set{m: newProbeMap[uint32](capHint)}
+// Add inserts idx.
+func (s *IndexSet) Add(idx uint32) {
+	w := int(idx >> 6)
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
+	}
+	if bit := uint64(1) << (idx & 63); s.words[w]&bit == 0 {
+		s.words[w] |= bit
+		s.n++
+	}
 }
-
-// Add inserts v.
-func (s *U32Set) Add(v uint32) { s.m.set(v, 0) }
 
 // Len returns the number of distinct elements.
-func (s *U32Set) Len() int { return s.m.len() }
+func (s *IndexSet) Len() int { return s.n }
 
 // Clear empties the set, keeping its capacity.
-func (s *U32Set) Clear() { s.m.clear() }
+func (s *IndexSet) Clear() {
+	clear(s.words)
+	s.n = 0
+}

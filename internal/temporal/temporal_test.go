@@ -55,7 +55,7 @@ func TestCompressorLookupNoAllocate(t *testing.T) {
 // recycled through Release/NewCompressor assigns the same index sequence as
 // a new one, starts empty, and no longer translates its old indices.
 func TestCompressorRecycledIsFresh(t *testing.T) {
-	const grown = 50_000 // past the 1<<15 presize, so the probe map regrew
+	const grown = 50_000 // past the presize, so the slots and toLine regrew
 	c := NewCompressor()
 	for i := range grown {
 		c.Index(mem.Line(1_000_003 * uint64(i+1)))
@@ -74,7 +74,8 @@ func TestCompressorRecycledIsFresh(t *testing.T) {
 	if _, ok := r.Lookup(mem.Line(1_000_003)); ok {
 		t.Fatal("recycled compressor still maps a stale line")
 	}
-	fresh := &Compressor{toIndex: newProbeMap[mem.Line](1 << 15)}
+	fresh := &Compressor{}
+	fresh.alloc(compressorSlots)
 	for i := range 2 * grown {
 		l := mem.Line(7919*uint64(i%(grown/2)) + 17) // repeats: hits and first touches
 		if got, want := r.Index(l), fresh.Index(l); got != want {

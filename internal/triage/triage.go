@@ -53,7 +53,7 @@ type Prefetcher struct {
 	// hardware uses a counting Bloom filter of ~200KB (Section 2.1.3);
 	// functionally it estimates the distinct-entry count, which we track
 	// exactly and account for in internal/storage.
-	epochSources *temporal.U32Set
+	epochSources temporal.IndexSet
 	epochAccess  uint64
 }
 
@@ -66,12 +66,11 @@ func New(cfg Config) *Prefetcher {
 		cfg.Table.Policy = temporal.MetaHawkeye
 	}
 	return &Prefetcher{
-		cfg:          cfg,
-		table:        temporal.NewTable(cfg.Table, cfg.Ways),
-		comp:         temporal.NewCompressor(),
-		train:        temporal.NewTrainingUnit(1024),
-		scratch:      make([]mem.Line, 0, cfg.Degree),
-		epochSources: temporal.NewU32Set(1 << 14),
+		cfg:     cfg,
+		table:   temporal.NewTable(cfg.Table, cfg.Ways),
+		comp:    temporal.NewCompressor(),
+		train:   temporal.NewTrainingUnit(1024),
+		scratch: make([]mem.Line, 0, cfg.Degree),
 	}
 }
 
