@@ -319,9 +319,10 @@ func (e *Evaluator) SweepLocal(ctx context.Context, jobs ...Job) ([]Result, erro
 	return e.sweepLocal(ctx, jobs, nil)
 }
 
-// sweepLocal runs the jobs on the in-process worker pool and returns their
-// results in job order; done, if not nil, is called with each row as soon
-// as it is final, from the goroutine that finished it. Cancelling the
+// sweepLocal runs the jobs through the in-process engine's one sweep path
+// (pipeline.Evaluator.SweepFunc) and returns their results in job order;
+// done, if not nil, is called with each row as soon as it is final, from
+// the goroutine that finished it. Cancelling the
 // context aborts the sweep: jobs not yet started report the context error.
 func (e *Evaluator) sweepLocal(ctx context.Context, jobs []Job, done func(i int, r Result)) ([]Result, error) {
 	results := make([]Result, len(jobs))
@@ -350,9 +351,8 @@ func (e *Evaluator) sweepLocal(ctx context.Context, jobs []Job, done func(i int,
 			done(i, results[i])
 		}
 	}
-	pipeline.ForEach(e.eng.Workers(), len(valid), func(k int) {
+	e.eng.SweepFunc(ctx, valid, func(k int, out pipeline.Outcome) {
 		i := validIdx[k]
-		out := e.eng.Run(ctx, valid[k])
 		if out.Err != nil {
 			results[i].Err = fmt.Errorf("prophet: %s under %s: %w",
 				jobs[i].Workload.Name, jobs[i].Scheme, out.Err)

@@ -1,10 +1,12 @@
 // Package memo is the one memoization primitive of this module: a
 // string-keyed cache that computes each key once and serves it many times,
 // the way Prophet analyses a hot path once and benefits on every execution.
-// Every layer that amortizes repeated work is an instance of Memo: prophetd's
-// serving tier (results across HTTP clients), the evaluator's baselines (the
-// denominator every normalized metric shares), the sweep's materialized
-// traces, and the parsed and validated external trace files.
+// Every layer that amortizes repeated work across requests is an instance of
+// Memo: prophetd's serving tier (results across HTTP clients), the
+// evaluator's baselines (the denominator every normalized metric shares),
+// and the parsed and validated external trace files. The sweep's
+// materialized traces are not: a sweep leases them only while its jobs
+// replay them (see internal/pipeline).
 //
 // A Memo coalesces concurrent calls for one key onto a single computation
 // (singleflight), holds at most a fixed number of completed entries (least

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,9 @@ type Job struct {
 	// keys must produce identical traces from their factories (the usual
 	// key is "name@records").
 	Key string
-	// Factory produces a fresh deterministic trace per simulation pass.
+	// Factory produces the job's deterministic trace. A sweep calls it
+	// once per key, to pack the trace that every pass of the key's jobs
+	// replays.
 	Factory SourceFactory
 	// Scheme is the registered scheme name ("baseline", "triage",
 	// "triangel", "rpg2", "prophet", or anything registered since).
@@ -56,23 +59,88 @@ type Evaluator struct {
 // 26-workload catalog, at a few hundred bytes per sim.Stats.
 const baselineEntries = 256
 
-// traces is the process-wide materialized-trace cache. Trace factories are
-// deterministic per key, so every simulation pass over the same key —
-// baseline, scheme run, Prophet's profile pass, RPG2's tuning ladder, each
-// scheme of a sweep — can replay one in-memory trace instead of
-// re-generating (or re-decoding) the stream. Generation is a measurable
-// fraction of short runs; this is the sweep-level scratch reuse that removes
-// it. The packed form holds about 6 bytes a record against 24 for an
-// []mem.Access, and replay decodes it straight into the simulator's block
-// buffer; trace.Bytes() is an entry's exact size. The cache is global, not
-// per-evaluator, because a trace depends only on its key (workload name,
-// record count, file identity) — never on the system configuration — so
-// independent evaluators sharing a process can share the records. The bound
-// keeps a long-lived daemon from accumulating every trace it served.
-var traces = memo.New[*mem.Packed](traceCacheEntries, 0, nil)
+// traces is the process-wide store of materialized traces, leased by the
+// jobs in flight. Trace factories are deterministic per key, so every
+// simulation pass over the same key — baseline, scheme run, Prophet's
+// profile pass, RPG2's tuning ladder, each scheme of a sweep — replays one
+// in-memory trace instead of re-generating (or re-decoding) the stream.
+// Generation is a measurable fraction of short runs; this is the
+// sweep-level scratch reuse that removes it. The packed form holds about 6
+// bytes a record against 24 for an []mem.Access, and replay decodes it
+// straight into the simulator's block buffer; trace.Bytes() is an entry's
+// exact size.
+//
+// The store is global, not per-evaluator, because a trace depends only on
+// its key (workload name, record count, file identity) — never on the
+// system configuration — so concurrent sweeps of independent evaluators
+// over one key share one trace. It holds a key only while a job holds it:
+// a sweep leases the key of each of its jobs before any runs, the first
+// pass packs the trace, and the last job's release drops it. What it holds
+// is thus bounded by the work in flight, not by a cache size.
+var traces = traceStore{m: map[string]*traceEntry{}}
 
-// traceCacheEntries bounds the materialized-trace cache.
-const traceCacheEntries = 8
+type traceStore struct {
+	mu sync.Mutex
+	m  map[string]*traceEntry
+}
+
+// traceEntry is one key's trace and the number of jobs holding it.
+type traceEntry struct {
+	refs int // guarded by the store's mu
+	// trace packs the trace on its first call and returns it thereafter;
+	// concurrent first calls wait for one pack, and a factory panic
+	// reaches every caller.
+	trace func() *mem.Packed
+	// packed is the trace once packed, for HeldTraces.
+	packed atomic.Pointer[mem.Packed]
+}
+
+// acquire leases key for one job, creating its entry, packed from f on
+// first use, when no job holds the key.
+func (s *traceStore) acquire(key string, f SourceFactory) *traceEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ent := s.m[key]
+	if ent == nil {
+		ent = &traceEntry{}
+		ent.trace = sync.OnceValue(func() *mem.Packed {
+			// Pack returns the storage of an unread packed source as is
+			// (trace files packed by the root-level cache), so the two
+			// layers never hold duplicate copies of one trace.
+			p := mem.Pack(f())
+			ent.packed.Store(p)
+			return p
+		})
+		s.m[key] = ent
+	}
+	ent.refs++
+	return ent
+}
+
+// release ends one job's lease on key; the last one drops the trace.
+func (s *traceStore) release(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ent := s.m[key]
+	if ent.refs--; ent.refs == 0 {
+		delete(s.m, key)
+	}
+}
+
+// HeldTraces reports how many packed traces the trace store holds, and
+// their bytes: the traces of the jobs in flight. It reads zero whenever no
+// sweep or run is in progress.
+func HeldTraces() (n, bytes int) {
+	traces.mu.Lock()
+	defer traces.mu.Unlock()
+	for _, ent := range traces.m {
+		if p := ent.packed.Load(); p != nil {
+			n++
+			bytes += p.Bytes()
+		}
+	}
+	return n, bytes
+}
 
 // NewEvaluator builds an evaluator. workers <= 0 selects runtime.NumCPU().
 func NewEvaluator(cfg Config, workers int) *Evaluator {
@@ -83,30 +151,6 @@ func NewEvaluator(cfg Config, workers int) *Evaluator {
 		cfg:       cfg,
 		workers:   workers,
 		baselines: memo.New[sim.Stats](baselineEntries, 0, nil),
-	}
-}
-
-// cachedFactory wraps a job's trace factory so all passes share one packed
-// trace. The factory materializes its trace once, on first use, through the
-// trace cache, where concurrent factories for the same key coalesce; it
-// keeps that trace even after the cache evicts the key.
-func cachedFactory(key string, f SourceFactory) SourceFactory {
-	var once sync.Once
-	var trace *mem.Packed
-	return func() mem.Source {
-		once.Do(func() {
-			var err error
-			// Pack returns the storage of an unread packed source as is
-			// (trace files packed by the root-level cache), so the two
-			// cache layers never hold duplicate copies of one trace.
-			trace, err = traces.Do(context.Background(), key, func() (*mem.Packed, error) {
-				return mem.Pack(f()), nil
-			})
-			if err != nil {
-				panic(err) // only a panicking factory fails; re-raise it
-			}
-		})
-		return trace.Source()
 	}
 }
 
@@ -152,8 +196,18 @@ func (e *Evaluator) RunDirect(factory registry.SourceFactory) (sim.Stats, map[st
 	return st, meta
 }
 
-// Run executes one job synchronously, consulting the baseline cache.
+// Run executes one job synchronously, consulting the baseline cache: a
+// one-job sweep.
 func (e *Evaluator) Run(ctx context.Context, job Job) Outcome {
+	var out Outcome
+	e.SweepFunc(ctx, []Job{job}, func(_ int, o Outcome) { out = o })
+	return out
+}
+
+// run executes one job under its lease on the job's trace, and ends the
+// lease when it returns.
+func (e *Evaluator) run(ctx context.Context, job Job, ent *traceEntry) Outcome {
+	defer traces.release(job.Key)
 	out := Outcome{Job: job}
 	if err := ctx.Err(); err != nil {
 		out.Err = err
@@ -165,7 +219,7 @@ func (e *Evaluator) Run(ctx context.Context, job Job) Outcome {
 			job.Scheme, strings.Join(registry.Names(), ", "))
 		return out
 	}
-	job.Factory = cachedFactory(job.Key, job.Factory)
+	job.Factory = func() mem.Source { return ent.trace().Source() }
 	out.Base = e.Baseline(job.Key, job.Factory)
 	if job.Scheme == "baseline" {
 		// The baseline scheme IS the cached run; don't simulate it twice.
@@ -191,10 +245,40 @@ func (e *Evaluator) Run(ctx context.Context, job Job) Outcome {
 // has no preemption points).
 func (e *Evaluator) Sweep(ctx context.Context, jobs ...Job) ([]Outcome, error) {
 	out := make([]Outcome, len(jobs))
-	ForEach(e.workers, len(jobs), func(i int) {
-		out[i] = e.Run(ctx, jobs[i])
-	})
+	e.SweepFunc(ctx, jobs, func(i int, o Outcome) { out[i] = o })
 	return out, ctx.Err()
+}
+
+// SweepFunc runs the jobs on the worker pool and calls done(i, out) once
+// per job, with the job's index, as soon as the job ends, from the
+// goroutine that ran it; it returns when every call has returned. Outcomes
+// are Sweep's. Jobs run grouped by trace key, keys in order of first
+// appearance (a workload-major list runs as given), and every key is
+// leased from the trace store for each of its jobs before any runs. A
+// key's trace is thus packed once per sweep, by its first pass, and
+// dropped when its last job ends, so about one trace per worker is live.
+func (e *Evaluator) SweepFunc(ctx context.Context, jobs []Job, done func(i int, out Outcome)) {
+	rank := make(map[string]int)
+	for _, j := range jobs {
+		if _, ok := rank[j.Key]; !ok {
+			rank[j.Key] = len(rank)
+		}
+	}
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rank[jobs[a].Key] - rank[jobs[b].Key] })
+	ents := make([]*traceEntry, len(jobs))
+	for _, i := range order {
+		ents[i] = traces.acquire(jobs[i].Key, jobs[i].Factory)
+	}
+	ForEach(e.workers, len(order), func(k int) {
+		i := order[k]
+		out := e.run(ctx, jobs[i], ents[i])
+		ents[i] = nil // the store alone keeps a trace, while a job holds it
+		done(i, out)
+	})
 }
 
 // ForEach runs fn(i) for i in [0,n) on up to workers goroutines and blocks

@@ -300,9 +300,59 @@ func TestTableMatchesReference(t *testing.T) {
 func checkTableAgainstReference(t *testing.T, cfg TableConfig, seed uint64) {
 	rng := mem.NewPRNG(seed + 1)
 	ways := rng.Intn(cfg.MaxWays + 1)
-	tb := NewTable(cfg, ways)
+	driveAgainstReference(t, NewTable(cfg, ways), newRefTable(cfg, ways), rng)
+}
+
+// TestTableRecycledAcrossPolicies: tables are pooled by geometry alone, so a
+// table released under one policy is taken back under another. The
+// recycled table must reuse the released backing array and then match a
+// fresh reference table of the new policy on a seeded sequence, Hawkeye
+// ghosts included: none carried into a Hawkeye run, none kept by a table
+// leaving Hawkeye.
+func TestTableRecycledAcrossPolicies(t *testing.T) {
+	geom := TableConfig{Sets: 16, EntriesPerWay: 3, MaxWays: 3}
+	for _, tc := range []struct{ from, to Policy }{
+		{MetaSRRIP, ProphetPriority},
+		{MetaSRRIP, MetaHawkeye},
+		{MetaHawkeye, MetaSRRIP},
+		{MetaHawkeye, MetaHawkeye},
+	} {
+		t.Run(fmt.Sprintf("%s-to-%s", tc.from, tc.to), func(t *testing.T) {
+			from, to := geom, geom
+			from.Policy, to.Policy = tc.from, tc.to
+			// Fill the table under the first policy until it replaces,
+			// so its slots, RRPVs and any ghosts are all dirty.
+			old := NewTable(from, from.MaxWays)
+			rng := mem.NewPRNG(7)
+			for range 4 * from.MaxEntries() {
+				old.Insert(uint32(rng.Intn(8*from.MaxEntries())), uint32(rng.Intn(64)), uint8(rng.Intn(8)))
+			}
+			if old.Stats().Replacements == 0 {
+				t.Fatal("the first run never replaced")
+			}
+			backing := &old.entries[0]
+			old.Release()
+
+			ways := 2
+			tb := NewTable(to, ways)
+			if tb != old || &tb.entries[0] != backing {
+				t.Fatal("the released table's backing array was not reused")
+			}
+			if tb.Config() != to || (tb.hawkeye != nil) != (tc.to == MetaHawkeye) {
+				t.Fatalf("recycled table runs %s with hawkeye state %v, want %s", tb.Config().Policy, tb.hawkeye != nil, tc.to)
+			}
+			driveAgainstReference(t, tb, newRefTable(to, ways), mem.NewPRNG(11))
+		})
+	}
+}
+
+// driveAgainstReference runs the random operation sequence of
+// TestTableMatchesReference on tb and ref, which must start equivalent, and
+// releases tb at the end.
+func driveAgainstReference(t *testing.T, tb *Table, ref *refTable, rng *mem.PRNG) {
+	t.Helper()
+	cfg := tb.Config()
 	defer func() { tb.Release() }()
-	ref := newRefTable(cfg, ways)
 	pool := uint32(3 * cfg.MaxEntries())
 	var resizes, replacements int
 	for op := range 20_000 {

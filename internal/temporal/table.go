@@ -147,15 +147,21 @@ const tagLiveBit = 1 << 15
 // touching that array: every read of entries/tags is bounded by count[set],
 // and a slot becomes live only through a full overwrite of its entry and tag
 // word, so clearing the small per-set count array alone restores the
-// fresh-table contract.
+// fresh-table contract. The pools are keyed by geometry alone: the policy
+// is per-run state that NewTable sets, so an idle table released under one
+// policy serves the next run under any other instead of sitting beside it.
 var tablePools struct {
 	sync.RWMutex
-	m map[TableConfig]*recycler[Table]
+	m map[tableGeometry]*recycler[Table]
 }
 
+// tableGeometry is the part of a TableConfig that sizes a table's storage.
+type tableGeometry struct{ sets, entriesPerWay, maxWays int }
+
 func tablePool(cfg TableConfig) *recycler[Table] {
+	g := tableGeometry{cfg.Sets, cfg.EntriesPerWay, cfg.MaxWays}
 	tablePools.RLock()
-	p := tablePools.m[cfg]
+	p := tablePools.m[g]
 	tablePools.RUnlock()
 	if p != nil {
 		return p
@@ -163,18 +169,19 @@ func tablePool(cfg TableConfig) *recycler[Table] {
 	tablePools.Lock()
 	defer tablePools.Unlock()
 	if tablePools.m == nil {
-		tablePools.m = map[TableConfig]*recycler[Table]{}
+		tablePools.m = map[tableGeometry]*recycler[Table]{}
 	}
-	if p = tablePools.m[cfg]; p == nil {
+	if p = tablePools.m[g]; p == nil {
 		p = &recycler[Table]{free: func(t *Table) *atomic.Bool { return &t.free }}
-		tablePools.m[cfg] = p
+		tablePools.m[g] = p
 	}
 	return p
 }
 
 // NewTable builds a table with the given initial ways, recycling the storage
-// of a previously Released table of the same geometry when one is available.
-// It panics on invalid geometry (static configuration error).
+// of a previously Released table of the same geometry, under whatever
+// policy, when one is available. It panics on invalid geometry (static
+// configuration error).
 func NewTable(cfg TableConfig, ways int) *Table {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic("temporal: table sets must be a positive power of two")
@@ -188,36 +195,39 @@ func NewTable(cfg TableConfig, ways int) *Table {
 	if ways > cfg.MaxWays {
 		ways = cfg.MaxWays
 	}
-	if t := tablePool(cfg).get(); t != nil {
-		t.recycle(ways)
-		return t
+	t := tablePool(cfg).get()
+	if t == nil {
+		maxPerSet := cfg.MaxWays * cfg.EntriesPerWay
+		t = &Table{
+			setBits:   uint(bits.TrailingZeros(uint(cfg.Sets))),
+			maxPerSet: maxPerSet,
+			entries:   make([]Entry, cfg.Sets*maxPerSet),
+			tags:      make([]uint16, cfg.Sets*maxPerSet),
+			count:     make([]int32, cfg.Sets),
+		}
 	}
-	maxPerSet := cfg.MaxWays * cfg.EntriesPerWay
-	t := &Table{
-		cfg:       cfg,
-		ways:      ways,
-		setBits:   uint(bits.TrailingZeros(uint(cfg.Sets))),
-		maxPerSet: maxPerSet,
-		entries:   make([]Entry, cfg.Sets*maxPerSet),
-		tags:      make([]uint16, cfg.Sets*maxPerSet),
-		count:     make([]int32, cfg.Sets),
-	}
-	if cfg.Policy == MetaHawkeye {
-		t.hawkeye = newHawkeyeState()
-	}
+	t.reset(cfg, ways)
 	return t
 }
 
-// recycle restores a pooled table to the observable state of a fresh
-// NewTable(cfg, ways). The entries and tags arrays stay dirty on purpose:
-// no code path reads a slot at index >= count[set] within a set's window,
-// and slots enter the live window only via a full Entry+tag write, so stale
-// contents are unobservable. ways has already been clamped by NewTable.
-func (t *Table) recycle(ways int) {
+// reset readies a new or pooled table of cfg's geometry for a run under
+// cfg's policy: the observable state of a fresh table with the given ways,
+// which NewTable has already clamped. A pooled table's entries and tags
+// arrays stay dirty on purpose: no code path reads a slot at index >=
+// count[set] within a set's window, and slots enter the live window only
+// via a full Entry+tag write, so stale contents (a previous policy's
+// priorities and RRPVs included) are unobservable.
+func (t *Table) reset(cfg TableConfig, ways int) {
+	t.cfg = cfg
 	t.ways = ways
 	clear(t.count)
 	t.stats = TableStats{}
-	if t.hawkeye != nil {
+	switch {
+	case cfg.Policy != MetaHawkeye:
+		t.hawkeye = nil
+	case t.hawkeye == nil:
+		t.hawkeye = newHawkeyeState()
+	default:
 		clear(t.hawkeye.ghosts)
 	}
 }

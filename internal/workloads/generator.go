@@ -217,10 +217,15 @@ func newStream(sp PatternSpec, regionSeed uint64) *stream {
 // permutedLines returns a deterministic pseudo-random visit order over n
 // lines starting at base.
 func permutedLines(base mem.Line, n int, rng *mem.PRNG) []mem.Line {
-	perm := rng.Perm(n)
+	// The Fisher–Yates swaps of mem.PRNG.Perm, run on the lines themselves
+	// so no []int permutation is built and copied.
 	out := make([]mem.Line, n)
-	for i, p := range perm {
-		out[i] = base + mem.Line(p)
+	for i := range out {
+		out[i] = base + mem.Line(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		out[i], out[j] = out[j], out[i]
 	}
 	return out
 }

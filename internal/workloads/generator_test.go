@@ -254,3 +254,33 @@ func TestMaterializeGeneratorAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestPermutedLinesMatchesPerm: permutedLines runs Perm's swaps on the
+// lines in place, so every visit order, and the generator state it leaves,
+// equals the Perm-based construction it replaced, and with them every
+// generated trace.
+func TestPermutedLinesMatchesPerm(t *testing.T) {
+	const base = mem.Line(1 << 20)
+	for _, n := range []int{0, 1, 2, 3, 17, 256, 4099} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			ref, rng := mem.NewPRNG(seed), mem.NewPRNG(seed)
+			perm := ref.Perm(n)
+			want := make([]mem.Line, n)
+			for i, p := range perm {
+				want[i] = base + mem.Line(p)
+			}
+			got := permutedLines(base, n, rng)
+			if rng.Uint64() != ref.Uint64() {
+				t.Fatalf("n=%d seed=%d: the generator's stream diverges after the permutation", n, seed)
+			}
+			if len(got) != n {
+				t.Fatalf("n=%d seed=%d: %d lines", n, seed, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d seed=%d: line %d = %d, Perm order gives %d", n, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package prophet
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"prophet/internal/mem"
+	"prophet/internal/pipeline"
 	"prophet/internal/workloads"
 )
 
@@ -65,22 +67,72 @@ func TestFileTraceSharesPackedStorage(t *testing.T) {
 			}
 		}
 
+		// A re-encoding of the prefix would be smaller than the file's
+		// encoding; a view of it has the file's dictionary and chunks,
+		// so the same Bytes, and packing its replay allocates nothing.
+		// The allocation bound is an average over many packs: the
+		// runtime's deferred accounting can charge a single window a few
+		// KiB the window never allocated.
 		budget := tc.records - 1000
 		factory, err := Workload{Name: name, Records: budget}.factory()
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := factory()
+		srcs := make([]mem.Source, 100)
+		for i := range srcs {
+			srcs[i] = factory()
+		}
+		var p *mem.Packed
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		p := mem.Pack(src)
+		for _, src := range srcs {
+			p = mem.Pack(src)
+		}
 		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<10 {
-			t.Fatalf("%s records=%d: packing the replay allocated %d bytes, a second copy of the file", tc.format, budget, grew)
+		if p.Len() != int(budget) || p.Bytes() != cached.Bytes() {
+			t.Fatalf("%s records=%d: the replay packed to %d records in %d bytes, not a view of the file's %d bytes",
+				tc.format, budget, p.Len(), p.Bytes(), cached.Bytes())
+		}
+		if grew := (after.TotalAlloc - before.TotalAlloc) / uint64(len(srcs)); grew > 1<<10 {
+			t.Fatalf("%s records=%d: packing the replay allocated %d bytes a pack, a second copy of the file", tc.format, budget, grew)
 		}
 		want := mem.Collect(cached.Source(), int(budget))
 		if got := mem.Collect(p.Source(), 0); !slices.Equal(got, want) {
 			t.Fatalf("%s records=%d: replayed %d records, not the file's first %d", tc.format, budget, len(got), budget)
 		}
 	}
+}
+
+// TestSweepsLeaveNoTraces: the sweep trace store holds a trace only while a
+// job replays it, so nothing stays packed once Sweep, SweepStream or a
+// single Run returns.
+func TestSweepsLeaveNoTraces(t *testing.T) {
+	var ws []Workload
+	for _, name := range []string{"sphinx3", "xalancbmk"} {
+		w, err := Find(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w.WithRecords(5_000))
+	}
+	jobs := Jobs(ws, Baseline, Triage)
+	ctx := context.Background()
+	check := func(after string) {
+		t.Helper()
+		if n, bytes := pipeline.HeldTraces(); n != 0 {
+			t.Fatalf("after %s the trace store holds %d traces, %d bytes", after, n, bytes)
+		}
+	}
+	if _, err := New(WithWorkers(2)).Sweep(ctx, jobs...); err != nil {
+		t.Fatal(err)
+	}
+	check("Sweep")
+	if err := New(WithWorkers(2)).SweepStream(ctx, func(int, Result) {}, jobs...); err != nil {
+		t.Fatal(err)
+	}
+	check("SweepStream")
+	if _, err := New().Run(ctx, ws[0], Triangel); err != nil {
+		t.Fatal(err)
+	}
+	check("Run")
 }
