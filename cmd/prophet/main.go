@@ -32,7 +32,7 @@ func main() {
 	eval := flag.String("eval", "", "workloads to evaluate (default: the learned inputs)")
 	records := flag.Uint64("records", 0, "memory records per run (0 = workload default)")
 	elAcc := flag.Float64("el-acc", 0.15, "EL_ACC insertion threshold (Equation 1)")
-	prioBits := flag.Int("priority-bits", 2, "replacement priority bits n (Equation 2)")
+	prioBits := flag.Int("priority-bits", 2, "replacement priority bits n (Equation 2, at most 8)")
 	mvbCand := flag.Int("mvb-candidates", 1, "Multi-path Victim Buffer candidates per lookup")
 	learnL := flag.Int("learn-l", 4, "Equation 4 designer parameter L")
 	version := flag.Bool("version", false, "print version and exit")
@@ -41,6 +41,11 @@ func main() {
 	if *version {
 		fmt.Println("prophet", prophet.Version())
 		return
+	}
+
+	if *prioBits > prophet.MaxPriorityBits {
+		fmt.Fprintf(os.Stderr, "-priority-bits %d: at most %d (the metadata table's priority is one byte)\n", *prioBits, prophet.MaxPriorityBits)
+		os.Exit(2)
 	}
 
 	inputList := cliutil.SplitList(*inputs)

@@ -83,7 +83,7 @@ func main() {
 	addr := flag.String("addr", ":8373", "listen address")
 	workers := flag.Int("workers", 0, "sweep worker pool (0 = all CPUs)")
 	elAcc := flag.Float64("el-acc", 0.15, "EL_ACC insertion threshold (Equation 1)")
-	prioBits := flag.Int("priority-bits", 2, "replacement priority bits n (Equation 2)")
+	prioBits := flag.Int("priority-bits", 2, "replacement priority bits n (Equation 2, at most 8)")
 	mvbCand := flag.Int("mvb-candidates", 1, "Multi-path Victim Buffer candidates per lookup")
 	learnL := flag.Int("learn-l", 4, "Equation 4 designer parameter L")
 	channels := flag.Int("channels", 1, "DRAM channels")
@@ -104,6 +104,11 @@ func main() {
 	if *version {
 		fmt.Println("prophetd", prophet.Version())
 		return
+	}
+
+	if *prioBits > prophet.MaxPriorityBits {
+		fmt.Fprintf(os.Stderr, "-priority-bits %d: at most %d (the metadata table's priority is one byte)\n", *prioBits, prophet.MaxPriorityBits)
+		os.Exit(2)
 	}
 
 	joinList := cliutil.SplitList(*join)

@@ -48,7 +48,8 @@ func WithOptions(o Options) Option { return func(e *Evaluator) { e.opts = o } }
 // WithELAcc sets the Equation 1 insertion threshold (default 0.15).
 func WithELAcc(v float64) Option { return func(e *Evaluator) { e.opts.ELAcc = v } }
 
-// WithPriorityBits sets Equation 2's n (default 2).
+// WithPriorityBits sets Equation 2's n (default 2; above MaxPriorityBits it
+// runs as MaxPriorityBits).
 func WithPriorityBits(n int) Option { return func(e *Evaluator) { e.opts.PriorityBits = n } }
 
 // WithMVBCandidates sets the victim-buffer alternate budget (default 1).

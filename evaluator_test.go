@@ -333,6 +333,21 @@ func TestOptionsResolvedFromDefaults(t *testing.T) {
 	}
 }
 
+// TestPriorityBitsCapped: an Equation 2 n past MaxPriorityBits runs as the
+// cap, and Options and the store fingerprint say so.
+func TestPriorityBitsCapped(t *testing.T) {
+	capped := prophet.New(prophet.WithPriorityBits(prophet.MaxPriorityBits))
+	for _, n := range []int{9, 64} {
+		ev := prophet.New(prophet.WithPriorityBits(n))
+		if got := ev.Options().PriorityBits; got != prophet.MaxPriorityBits {
+			t.Errorf("WithPriorityBits(%d): Options().PriorityBits = %d, want %d", n, got, prophet.MaxPriorityBits)
+		}
+		if ev.StoreFingerprint() != capped.StoreFingerprint() {
+			t.Errorf("WithPriorityBits(%d) fingerprints apart from the cap it runs as", n)
+		}
+	}
+}
+
 // streamGate holds the channel the "test-stream-block" scheme waits on
 // before it runs; registerStreamBlock installs the scheme once per process.
 var (

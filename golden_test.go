@@ -58,29 +58,35 @@ func TestGoldenRunStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.MarshalIndent(st, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
-			path := goldenPath(cell.workload, cell.scheme)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("RunStats diverged from golden fixture %s\ngot:\n%s\nwant:\n%s", path, got, want)
-			}
+			checkGolden(t, goldenPath(cell.workload, cell.scheme), st)
 		})
+	}
+}
+
+// checkGolden compares st, rendered as indented JSON, with the fixture at
+// path byte for byte, or rewrites the fixture under -update.
+func checkGolden(t *testing.T, path string, st prophet.RunStats) {
+	t.Helper()
+	got, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("RunStats diverged from golden fixture %s\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

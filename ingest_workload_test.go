@@ -56,6 +56,40 @@ func TestExternalWorkloadDeterminism(t *testing.T) {
 	}
 }
 
+// TestExternalWorkloadWideLines pins triage, triangel and prophet on the
+// ChampSim fixture to RunStats fixtures. The fixture's lines pass 32 bits,
+// which no catalog workload's do, so these runs are the end-to-end check of
+// the address compressor's wide-line storage. (Prophet's analysis disables
+// temporal prefetching on a footprint this small, so its fixture pins that
+// decision rather than table traffic.)
+func TestExternalWorkloadWideLines(t *testing.T) {
+	w, err := prophet.Find(champsimFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := w.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top mem.Line
+	for a, ok := src.Next(); ok; a, ok = src.Next() {
+		top = max(top, mem.LineOf(a.Addr))
+	}
+	if top < 1<<32 {
+		t.Fatalf("highest fixture line %#x fits 32 bits; the wide path goes untested", top)
+	}
+	ev := prophet.New(prophet.WithWorkers(1))
+	for _, scheme := range []prophet.Scheme{prophet.Triage, prophet.Triangel, prophet.Prophet} {
+		t.Run(string(scheme), func(t *testing.T) {
+			st, err := ev.Run(context.Background(), w, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, goldenPath("champsim_sample", scheme), st)
+		})
+	}
+}
+
 // TestExternalWorkloadConversionMatchesDirect: tracegen-style conversion to
 // the native format and replay via file: produces the same RunStats as
 // evaluating the champsim: source directly — the two paths decode the same

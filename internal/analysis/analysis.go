@@ -28,7 +28,8 @@ type Params struct {
 	// ELAcc is EL_ACC, the extremely-low accuracy threshold of Equation 1.
 	// The paper's sensitivity study (Figure 16a) settles on 0.15.
 	ELAcc float64
-	// PriorityBits is n in Equation 2 (2 in the final design, Figure 16b).
+	// PriorityBits is n in Equation 2 (2 in the final design, Figure 16b),
+	// at most MaxPriorityBits.
 	PriorityBits int
 	// Table describes the metadata-table geometry for Equation 3.
 	Table temporal.TableConfig
@@ -65,8 +66,13 @@ type Result struct {
 // InsertDecision is Equation 1.
 func InsertDecision(acc, elAcc float64) bool { return acc >= elAcc }
 
+// MaxPriorityBits is the widest Equation 2 n: its 2^n levels fill the
+// metadata table's one-byte priority. A wider n would wrap levels.
+const MaxPriorityBits = 8
+
 // PriorityLevel is Equation 2: quantize accuracy into 2^n bands. The level
-// is 0 for EL_ACC <= acc < 1/2^n and 2^n - 1 for acc in the top band.
+// is 0 for EL_ACC <= acc < 1/2^n and 2^n - 1 for acc in the top band. n
+// must be at most MaxPriorityBits.
 func PriorityLevel(acc float64, bits int) uint8 {
 	if bits <= 0 {
 		return 0

@@ -58,6 +58,25 @@ func TestEquation2PriorityBitsProperty(t *testing.T) {
 	}
 }
 
+// TestEquation2LevelsMonotone: for every n up to MaxPriorityBits a higher
+// accuracy never gets a lower level and accuracy 1 reaches the top level,
+// 2^n - 1, so no level wraps the one-byte priority.
+func TestEquation2LevelsMonotone(t *testing.T) {
+	for bits := 1; bits <= MaxPriorityBits; bits++ {
+		prev := uint8(0)
+		for i := range 4097 {
+			lvl := PriorityLevel(float64(i)/4096, bits)
+			if lvl < prev {
+				t.Fatalf("n=%d: accuracy %d/4096 gets level %d, below %d", bits, i, lvl, prev)
+			}
+			prev = lvl
+		}
+		if top := uint8(1<<bits - 1); prev != top {
+			t.Fatalf("n=%d: accuracy 1 gets level %d, want %d", bits, prev, top)
+		}
+	}
+}
+
 func TestEquation3Ways(t *testing.T) {
 	table := temporal.DefaultTableConfig() // 24576 entries/way, max 8
 	cases := []struct {

@@ -105,12 +105,15 @@ const (
 // adjacent: one tag word per way, which a way scan loads and a hit, fill
 // or eviction then reads and rewrites in place, plus the fill-ready cycle
 // and the prefetch trigger PC (written and read only under the prefetch
-// bit). Replacement state is one flat replacer per cache.
+// bit). The trigger array is allocated by the first prefetch fill, so a
+// level that never takes one (the L3, which fills only on demand and
+// writeback) never carries it. Replacement state is one flat replacer per
+// cache.
 type Cache struct {
 	cfg        Config
 	lines      []uint64   // tag word per way
 	ready      []uint64   // cycle at which the way's fill completes
-	trigger    []mem.Addr // PC whose prefetch filled the way
+	trigger    []mem.Addr // PC whose prefetch filled the way; nil until the first prefetch fill
 	repl       replacer
 	setMask    uint64
 	demandWays int
@@ -129,7 +132,6 @@ func New(cfg Config) *Cache {
 		cfg:        cfg,
 		lines:      make([]uint64, sets*cfg.Ways),
 		ready:      make([]uint64, sets*cfg.Ways),
-		trigger:    make([]mem.Addr, sets*cfg.Ways),
 		repl:       newReplacer(cfg.Policy, sets, cfg.Ways),
 		setMask:    uint64(sets - 1),
 		demandWays: cfg.Ways,
@@ -218,6 +220,9 @@ func (c *Cache) put(si, w int, want, ready uint64, dirty, prefetch bool, trigger
 	}
 	if prefetch {
 		want |= prefetchBit
+		if c.trigger == nil {
+			c.trigger = make([]mem.Addr, len(c.lines))
+		}
 		c.trigger[i] = trigger
 	}
 	c.lines[i] = want

@@ -156,6 +156,28 @@ func TestPrefetchEvictedUnused(t *testing.T) {
 	}
 }
 
+// TestTriggerArrayOnFirstPrefetch: demand fills, hits, evictions and a
+// Reset leave the trigger array unallocated; the first prefetch fill
+// allocates it, and its trigger reaches the hit that consumes it.
+func TestTriggerArrayOnFirstPrefetch(t *testing.T) {
+	c := New(small(LRU))
+	for i := range 32 {
+		c.Insert(mem.Line(i), uint64(i), uint64(i), i%3 == 0, false, 0)
+		c.Access(mem.Line(i/2), uint64(i), false)
+	}
+	c.Reset()
+	if c.trigger != nil {
+		t.Fatal("demand traffic allocated the trigger array")
+	}
+	c.Insert(7, 40, 40, false, true, 0x400300)
+	if len(c.trigger) != len(c.lines) {
+		t.Fatalf("prefetch fill: %d triggers for %d ways", len(c.trigger), len(c.lines))
+	}
+	if res := c.Access(7, 41, false); !res.WasPrefetch || res.Trigger != 0x400300 {
+		t.Fatalf("prefetched line's first hit: %+v", res)
+	}
+}
+
 func TestInsertRefillDoesNotDuplicate(t *testing.T) {
 	c := New(small(LRU))
 	c.Insert(0, 0, 100, false, false, 0)

@@ -10,6 +10,12 @@
 // 1MB maximum table is 8 ways = 196,608 entries — the exact figure Section
 // 5.10 uses.
 //
+// Metadata is stored at its information size. A table slot is 7 bytes: the
+// 4-byte target, a 2-byte tag word holding the 10-bit tag, the 2-bit RRPV
+// and a live bit, and a 1-byte Prophet priority. The compressor stores a
+// line in 4 bytes while every line fits 32 bits (all catalog workloads do)
+// and in 8 once one does not.
+//
 // Two hash structures sit on the per-access path. The Compressor keeps its
 // own key-free index table (4 bytes a slot, see below); probeMap, a generic
 // open-addressed map, backs the smaller per-engine indexes (LineIndex, the
@@ -40,14 +46,19 @@ const MaxIndex = 1<<IndexBits - 1
 // Index sits on the per-access hot path of every temporal scheme, and the
 // compressor is the largest live structure of a temporal run, so the
 // line -> index direction is a linear-probing table that stores no keys:
-// a slot holds index+1 (0 = empty), and its key is toLine[index]. That is
-// 4 bytes a slot plus the 8-byte toLine entry every index needs anyway.
-// toLine's capacity is ¾ of the slot count, so both arrays grow together,
-// by doubling, when the table reaches ¾ load.
+// a slot holds index+1 (0 = empty), and its key is the index's line. That
+// is 4 bytes a slot plus the line every index needs anyway, which is stored
+// at its information size: toLine keeps each line's low 32 bits, and hi
+// its high 32 bits only once some line needs them. Every catalog workload
+// stays below 2^32, so a line costs 4 bytes and hi stays nil; a recorded
+// trace with higher addresses pays 8. toLine's capacity is ¾ of the slot
+// count, so the arrays grow together, by doubling, when the table reaches
+// ¾ load.
 type Compressor struct {
 	slots  []uint32    // index+1 of the line homed at or probed to this slot; 0 = empty
 	mask   uint64      // len(slots)-1
-	toLine []mem.Line  // index -> line; cap(toLine) = len(slots)*3/4
+	toLine []uint32    // index -> the line's low 32 bits; cap(toLine) = len(slots)*3/4
+	hi     []uint32    // index -> the line's high 32 bits, len cap(toLine); nil while every line fits 32 bits
 	wrap   uint32      // next index to recycle once all 2^31 are in use
 	free   atomic.Bool // see recycler
 }
@@ -64,12 +75,14 @@ var compressors = recycler[Compressor]{free: func(c *Compressor) *atomic.Bool { 
 
 // NewCompressor returns an empty compressor, reusing the storage of a
 // Released one when available. A reused compressor is observably fresh:
-// its slots are cleared and toLine truncated, so indices are assigned
-// first-touch from 0 exactly as in a new one.
+// its slots are cleared, toLine truncated and the high halves dropped, so
+// indices are assigned first-touch from 0 exactly as in a new one, and it
+// starts narrow whatever lines its last run saw.
 func NewCompressor() *Compressor {
 	if c := compressors.get(); c != nil {
 		clear(c.slots)
 		c.toLine = c.toLine[:0]
+		c.hi = nil
 		c.wrap = 0
 		return c
 	}
@@ -79,11 +92,33 @@ func NewCompressor() *Compressor {
 }
 
 // alloc gives the compressor n empty slots (a power of two) and an empty
-// toLine of capacity ¾ n.
+// toLine of capacity ¾ n, with no high halves.
 func (c *Compressor) alloc(n int) {
 	c.slots = make([]uint32, n)
 	c.mask = uint64(n - 1)
-	c.toLine = make([]mem.Line, 0, n/4*3)
+	c.toLine = make([]uint32, 0, n/4*3)
+	c.hi = nil
+}
+
+// line returns the line of index idx < len(toLine).
+func (c *Compressor) line(idx uint32) mem.Line {
+	l := mem.Line(c.toLine[idx])
+	if c.hi != nil {
+		l |= mem.Line(c.hi[idx]) << 32
+	}
+	return l
+}
+
+// setLine stores l as the line of index idx < len(toLine). The first line
+// at or above 2^32 allocates hi, zero (narrow) for every index before it.
+func (c *Compressor) setLine(idx uint32, l mem.Line) {
+	c.toLine[idx] = uint32(l)
+	if h := uint32(l >> 32); h != 0 || c.hi != nil {
+		if c.hi == nil {
+			c.hi = make([]uint32, cap(c.toLine))
+		}
+		c.hi[idx] = h
+	}
 }
 
 // Release makes the compressor's storage available to a future
@@ -108,7 +143,7 @@ func (c *Compressor) find(l mem.Line) (v uint32, slot uint64) {
 	i := c.home(l)
 	for {
 		v := c.slots[i]
-		if v == 0 || c.toLine[v-1] == l {
+		if v == 0 || c.line(v-1) == l {
 			return v, i
 		}
 		i = (i + 1) & c.mask
@@ -129,7 +164,8 @@ func (c *Compressor) Index(l mem.Line) uint32 {
 		c.grow()
 		_, i = c.find(l)
 	}
-	c.toLine = append(c.toLine, l)
+	c.toLine = c.toLine[:n+1]
+	c.setLine(uint32(n), l)
 	c.slots[i] = uint32(n) + 1
 	return uint32(n)
 }
@@ -140,33 +176,37 @@ func (c *Compressor) Index(l mem.Line) uint32 {
 func (c *Compressor) replace(l mem.Line) uint32 {
 	idx := c.wrap
 	c.wrap = (c.wrap + 1) & MaxIndex
-	_, hole := c.find(c.toLine[idx])
+	_, hole := c.find(c.line(idx))
 	// Shift later entries of the probe run back into the hole when their
 	// home slot does not sit strictly between the hole and them
 	// (cyclically) — otherwise probing for them would stop at the hole.
 	for j := (hole + 1) & c.mask; c.slots[j] != 0; j = (j + 1) & c.mask {
-		home := c.home(c.toLine[c.slots[j]-1])
+		home := c.home(c.line(c.slots[j] - 1))
 		if (j-home)&c.mask >= (j-hole)&c.mask {
 			c.slots[hole] = c.slots[j]
 			hole = j
 		}
 	}
 	c.slots[hole] = 0
-	c.toLine[idx] = l
+	c.setLine(idx, l)
 	_, i := c.find(l)
 	c.slots[i] = idx + 1
 	return idx
 }
 
-// grow doubles the slot count and toLine's capacity together, re-homing
-// every index. Lines are distinct, so each re-insert takes the first empty
-// slot of its probe run.
+// grow doubles the slot count and the line arrays' capacity together,
+// re-homing every index. Lines are distinct, so each re-insert takes the
+// first empty slot of its probe run.
 func (c *Compressor) grow() {
-	old := c.toLine
+	old, oldHi := c.toLine, c.hi
 	c.alloc(2 * len(c.slots))
 	c.toLine = append(c.toLine, old...)
-	for k, l := range old {
-		i := c.home(l)
+	if oldHi != nil {
+		c.hi = make([]uint32, cap(c.toLine))
+		copy(c.hi, oldHi)
+	}
+	for k := range old {
+		i := c.home(c.line(uint32(k)))
 		for c.slots[i] != 0 {
 			i = (i + 1) & c.mask
 		}
@@ -187,7 +227,7 @@ func (c *Compressor) Line(idx uint32) (mem.Line, bool) {
 	if int(idx) >= len(c.toLine) {
 		return 0, false
 	}
-	return c.toLine[idx], true
+	return c.line(idx), true
 }
 
 // Entries returns the number of live mappings (for storage accounting).

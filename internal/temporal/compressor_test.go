@@ -152,3 +152,93 @@ func TestCompressorWrapReplace(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressorWideLines checks the compressor against refCompressor when
+// lines at or above 2^32 arrive after narrow ones: the high halves appear
+// on the first wide line, zero for the indices already assigned, survive
+// growth, the wrap path's replace and its backward-shift deletes, and are
+// dropped when a Released compressor is reused, so it starts narrow again.
+func TestCompressorWideLines(t *testing.T) {
+	rng := mem.NewPRNG(5)
+	narrow := func() mem.Line { return mem.Line(rng.Uint64() % (1 << 32)) }
+	wide := func() mem.Line { return mem.Line(rng.Uint64()>>6 | 1<<32) }
+	index := func(c *Compressor, r *refCompressor, l mem.Line) {
+		t.Helper()
+		if got, want := c.Index(l), r.index(l); got != want {
+			t.Fatalf("Index(%#x) = %d, reference %d", l, got, want)
+		}
+	}
+
+	c, r := NewCompressor(), newRefCompressor()
+	for range 10_000 {
+		index(c, r, narrow())
+	}
+	if c.hi != nil {
+		t.Fatal("narrow lines allocated high halves")
+	}
+	// Wide and narrow lines mixed, with repeats, until the table has
+	// doubled twice past the first wide line; the narrow lines' twins
+	// (same low half, other high half) must stay distinct.
+	slots := len(c.slots)
+	for len(c.slots) < 4*slots {
+		switch rng.Intn(4) {
+		case 0:
+			index(c, r, r.toLine[rng.Intn(len(r.toLine))])
+		case 1:
+			index(c, r, r.toLine[rng.Intn(len(r.toLine))]^1<<40)
+		case 2:
+			index(c, r, narrow())
+		default:
+			index(c, r, wide())
+		}
+	}
+	if c.hi == nil || len(c.hi) != cap(c.toLine) {
+		t.Fatalf("after wide lines: %d high halves for capacity %d", len(c.hi), cap(c.toLine))
+	}
+	checkCompressor(t, c, r)
+
+	// The wrap path on a small, nearly full table of narrow lines, which
+	// replace turns wide (and some back to narrow) one index at a time.
+	w, wr := &Compressor{}, newRefCompressor()
+	w.alloc(64)
+	for l := mem.Line(1); len(wr.toLine) < cap(w.toLine); l++ {
+		index(w, wr, l)
+	}
+	for step := range 10 * len(wr.toLine) {
+		l := wide()
+		if rng.Intn(3) == 0 {
+			l = narrow()
+		}
+		if _, live := wr.toIndex[l]; live {
+			continue
+		}
+		idx := w.wrap
+		if got := w.replace(l); got != idx {
+			t.Fatalf("step %d: replace reused index %d, want %d", step, got, idx)
+		}
+		if w.wrap == uint32(len(wr.toLine)) {
+			w.wrap = 0 // keep the cursor inside this small table
+		}
+		delete(wr.toIndex, wr.toLine[idx])
+		wr.toIndex[l] = idx
+		wr.toLine[idx] = l
+		checkCompressor(t, w, wr)
+	}
+
+	c.Release()
+	if n := NewCompressor(); n != c {
+		t.Fatal("the Released compressor was not reused")
+	}
+	if c.hi != nil {
+		t.Fatal("the reused compressor kept its high halves")
+	}
+	r = newRefCompressor()
+	for range 20_000 {
+		index(c, r, narrow())
+	}
+	if c.hi != nil {
+		t.Fatal("narrow lines after reuse allocated high halves")
+	}
+	checkCompressor(t, c, r)
+	c.Release()
+}

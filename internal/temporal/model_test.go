@@ -9,7 +9,7 @@ import (
 )
 
 // refTable is the metadata table as it stood with 16-byte entries, frozen as
-// the reference for the 8-byte-slot Table: each entry carries its own tag,
+// the reference for the 7-byte-slot Table: each entry carries its own tag,
 // valid bit and recency stamp beside the tag words, Insert keeps its
 // free-slot scan, and SRRIP ages one step at a time with a recency fallback.
 // Only the pooling is left out.

@@ -2,8 +2,8 @@ package temporal
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -65,16 +65,18 @@ func (c TableConfig) MaxEntries() int { return c.MaxWays * c.EntriesPerWayTotal(
 const tagBits = 10
 const tagMask = 1<<tagBits - 1
 
-// Entry is the payload of one Markov metadata slot: the 31-bit compressed
-// target that followed the source line, plus replacement state. The slot's
-// 10-bit tag and its live bit are not here: they live only in the table's
-// tag words (tag|tagLiveBit), which every probe scans anyway, so an Entry
-// packs into 8 bytes.
-type Entry struct {
-	Target   uint32
-	Priority uint8 // Prophet replacement state (Equation 2's n bits)
-	rrpv     uint8
-}
+// A slot's tag word packs everything but its target and priority: the
+// 10-bit tag in bits 0-9, the 2-bit SRRIP re-reference prediction value
+// (RRPV) in bits 10-11, and the live bit in bit 15. Bits 12-14 are spare;
+// the priority does not fit them, since Equation 2's n may be up to 8.
+const (
+	rrpvShift  = tagBits
+	rrpvMask   = srripMaxRRPV << rrpvShift
+	tagLiveBit = 1 << 15
+	// keyMask is what a probe compares: the tag and the live bit. A
+	// zero tag word can never match one.
+	keyMask = tagMask | tagLiveBit
+)
 
 // Evicted describes a metadata entry displaced from the table.
 type Evicted struct {
@@ -117,37 +119,36 @@ func (s TableStats) AllocatedEntries() uint64 {
 // its capacity is ways x Sets x EntriesPerWay and changing ways is how
 // resizing policies trade metadata capacity against demand LLC capacity.
 //
-// Storage is two flat arrays of Sets x (MaxWays x EntriesPerWay) slots, one
-// 2-byte tag word and one 8-byte Entry per slot; set s occupies the window
-// starting at s*maxPerSet with count[s] live slots. Flat backing arrays cost
-// a fixed number of allocations per table instead of one (growing) slice per
-// hot set, and keep a set's tag words on adjacent cache lines for the
-// per-access linear tag scans.
+// Storage is three flat arrays of Sets x (MaxWays x EntriesPerWay) slots:
+// a 4-byte target, a 2-byte tag word (tag, RRPV and live bit) and a 1-byte
+// Prophet priority per slot, 7 bytes in all — 1.3125 MiB at the Table 1
+// geometry. Set s occupies the window starting at s*maxPerSet with count[s]
+// live slots. Flat backing arrays cost a fixed number of allocations per
+// table instead of one (growing) slice per hot set, and keep a set's tag
+// words on adjacent cache lines: probes and SRRIP victim selection scan
+// only those, and only ProphetPriority reads the priority bytes.
 type Table struct {
 	cfg       TableConfig
 	ways      int
 	setBits   uint
 	maxPerSet int
-	entries   []Entry  // flat: Sets consecutive windows of maxPerSet slots
-	tags      []uint16 // tag|tagLiveBit per slot: the only copy of both
+	entries   []uint32 // 31-bit compressed target per slot; flat: Sets windows of maxPerSet
+	tags      []uint16 // tag word per slot: the only copy of tag, RRPV and live bit
+	prios     []uint8  // Prophet priority per slot (Equation 2's n bits)
 	count     []int32  // live slots per set (the old per-set slice length)
 	stats     TableStats
 	hawkeye   *hawkeyeState // non-nil for MetaHawkeye
 	free      atomic.Bool   // see recycler
 }
 
-// tagLiveBit marks a live slot in the tags array. Tags are 10 bits, so bit 15
-// is free; a zero tags word can never match a probe.
-const tagLiveBit = 1 << 15
-
 // tablePools recycles whole tables per geometry across runs. At the Table 1
-// geometry the entry array alone is multi-megabyte, and every engine
+// geometry a table's slot arrays take over a megabyte, and every engine
 // constructor allocates (and the runtime zeroes) a fresh one per simulation
 // — a measurable slice of short-run CPU time. Recycling is sound without
-// touching that array: every read of entries/tags is bounded by count[set],
-// and a slot becomes live only through a full overwrite of its entry and tag
-// word, so clearing the small per-set count array alone restores the
-// fresh-table contract. The pools are keyed by geometry alone: the policy
+// touching those arrays: every read of a slot is bounded by count[set], and
+// a slot becomes live only through a full overwrite of its target, tag word
+// and priority, so clearing the small per-set count array alone restores
+// the fresh-table contract. The pools are keyed by geometry alone: the policy
 // is per-run state that NewTable sets, so an idle table released under one
 // policy serves the next run under any other instead of sitting beside it.
 var tablePools struct {
@@ -201,8 +202,9 @@ func NewTable(cfg TableConfig, ways int) *Table {
 		t = &Table{
 			setBits:   uint(bits.TrailingZeros(uint(cfg.Sets))),
 			maxPerSet: maxPerSet,
-			entries:   make([]Entry, cfg.Sets*maxPerSet),
+			entries:   make([]uint32, cfg.Sets*maxPerSet),
 			tags:      make([]uint16, cfg.Sets*maxPerSet),
+			prios:     make([]uint8, cfg.Sets*maxPerSet),
 			count:     make([]int32, cfg.Sets),
 		}
 	}
@@ -212,11 +214,11 @@ func NewTable(cfg TableConfig, ways int) *Table {
 
 // reset readies a new or pooled table of cfg's geometry for a run under
 // cfg's policy: the observable state of a fresh table with the given ways,
-// which NewTable has already clamped. A pooled table's entries and tags
-// arrays stay dirty on purpose: no code path reads a slot at index >=
-// count[set] within a set's window, and slots enter the live window only
-// via a full Entry+tag write, so stale contents (a previous policy's
-// priorities and RRPVs included) are unobservable.
+// which NewTable has already clamped. A pooled table's slot arrays stay
+// dirty on purpose: no code path reads a slot at index >= count[set] within
+// a set's window, and slots enter the live window only via a full write of
+// all three, so stale contents (a previous policy's priorities and RRPVs
+// included) are unobservable.
 func (t *Table) reset(cfg TableConfig, ways int) {
 	t.cfg = cfg
 	t.ways = ways
@@ -241,12 +243,6 @@ func (t *Table) Release() {
 		return
 	}
 	tablePool(t.cfg).put(t)
-}
-
-// setSlice returns the live entries of one set (the window prefix).
-func (t *Table) setSlice(set int) []Entry {
-	base := set * t.maxPerSet
-	return t.entries[base : base+int(t.count[set])]
 }
 
 // Config returns the table geometry.
@@ -284,10 +280,9 @@ func (t *Table) setTags(set int) []uint16 {
 // is rebuilt from the set and the slot's tag word, so it must be taken
 // before the slot is overwritten.
 func (t *Table) evicted(set, i int) Evicted {
-	base := set * t.maxPerSet
-	e := t.entries[base+i]
-	src := uint32(set) | uint32(t.tags[base+i]&tagMask)<<t.setBits
-	return Evicted{Src: src, Target: e.Target, Priority: e.Priority, Valid: true}
+	j := set*t.maxPerSet + i
+	src := uint32(set) | uint32(t.tags[j]&tagMask)<<t.setBits
+	return Evicted{Src: src, Target: t.entries[j], Priority: t.prios[j], Valid: true}
 }
 
 func (t *Table) locate(src uint32) (set int, tag uint16) {
@@ -302,22 +297,22 @@ func (t *Table) Lookup(src uint32) (target uint32, ok bool) {
 	t.stats.Lookups++
 	set, tag := t.locate(src)
 	if i := t.findSlot(set, tag); i >= 0 {
-		e := &t.entries[set*t.maxPerSet+i]
+		j := set*t.maxPerSet + i
 		t.stats.Hits++
-		e.rrpv = 0
-		return e.Target, true
+		t.tags[j] &^= rrpvMask
+		return t.entries[j], true
 	}
 	return 0, false
 }
 
 // findSlot scans the tag words for a live entry with the given tag and
 // returns its slot within the set, or -1. Scanning 2-byte tag words instead
-// of the 8-byte entries keeps the (up to 96-entry) probe inside three cache
+// of the 4-byte targets keeps the (up to 96-entry) probe inside three cache
 // lines.
 func (t *Table) findSlot(set int, tag uint16) int {
 	want := tag | tagLiveBit
 	for i, tg := range t.setTags(set) {
-		if tg == want {
+		if tg&keyMask == want {
 			return i
 		}
 	}
@@ -328,7 +323,7 @@ func (t *Table) findSlot(set int, tag uint16) int {
 func (t *Table) Peek(src uint32) (target uint32, ok bool) {
 	set, tag := t.locate(src)
 	if i := t.findSlot(set, tag); i >= 0 {
-		return t.entries[set*t.maxPerSet+i].Target, true
+		return t.entries[set*t.maxPerSet+i], true
 	}
 	return 0, false
 }
@@ -353,19 +348,19 @@ func (t *Table) Insert(src, target uint32, priority uint8) Evicted {
 	// Existing entry: update target in place, reporting the displaced
 	// target if it changed.
 	if i := t.findSlot(set, tag); i >= 0 {
-		e := &t.entries[base+i]
+		j := base + i
 		ev := Evicted{}
-		if e.Target != target {
-			ev = Evicted{Src: t.cfg.SrcKey(src), Target: e.Target, Priority: e.Priority, Valid: true}
+		if t.entries[j] != target {
+			ev = Evicted{Src: t.cfg.SrcKey(src), Target: t.entries[j], Priority: t.prios[j], Valid: true}
 		}
-		e.Target = target
-		e.Priority = priority
-		e.rrpv = 0
+		t.entries[j] = target
+		t.prios[j] = priority
+		t.tags[j] &^= rrpvMask
 		t.stats.Updates++
 		return ev
 	}
 	t.stats.Insertions++
-	insertRRPV := uint8(srripInsertRRPV)
+	insertRRPV := uint16(srripInsertRRPV)
 	if t.hawkeye != nil {
 		// Hawkeye classification: prematurely evicted tags come back
 		// protected; unknown tags come in cache-averse.
@@ -375,22 +370,21 @@ func (t *Table) Insert(src, target uint32, priority uint8) Evicted {
 			insertRRPV = srripMaxRRPV
 		}
 	}
+	word := tag | tagLiveBit | insertRRPV<<rrpvShift
 	n := int(t.count[set])
 	if n < capPerSet {
-		t.entries[base+n] = Entry{Target: target, Priority: priority, rrpv: insertRRPV}
-		t.tags[base+n] = tag | tagLiveBit
+		t.entries[base+n], t.tags[base+n], t.prios[base+n] = target, word, priority
 		t.count[set]++
 		return Evicted{}
 	}
 	// Replacement. The victim's record and ghost read its tag word, so
 	// both come before the overwrite.
-	vi := t.victim(t.entries[base : base+n])
+	vi := t.victim(base, n)
 	ev := t.evicted(set, vi)
 	if t.hawkeye != nil {
 		t.hawkeye.observeEviction(set, t.tags[base+vi]&tagMask)
 	}
-	t.entries[base+vi] = Entry{Target: target, Priority: priority, rrpv: insertRRPV}
-	t.tags[base+vi] = tag | tagLiveBit
+	t.entries[base+vi], t.tags[base+vi], t.prios[base+vi] = target, word, priority
 	t.stats.Replacements++
 	return ev
 }
@@ -400,57 +394,70 @@ const (
 	srripInsertRRPV = 2
 )
 
-// victim selects the entry to replace within a full set according to the
-// configured policy.
-func (t *Table) victim(entries []Entry) int {
+// victim selects the slot to replace among the n live slots of the set
+// whose window starts at base, according to the configured policy.
+func (t *Table) victim(base, n int) int {
+	tags := t.tags[base : base+n]
 	switch t.cfg.Policy {
 	case MetaSRRIP, MetaHawkeye:
-		return victimSRRIP(entries, math.MaxUint8)
+		return victimSRRIP(tags)
 	case ProphetPriority:
-		// Candidates: entries with the lowest priority level; the
-		// runtime policy (RRIP state) picks among them (Section 3.1:
-		// "the Prophet Replacement Policy first generates candidate
-		// victims for the Runtime Replacement Policy, which then
-		// chooses the final victim").
-		minPrio := entries[0].Priority
-		for _, e := range entries[1:] {
-			if e.Priority < minPrio {
-				minPrio = e.Priority
-			}
-		}
-		return victimSRRIP(entries, minPrio)
+		return victimPriority(tags, t.prios[base:base+n])
 	}
 	panic("temporal: unknown table policy " + t.cfg.Policy.String())
 }
 
-// victimSRRIP returns the first candidate at the maximum RRPV, aging the
-// candidates until one is. Candidates are the entries whose Priority is at
-// most maxPrio: math.MaxUint8 admits every entry, and a set's minimum
-// priority admits exactly its lowest level without building a candidate
-// list. entries must hold at least one candidate.
+// victimSRRIP returns the first slot at the maximum RRPV, aging the set's
+// tag words until one is. It reads and writes the tag words alone.
 //
-// Aging takes one pass instead of one per step: SRRIP ages every candidate
-// by one until some candidate reaches the maximum, so the first candidate
-// at the oldest RRPV wins and every candidate ages by that RRPV's distance
-// from the maximum.
-func victimSRRIP(entries []Entry, maxPrio uint8) int {
-	best, oldest := -1, uint8(0)
-	for i := range entries {
-		e := &entries[i]
-		if e.Priority > maxPrio {
-			continue
-		}
-		if e.rrpv >= srripMaxRRPV {
+// Aging takes one pass instead of one per step: SRRIP ages every slot by
+// one until some slot reaches the maximum, so the first slot at the oldest
+// RRPV wins and every slot ages by that RRPV's distance from the maximum.
+// No RRPV exceeds the oldest, so adding that distance cannot carry out of
+// the RRPV field.
+func victimSRRIP(tags []uint16) int {
+	best, oldest := 0, uint16(0)
+	for i, tg := range tags {
+		r := tg & rrpvMask
+		if r == rrpvMask {
 			return i
 		}
-		if best < 0 || e.rrpv > oldest {
-			best, oldest = i, e.rrpv
+		if r > oldest {
+			best, oldest = i, r
 		}
 	}
-	age := srripMaxRRPV - oldest
-	for i := range entries {
-		if entries[i].Priority <= maxPrio {
-			entries[i].rrpv += age
+	age := rrpvMask - oldest
+	for i := range tags {
+		tags[i] += age
+	}
+	return best
+}
+
+// victimPriority is the paper's profile-guided choice: the candidates are
+// the slots at the set's lowest priority level, and SRRIP picks among them
+// as victimSRRIP picks among a whole set (Section 3.1: "the Prophet
+// Replacement Policy first generates candidate victims for the Runtime
+// Replacement Policy, which then chooses the final victim").
+func victimPriority(tags []uint16, prios []uint8) int {
+	prios = prios[:len(tags)]
+	low := slices.Min(prios)
+	best, oldest := -1, uint16(0)
+	for i, tg := range tags {
+		if prios[i] != low {
+			continue
+		}
+		r := tg & rrpvMask
+		if r == rrpvMask {
+			return i
+		}
+		if best < 0 || r > oldest {
+			best, oldest = i, r
+		}
+	}
+	age := rrpvMask - oldest
+	for i := range tags {
+		if prios[i] == low {
+			tags[i] += age
 		}
 	}
 	return best
@@ -471,7 +478,7 @@ func (t *Table) Resize(ways int) []Evicted {
 		capPerSet := ways * t.cfg.EntriesPerWay
 		for set := range t.count {
 			for n := int(t.count[set]) - capPerSet; n > 0; n-- {
-				vi := t.victim(t.setSlice(set))
+				vi := t.victim(set*t.maxPerSet, int(t.count[set]))
 				evs = append(evs, t.evicted(set, vi))
 				t.tags[set*t.maxPerSet+vi] &^= tagLiveBit
 				t.compactSet(set)
@@ -483,9 +490,9 @@ func (t *Table) Resize(ways int) []Evicted {
 }
 
 // compactSet shifts a set's live entries to the front of its window,
-// preserving their order, and shrinks the live count accordingly. Entries
-// and tag words move in lock-step; tag words beyond the new count are
-// cleared so stale ones cannot match.
+// preserving their order, and shrinks the live count accordingly. Targets,
+// tag words and priorities move in lock-step; tag words beyond the new
+// count are cleared so stale ones cannot match.
 func (t *Table) compactSet(set int) {
 	base := set * t.maxPerSet
 	tags := t.setTags(set)
@@ -494,6 +501,7 @@ func (t *Table) compactSet(set int) {
 		if tg&tagLiveBit != 0 {
 			if n != i {
 				t.entries[base+n] = t.entries[base+i]
+				t.prios[base+n] = t.prios[base+i]
 				tags[n] = tg
 			}
 			n++

@@ -329,11 +329,19 @@ func TestSrcKeyMatchesSetTag(t *testing.T) {
 	}
 }
 
-// TestEntrySize pins the metadata slot payload at 8 bytes: with the 2-byte
-// tag word that is 10 bytes per slot, 1.88 MiB for a Table 1 table.
-func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got != 8 {
-		t.Fatalf("sizeof(Entry) = %d, want 8", got)
+// TestSlotSize pins a metadata slot at 7 bytes — a 4-byte target, a 2-byte
+// tag word carrying the tag, RRPV and live bit, and a 1-byte priority — so
+// a Table 1 table is 1,376,256 bytes (1.3125 MiB).
+func TestSlotSize(t *testing.T) {
+	tb := NewTable(DefaultTableConfig(), 0)
+	defer tb.Release()
+	perSlot := unsafe.Sizeof(tb.entries[0]) + unsafe.Sizeof(tb.tags[0]) + unsafe.Sizeof(tb.prios[0])
+	if perSlot != 7 {
+		t.Fatalf("%d bytes per slot, want 7", perSlot)
+	}
+	n := len(tb.entries)
+	if len(tb.tags) != n || len(tb.prios) != n || n*int(perSlot) != 1_376_256 {
+		t.Fatalf("Table 1 table: %d/%d/%d slots of %d bytes, want 1376256 bytes", n, len(tb.tags), len(tb.prios), perSlot)
 	}
 }
 

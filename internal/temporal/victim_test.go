@@ -10,7 +10,7 @@ import (
 // filter: mark the entries at the set's lowest priority, then run SRRIP over
 // the marked ones, aging them one step at a time. It is the reference the
 // allocation-free, one-pass Table.victim must match.
-func candidateVictim(entries []Entry) int {
+func candidateVictim(entries []refEntry) int {
 	minPrio := entries[0].Priority
 	for _, e := range entries[1:] {
 		minPrio = min(minPrio, e.Priority)
@@ -33,9 +33,25 @@ func candidateVictim(entries []Entry) int {
 	}
 }
 
+// setEntries unpacks the live slots of one set from the table's three
+// arrays into reference entries: tag and RRPV from the tag word, target and
+// priority from their own arrays.
+func setEntries(tb *Table, set int) []refEntry {
+	base := set * tb.maxPerSet
+	out := make([]refEntry, tb.count[set])
+	for i := range out {
+		tg := tb.tags[base+i]
+		out[i] = refEntry{
+			Tag: tg & tagMask, Target: tb.entries[base+i], Priority: tb.prios[base+i],
+			valid: tg&tagLiveBit != 0, rrpv: uint8(tg & rrpvMask >> rrpvShift),
+		}
+	}
+	return out
+}
+
 // TestProphetVictimMatchesCandidateSlice drives a ProphetPriority table with
 // a random mix of lookups, updates and evicting inserts. Before every insert
-// the set is copied and the reference picks its victim on the copy; the
+// the set is unpacked and the reference picks its victim on the copy; the
 // table must evict the same entry and leave the rest of the set, RRIP ages
 // included, exactly as the reference left the copy.
 func TestProphetVictimMatchesCandidateSlice(t *testing.T) {
@@ -49,26 +65,24 @@ func TestProphetVictimMatchesCandidateSlice(t *testing.T) {
 			continue
 		}
 		set, tag := tb.locate(src)
-		want := append([]Entry(nil), tb.setSlice(set)...)
-		wantTags := append([]uint16(nil), tb.setTags(set)...)
+		want := setEntries(tb, set)
 		before := tb.Stats().Replacements
-		ev := tb.Insert(src, uint32(op), uint8(rng.Intn(4)))
+		prio := uint8(rng.Intn(4))
+		ev := tb.Insert(src, uint32(op), prio)
 		if tb.Stats().Replacements == before {
 			continue
 		}
 		replacements++
 		vi := candidateVictim(want)
-		wantSrc := uint32(wantTags[vi]&tagMask)<<tb.setBits | uint32(set)
+		wantSrc := uint32(want[vi].Tag)<<tb.setBits | uint32(set)
 		if !ev.Valid || ev.Src != wantSrc || ev.Target != want[vi].Target || ev.Priority != want[vi].Priority {
 			t.Fatalf("op %d: evicted %+v, reference victim %+v with src %#x", op, ev, want[vi], wantSrc)
 		}
-		got, gotTags := tb.setSlice(set), tb.setTags(set)
-		if gotTags[vi] != tag|tagLiveBit {
-			t.Fatalf("op %d: new tag %#x not in the reference victim's slot %d", op, tag, vi)
-		}
+		want[vi] = refEntry{Tag: tag, Target: uint32(op), Priority: prio, valid: true, rrpv: srripInsertRRPV}
+		got := setEntries(tb, set)
 		for i := range want {
-			if i != vi && (got[i] != want[i] || gotTags[i] != wantTags[i]) {
-				t.Fatalf("op %d: slot %d = %+v, reference %+v", op, i, got[i], want[i])
+			if got[i] != want[i] {
+				t.Fatalf("op %d: slot %d = %+v, reference %+v (victim slot %d)", op, i, got[i], want[i], vi)
 			}
 		}
 	}

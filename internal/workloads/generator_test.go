@@ -5,6 +5,7 @@ package workloads
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -234,6 +235,10 @@ func TestMaterializeGeneratorAllocatesOnce(t *testing.T) {
 		gens[i] = NewGenerator(w.Spec, records)
 	}
 	var recs []mem.Access
+	// A first GC cycle starts the runtime's mark workers, allocations that
+	// AllocsPerRun would count against Materialize when one of its
+	// 20,000-record slices triggers that cycle; run it beforehand.
+	runtime.GC()
 	allocs := testing.AllocsPerRun(len(gens)-1, func() {
 		recs = mem.Materialize(gens[0])
 		gens = gens[1:]

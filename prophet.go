@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"os"
 
+	"prophet/internal/analysis"
 	"prophet/internal/graphs"
 	"prophet/internal/ingest"
 	"prophet/internal/mem"
@@ -294,7 +295,7 @@ func Sources() []SourceInfo {
 type Options struct {
 	// ELAcc is the Equation 1 insertion threshold (default 0.15).
 	ELAcc float64
-	// PriorityBits is Equation 2's n (default 2).
+	// PriorityBits is Equation 2's n (default 2, at most MaxPriorityBits).
 	PriorityBits int
 	// MVBCandidates is the victim-buffer alternate budget (default 1).
 	MVBCandidates int
@@ -312,9 +313,15 @@ func DefaultOptions() Options {
 	return Options{ELAcc: 0.15, PriorityBits: 2, MVBCandidates: 1, LearningL: 4, DRAMChannels: 1, L1Prefetcher: L1Stride}
 }
 
+// MaxPriorityBits is the largest Equation 2 n: its 2^n priority levels
+// fill the metadata table's one-byte priority. A larger PriorityBits runs
+// as this one.
+const MaxPriorityBits = analysis.MaxPriorityBits
+
 // resolved fills every unset field from DefaultOptions: non-positive
 // numbers, and an L1 prefetcher outside the three kinds, which simulates
-// the stride default. The result names exactly what pipelineConfig builds.
+// the stride default. PriorityBits is capped at MaxPriorityBits. The result
+// names exactly what pipelineConfig builds.
 func (o Options) resolved() Options {
 	d := DefaultOptions()
 	if o.ELAcc <= 0 {
@@ -323,6 +330,7 @@ func (o Options) resolved() Options {
 	if o.PriorityBits <= 0 {
 		o.PriorityBits = d.PriorityBits
 	}
+	o.PriorityBits = min(o.PriorityBits, MaxPriorityBits)
 	if o.MVBCandidates <= 0 {
 		o.MVBCandidates = d.MVBCandidates
 	}
