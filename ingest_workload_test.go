@@ -90,6 +90,68 @@ func TestExternalWorkloadWideLines(t *testing.T) {
 	}
 }
 
+// TestExternalWorkloadWideLinesActive pins an active run on lines past 32
+// bits: 100,000 mcf records shifted up by 2^38 bytes (2^32 lines), written as
+// a native trace and run as file:. Every scheme must prefetch usefully. Every
+// cache and table set index, and the compressor's first-touch indices,
+// ignore the high bits, so triage's and prophet's RunStats must equal the
+// unshifted run's; triangel's sampler hashes the whole line, so only its
+// activity is pinned.
+func TestExternalWorkloadWideLinesActive(t *testing.T) {
+	const records, shift = 100_000, mem.Addr(1) << 38
+	ctx := context.Background()
+	narrow, err := prophet.Find("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow = narrow.WithRecords(records)
+	src, err := narrow.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := mem.Collect(src, 0)
+	for i := range recs {
+		recs[i].Addr += shift
+	}
+	path := filepath.Join(t.TempDir(), "mcf-wide.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.WriteTrace(f, mem.NewSliceSource(recs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wide, err := prophet.Find("file:" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := prophet.New(prophet.WithWorkers(1))
+	for _, scheme := range []prophet.Scheme{prophet.Triage, prophet.Triangel, prophet.Prophet} {
+		t.Run(string(scheme), func(t *testing.T) {
+			got, err := ev.Run(ctx, wide, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Raw.TPUseful == 0 {
+				t.Fatalf("no useful prefetch on the shifted trace: %+v", got.Raw)
+			}
+			if scheme == prophet.Triangel {
+				return
+			}
+			want, err := ev.Run(ctx, narrow, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("shifted run diverged from the unshifted one:\n shifted %+v\n narrow  %+v", got, want)
+			}
+		})
+	}
+}
+
 // TestExternalWorkloadConversionMatchesDirect: tracegen-style conversion to
 // the native format and replay via file: produces the same RunStats as
 // evaluating the champsim: source directly — the two paths decode the same

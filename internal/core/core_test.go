@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"prophet/internal/mem"
 	"prophet/internal/temporal"
@@ -21,32 +20,6 @@ func testConfig() Config {
 
 func hintsAllWays() HintSet {
 	return HintSet{PC: map[mem.Addr]Hint{}, MetaWays: 4}
-}
-
-func TestHintBits(t *testing.T) {
-	cases := []Hint{
-		{Insert: true, Priority: 0},
-		{Insert: true, Priority: 3},
-		{Insert: false, Priority: 2},
-	}
-	for _, h := range cases {
-		if got := HintFromBits(h.Bits()); got != h {
-			t.Errorf("round trip %+v -> %#x -> %+v", h, h.Bits(), got)
-		}
-	}
-	if (Hint{Insert: true, Priority: 3}).Bits() != 0b111 {
-		t.Error("3-bit encoding wrong")
-	}
-}
-
-func TestHintBitsProperty(t *testing.T) {
-	f := func(b uint8) bool {
-		h := HintFromBits(b & 0b111)
-		return h.Bits() == b&0b111
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestHintBufferCapAndPrioritization(t *testing.T) {
@@ -325,9 +298,6 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	}
 	if cfg.HintBufferEntries != 128 {
 		t.Errorf("hint buffer %d, want 128", cfg.HintBufferEntries)
-	}
-	if MaxPriority != 3 {
-		t.Errorf("n=2 gives max priority 3, got %d", MaxPriority)
 	}
 }
 

@@ -32,9 +32,6 @@ import (
 // giving 4 priority levels and a 2-bit replacement state per entry.
 const PriorityBits = 2
 
-// MaxPriority is the highest priority level (2^n - 1).
-const MaxPriority = 1<<PriorityBits - 1
-
 // Hint is the per-PC hint of Section 4.2: Equation 1's insertion decision
 // and Equation 2's replacement priority level.
 type Hint struct {
@@ -43,20 +40,6 @@ type Hint struct {
 	Insert bool
 	// Priority is R(acc) in [0, 2^n).
 	Priority uint8
-}
-
-// Bits returns the hint's 3-bit hardware encoding (insert bit in bit 2).
-func (h Hint) Bits() uint8 {
-	b := h.Priority & MaxPriority
-	if h.Insert {
-		b |= 1 << PriorityBits
-	}
-	return b
-}
-
-// HintFromBits decodes a 3-bit hint.
-func HintFromBits(b uint8) Hint {
-	return Hint{Insert: b&(1<<PriorityBits) != 0, Priority: b & MaxPriority}
 }
 
 // HintSet is everything the Analysis step injects into a binary: the

@@ -1,6 +1,10 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"prophet/internal/recycle"
+)
 
 // Multi-path Victim Buffer (Section 4.5). The metadata table stores one
 // Markov target per source; addresses participating in several temporal
@@ -21,37 +25,59 @@ import "math/bits"
 //
 // Geometry (Section 5.10): 65,536 entries x 43 bits (31-bit target, 10-bit
 // tag, 2-bit counter) = 344KB.
+//
+// Storage is one flat []uint64, a word per entry (512 KiB at the default
+// size), set after set. A word holds, from the low bit:
+//
+//	bits  0–30  target (31 bits, the metadata table's compressed target)
+//	bits 31–40  tag (10 bits)
+//	bit  41     valid
+//	bits 42–61  recency within the set (20 bits; higher is more recent)
+//	bits 62–63  use counter (2 bits)
+//
+// so word>>42 is the victim key: lowest counter first, then least recently
+// used, then way order. An entry touched now takes a recency one above
+// every other in its set; the entries one multi-candidate lookup touches
+// share it, so their tie falls to way order. When a set's recency would
+// pass 20 bits, its recencies are first renumbered densely from 0, which
+// keeps their order and their ties.
+// Released buffers are recycled, so a run reuses the last run's words.
 type VictimBuffer struct {
 	setBits    uint
 	assoc      int
 	candidates int
-	sets       [][]vbEntry
-	clock      uint64
+	words      []uint64
 
 	inserts uint64
 	hits    uint64
-}
-
-type vbEntry struct {
-	tag     uint16
-	target  uint32
-	counter uint8
-	valid   bool
-	last    uint64
+	rc      recycle.Slot
 }
 
 const (
 	vbTagBits    = 10
 	vbTagMask    = 1<<vbTagBits - 1
 	vbCounterMax = 3 // 2-bit counter
+
+	vbTargetMask = 1<<31 - 1
+	vbTagShift   = 31
+	vbValid      = 1 << 41
+	vbEntryMask  = 1<<42 - 1 // target, tag and valid bit
+	vbRecShift   = 42
+	vbRecMax     = 1<<20 - 1
+	vbCtrShift   = 62
 )
 
 // DefaultMVBEntries is the evaluated buffer size (Section 5.10).
 const DefaultMVBEntries = 65536
 
+// victimBuffers recycles Released buffers across Prophet runs.
+var victimBuffers = recycle.New(func() *VictimBuffer { return &VictimBuffer{} },
+	func(b *VictimBuffer) *recycle.Slot { return &b.rc })
+
 // NewVictimBuffer builds an MVB with the given total entries (rounded up to
 // a power of two), set associativity, and the number of alternate targets
 // returned per lookup (Figure 16c's "Candidates", 1 in the final design).
+// It reuses the storage of a Released buffer when one is available.
 func NewVictimBuffer(entries, assoc, candidates int) *VictimBuffer {
 	if assoc <= 0 {
 		assoc = 4
@@ -66,60 +92,112 @@ func NewVictimBuffer(entries, assoc, candidates int) *VictimBuffer {
 	for setCount*assoc < entries {
 		setCount <<= 1
 	}
-	return &VictimBuffer{
-		setBits:    uint(bits.TrailingZeros(uint(setCount))),
-		assoc:      assoc,
-		candidates: candidates,
-		sets:       make([][]vbEntry, setCount),
+	b := victimBuffers.Get()
+	if n := setCount * assoc; cap(b.words) < n {
+		b.words = make([]uint64, n)
+	} else {
+		b.words = b.words[:n]
+		clear(b.words)
 	}
+	b.setBits = uint(bits.TrailingZeros(uint(setCount)))
+	b.assoc = assoc
+	b.candidates = candidates
+	b.inserts, b.hits = 0, 0
+	return b
+}
+
+// Release returns the buffer's storage for a future NewVictimBuffer. The
+// caller must not touch the buffer afterwards.
+func (b *VictimBuffer) Release() {
+	if b == nil {
+		return
+	}
+	victimBuffers.Put(b)
 }
 
 // Entries returns the buffer capacity in entries.
-func (b *VictimBuffer) Entries() int { return len(b.sets) * b.assoc }
+func (b *VictimBuffer) Entries() int { return len(b.words) }
 
 // Candidates returns the per-lookup alternate-target budget.
 func (b *VictimBuffer) Candidates() int { return b.candidates }
 
-func (b *VictimBuffer) locate(srcKey uint32) (set int, tag uint16) {
-	set = int(srcKey & (1<<b.setBits - 1))
-	tag = uint16((srcKey >> b.setBits) & vbTagMask)
-	return set, tag
+// locate returns srcKey's set and the valid bit and tag every entry of
+// srcKey carries.
+func (b *VictimBuffer) locate(srcKey uint32) (ways []uint64, key uint64) {
+	set := int(srcKey&(1<<b.setBits-1)) * b.assoc
+	key = vbValid | uint64(srcKey>>b.setBits&vbTagMask)<<vbTagShift
+	return b.words[set : set+b.assoc : set+b.assoc], key
 }
 
-// Insert buffers an evicted Markov target. Only call for targets whose
-// Prophet priority exceeds 0; the caller enforces the Section 4.5 insertion
-// rule. Duplicate (source, target) pairs refresh the existing entry.
+// stamp returns the recency for entries of ways touched now: one above
+// every entry's (an invalid word's recency is 0). At the field's limit it
+// first renumbers the set.
+func stamp(ways []uint64) uint64 {
+	var top uint64
+	for _, w := range ways {
+		top = max(top, w>>vbRecShift&vbRecMax)
+	}
+	if top < vbRecMax {
+		return top + 1
+	}
+	return renumber(ways)
+}
+
+// renumber gives the valid entries of ways dense recencies from 0 in their
+// recency order, equal recencies staying equal, and returns the next free
+// one. Each pass takes the smallest recency above the last one renumbered;
+// a renumbered entry's new value never exceeds its old one, so no pass
+// sees it again.
+func renumber(ways []uint64) uint64 {
+	var next uint64
+	for prev := int64(-1); ; next++ {
+		low := int64(vbRecMax + 1)
+		for _, w := range ways {
+			if r := int64(w >> vbRecShift & vbRecMax); w&vbValid != 0 && r > prev {
+				low = min(low, r)
+			}
+		}
+		if low > vbRecMax {
+			return next
+		}
+		for i, w := range ways {
+			if w&vbValid != 0 && int64(w>>vbRecShift&vbRecMax) == low {
+				ways[i] = w&^(vbRecMax<<vbRecShift) | next<<vbRecShift
+			}
+		}
+		prev = low
+	}
+}
+
+// Insert buffers an evicted Markov target (31 bits, as the metadata table
+// stores it). Only call for targets whose Prophet priority exceeds 0; the
+// caller enforces the Section 4.5 insertion rule. Duplicate (source,
+// target) pairs refresh the existing entry.
 func (b *VictimBuffer) Insert(srcKey, target uint32) {
-	set, tag := b.locate(srcKey)
-	entries := b.sets[set]
-	b.clock++
-	for i := range entries {
-		e := &entries[i]
-		if e.valid && e.tag == tag && e.target == target {
-			e.last = b.clock
+	ways, key := b.locate(srcKey)
+	entry := key | uint64(target&vbTargetMask)
+	for i, w := range ways {
+		if w&vbEntryMask == entry {
+			rec := stamp(ways)
+			ways[i] = ways[i]&^(vbRecMax<<vbRecShift) | rec<<vbRecShift
 			return
 		}
 	}
 	b.inserts++
-	for i := range entries {
-		if !entries[i].valid {
-			entries[i] = vbEntry{tag: tag, target: target, valid: true, last: b.clock}
-			return
-		}
-	}
-	if len(entries) < b.assoc {
-		b.sets[set] = append(entries, vbEntry{tag: tag, target: target, valid: true, last: b.clock})
-		return
-	}
-	// Victim: lowest counter (least-proven target), oldest on ties.
+	entry |= stamp(ways) << vbRecShift
+	// The first empty way, else the victim: lowest counter
+	// (least-proven target), least recently used on ties, then way order.
 	vi := 0
-	for i := 1; i < len(entries); i++ {
-		if entries[i].counter < entries[vi].counter ||
-			(entries[i].counter == entries[vi].counter && entries[i].last < entries[vi].last) {
+	for i, w := range ways {
+		if w&vbValid == 0 {
+			vi = i
+			break
+		}
+		if w>>vbRecShift < ways[vi]>>vbRecShift {
 			vi = i
 		}
 	}
-	entries[vi] = vbEntry{tag: tag, target: target, valid: true, last: b.clock}
+	ways[vi] = entry
 }
 
 // Lookup returns up to Candidates targets recorded for srcKey, excluding
@@ -133,20 +211,20 @@ func (b *VictimBuffer) Lookup(srcKey uint32, exclude uint32) []uint32 {
 // AppendLookup is Lookup appending into dst, so the per-prediction caller
 // can recycle one scratch buffer instead of allocating per hit.
 func (b *VictimBuffer) AppendLookup(dst []uint32, srcKey uint32, exclude uint32) []uint32 {
-	set, tag := b.locate(srcKey)
-	entries := b.sets[set]
+	ways, key := b.locate(srcKey)
 	found := 0
-	b.clock++
-	for i := range entries {
-		e := &entries[i]
-		if !e.valid || e.tag != tag || e.target == exclude {
+	var rec uint64
+	for i, w := range ways {
+		target := uint32(w & vbTargetMask)
+		if w&(vbEntryMask&^vbTargetMask) != key || target == exclude {
 			continue
 		}
-		if e.counter < vbCounterMax {
-			e.counter++
+		if found == 0 {
+			rec = stamp(ways) // every entry this lookup touches shares it
 		}
-		e.last = b.clock
-		dst = append(dst, e.target)
+		counter := min(w>>vbCtrShift+1, vbCounterMax)
+		ways[i] = counter<<vbCtrShift | rec<<vbRecShift | w&vbEntryMask
+		dst = append(dst, target)
 		found++
 		if found >= b.candidates {
 			break

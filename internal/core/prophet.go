@@ -265,15 +265,16 @@ func (p *Prophet) TableStats() temporal.TableStats { return p.table.Stats() }
 // Table exposes the metadata table for measurement tooling.
 func (p *Prophet) Table() *temporal.Table { return p.table }
 
-// Release returns the metadata table and the address compressor to their
-// pools, so the next engine built reuses their storage. The engine (and
-// anything obtained through Table) must not be used after: Release drops
-// both references, so a later use panics instead of sharing storage with
-// another run.
+// Release returns the metadata table, the address compressor and the
+// victim buffer to their pools, so the next engine built reuses their
+// storage. The engine (and anything obtained through Table or MVB) must not
+// be used after: Release drops the references, so a later use panics
+// instead of sharing storage with another run.
 func (p *Prophet) Release() {
 	p.table.Release()
 	p.comp.Release()
-	p.table, p.comp = nil, nil
+	p.mvb.Release()
+	p.table, p.comp, p.mvb = nil, nil, nil
 }
 
 // MVB exposes the victim buffer (nil when the feature is off).

@@ -193,3 +193,34 @@ func TestRunTriageRecyclesEngineStorage(t *testing.T) {
 		t.Fatalf("second RunTriage allocated %d bytes, first %d; want under a quarter", warm, cold)
 	}
 }
+
+// TestRunProphetRecyclesEngineStorage: an optimized run releases its
+// engine, so a second identical run reuses the first run's metadata table,
+// address compressor and victim buffer and allocates a small fraction of
+// the cold run's bytes: less than one victim buffer.
+func TestRunProphetRecyclesEngineStorage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	w, _ := workloads.Get("mcf")
+	recs := mem.Materialize(w.Source(100_000))
+	p := NewProphet(Default())
+	p.ProfileAndLearn(mem.NewSliceSource(recs))
+	p.Analyze()
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.Run(mem.NewSliceSource(recs))
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	runtime.GC() // two cycles empty every pool: the first run is cold
+	runtime.GC()
+	cold, warm := run(), run()
+	if warm*4 > cold {
+		t.Fatalf("second optimized run allocated %d bytes, first %d; want under a quarter", warm, cold)
+	}
+	if mvbBytes := uint64(8 * core.DefaultMVBEntries); warm >= mvbBytes {
+		t.Fatalf("second optimized run allocated %d bytes, a victim buffer's worth (%d)", warm, mvbBytes)
+	}
+}

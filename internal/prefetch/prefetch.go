@@ -18,6 +18,8 @@ type L1Prefetcher interface {
 	// The returned slice may alias a scratch buffer owned by the
 	// prefetcher: it is valid only until the next OnAccess call.
 	OnAccess(pc mem.Addr, line mem.Line, hit bool) []mem.Line
+	// Reset forgets everything trained, as a new prefetcher starts.
+	Reset()
 }
 
 // None is a disabled prefetcher.
@@ -28,6 +30,9 @@ func (None) Name() string { return "none" }
 
 // OnAccess implements L1Prefetcher.
 func (None) OnAccess(mem.Addr, mem.Line, bool) []mem.Line { return nil }
+
+// Reset implements L1Prefetcher.
+func (None) Reset() {}
 
 const tableSize = 256 // entries in the PC-indexed training tables
 
@@ -63,6 +68,9 @@ func NewStride(degree int) *Stride {
 
 // Name implements L1Prefetcher.
 func (s *Stride) Name() string { return "stride" }
+
+// Reset implements L1Prefetcher: it clears the stride table in place.
+func (s *Stride) Reset() { s.entries = [tableSize]strideEntry{} }
 
 // OnAccess implements L1Prefetcher.
 func (s *Stride) OnAccess(pc mem.Addr, line mem.Line, _ bool) []mem.Line {
@@ -145,6 +153,12 @@ func NewIPCP() *IPCP { return &IPCP{scratch: make([]mem.Line, 0, 8)} }
 
 // Name implements L1Prefetcher.
 func (p *IPCP) Name() string { return "ipcp" }
+
+// Reset implements L1Prefetcher: it clears the tables in place.
+func (p *IPCP) Reset() {
+	p.entries = [tableSize]ipcpEntry{}
+	p.lastLine, p.streamDir, p.streamLen = 0, 0, 0
+}
 
 // OnAccess implements L1Prefetcher.
 func (p *IPCP) OnAccess(pc mem.Addr, line mem.Line, hit bool) []mem.Line {

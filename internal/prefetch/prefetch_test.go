@@ -213,3 +213,47 @@ func TestIPCPName(t *testing.T) {
 		t.Error("prefetcher names wrong")
 	}
 }
+
+// TestResetMatchesFresh: a trained prefetcher, once Reset, proposes
+// exactly what a new one does on the same accesses.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := mem.NewPRNG(5)
+	accesses := make([][2]uint64, 4000)
+	var pos [8]uint64
+	for i := range accesses {
+		k := rng.Uint64() % 8
+		pos[k] += k%3 + 1 // per-PC strides 1-3, streams for k%3 == 0
+		line := k<<24 + pos[k]
+		if rng.Uint64()%5 == 0 {
+			line = rng.Uint64() % (1 << 20)
+		}
+		accesses[i] = [2]uint64{0x400000 + k*0x40, line}
+	}
+	replay := func(p L1Prefetcher) (out []mem.Line) {
+		for i, a := range accesses {
+			out = append(out, p.OnAccess(mem.Addr(a[0]), mem.Line(a[1]), i%3 == 0)...)
+		}
+		return out
+	}
+	for _, mk := range []func() L1Prefetcher{
+		func() L1Prefetcher { return NewStride(8) },
+		func() L1Prefetcher { return NewIPCP() },
+		func() L1Prefetcher { return None{} },
+	} {
+		trained := mk()
+		replay(trained)
+		trained.Reset()
+		got, want := replay(trained), replay(mk())
+		if _, none := trained.(None); len(want) == 0 && !none {
+			t.Fatalf("%s: the accesses train no prefetch", trained.Name())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d prefetches after Reset, %d from a new one", trained.Name(), len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: prefetch %d after Reset = %d, a new one gives %d", trained.Name(), i, got[i], want[i])
+			}
+		}
+	}
+}

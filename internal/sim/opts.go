@@ -68,7 +68,7 @@ func (sc *scratch) reset(engine temporal.Engine, sw SWPrefetcher, counters *pmu.
 	s.l3.Reset()
 	s.dram.Reset()
 	sc.core.Reset(s)
-	s.l1pf = s.cfg.newL1Prefetcher()
+	s.l1pf.Reset()
 	s.engine = engine
 	s.sw = sw
 	s.counters = counters

@@ -24,9 +24,9 @@ package temporal
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"prophet/internal/mem"
+	"prophet/internal/recycle"
 )
 
 // IndexBits is the width of a compressed address (the 31-bit "target
@@ -55,12 +55,12 @@ const MaxIndex = 1<<IndexBits - 1
 // count, so the arrays grow together, by doubling, when the table reaches
 // ¾ load.
 type Compressor struct {
-	slots  []uint32    // index+1 of the line homed at or probed to this slot; 0 = empty
-	mask   uint64      // len(slots)-1
-	toLine []uint32    // index -> the line's low 32 bits; cap(toLine) = len(slots)*3/4
-	hi     []uint32    // index -> the line's high 32 bits, len cap(toLine); nil while every line fits 32 bits
-	wrap   uint32      // next index to recycle once all 2^31 are in use
-	free   atomic.Bool // see recycler
+	slots  []uint32 // index+1 of the line homed at or probed to this slot; 0 = empty
+	mask   uint64   // len(slots)-1
+	toLine []uint32 // index -> the line's low 32 bits; cap(toLine) = len(slots)*3/4
+	hi     []uint32 // index -> the line's high 32 bits, len cap(toLine); nil while every line fits 32 bits
+	wrap   uint32   // next index to recycle once all 2^31 are in use
+	rc     recycle.Slot
 }
 
 // compressorSlots is a new compressor's slot count, sized for the tens of
@@ -71,7 +71,11 @@ const compressorSlots = 1 << 15
 // grows to the distinct-line footprint of its run (tens to hundreds of
 // thousands of lines); a fresh one per run would regrow from the presize,
 // leaving every intermediate slot and toLine array behind as garbage.
-var compressors = recycler[Compressor]{free: func(c *Compressor) *atomic.Bool { return &c.free }}
+var compressors = recycle.New(func() *Compressor {
+	c := &Compressor{}
+	c.alloc(compressorSlots)
+	return c
+}, func(c *Compressor) *recycle.Slot { return &c.rc })
 
 // NewCompressor returns an empty compressor, reusing the storage of a
 // Released one when available. A reused compressor is observably fresh:
@@ -79,15 +83,11 @@ var compressors = recycler[Compressor]{free: func(c *Compressor) *atomic.Bool { 
 // indices are assigned first-touch from 0 exactly as in a new one, and it
 // starts narrow whatever lines its last run saw.
 func NewCompressor() *Compressor {
-	if c := compressors.get(); c != nil {
-		clear(c.slots)
-		c.toLine = c.toLine[:0]
-		c.hi = nil
-		c.wrap = 0
-		return c
-	}
-	c := &Compressor{}
-	c.alloc(compressorSlots)
+	c := compressors.Get()
+	clear(c.slots)
+	c.toLine = c.toLine[:0]
+	c.hi = nil
+	c.wrap = 0
 	return c
 }
 
@@ -128,7 +128,7 @@ func (c *Compressor) Release() {
 	if c == nil {
 		return
 	}
-	compressors.put(c)
+	compressors.Put(c)
 }
 
 // home is l's first probe slot: a Fibonacci hash whose high product bits

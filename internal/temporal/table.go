@@ -5,7 +5,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
+
+	"prophet/internal/recycle"
 )
 
 // Policy selects the metadata-table replacement policy.
@@ -138,7 +139,7 @@ type Table struct {
 	count     []int32  // live slots per set (the old per-set slice length)
 	stats     TableStats
 	hawkeye   *hawkeyeState // non-nil for MetaHawkeye
-	free      atomic.Bool   // see recycler
+	rc        recycle.Slot
 }
 
 // tablePools recycles whole tables per geometry across runs. At the Table 1
@@ -153,13 +154,13 @@ type Table struct {
 // policy serves the next run under any other instead of sitting beside it.
 var tablePools struct {
 	sync.RWMutex
-	m map[tableGeometry]*recycler[Table]
+	m map[tableGeometry]*recycle.Pool[Table]
 }
 
 // tableGeometry is the part of a TableConfig that sizes a table's storage.
 type tableGeometry struct{ sets, entriesPerWay, maxWays int }
 
-func tablePool(cfg TableConfig) *recycler[Table] {
+func tablePool(cfg TableConfig) *recycle.Pool[Table] {
 	g := tableGeometry{cfg.Sets, cfg.EntriesPerWay, cfg.MaxWays}
 	tablePools.RLock()
 	p := tablePools.m[g]
@@ -170,10 +171,10 @@ func tablePool(cfg TableConfig) *recycler[Table] {
 	tablePools.Lock()
 	defer tablePools.Unlock()
 	if tablePools.m == nil {
-		tablePools.m = map[tableGeometry]*recycler[Table]{}
+		tablePools.m = map[tableGeometry]*recycle.Pool[Table]{}
 	}
 	if p = tablePools.m[g]; p == nil {
-		p = &recycler[Table]{free: func(t *Table) *atomic.Bool { return &t.free }}
+		p = recycle.New(func() *Table { return newTableStorage(g) }, func(t *Table) *recycle.Slot { return &t.rc })
 		tablePools.m[g] = p
 	}
 	return p
@@ -196,20 +197,22 @@ func NewTable(cfg TableConfig, ways int) *Table {
 	if ways > cfg.MaxWays {
 		ways = cfg.MaxWays
 	}
-	t := tablePool(cfg).get()
-	if t == nil {
-		maxPerSet := cfg.MaxWays * cfg.EntriesPerWay
-		t = &Table{
-			setBits:   uint(bits.TrailingZeros(uint(cfg.Sets))),
-			maxPerSet: maxPerSet,
-			entries:   make([]uint32, cfg.Sets*maxPerSet),
-			tags:      make([]uint16, cfg.Sets*maxPerSet),
-			prios:     make([]uint8, cfg.Sets*maxPerSet),
-			count:     make([]int32, cfg.Sets),
-		}
-	}
+	t := tablePool(cfg).Get()
 	t.reset(cfg, ways)
 	return t
+}
+
+// newTableStorage allocates an empty table of geometry g.
+func newTableStorage(g tableGeometry) *Table {
+	maxPerSet := g.maxWays * g.entriesPerWay
+	return &Table{
+		setBits:   uint(bits.TrailingZeros(uint(g.sets))),
+		maxPerSet: maxPerSet,
+		entries:   make([]uint32, g.sets*maxPerSet),
+		tags:      make([]uint16, g.sets*maxPerSet),
+		prios:     make([]uint8, g.sets*maxPerSet),
+		count:     make([]int32, g.sets),
+	}
 }
 
 // reset readies a new or pooled table of cfg's geometry for a run under
@@ -242,7 +245,7 @@ func (t *Table) Release() {
 	if t == nil {
 		return
 	}
-	tablePool(t.cfg).put(t)
+	tablePool(t.cfg).Put(t)
 }
 
 // Config returns the table geometry.

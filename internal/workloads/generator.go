@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"prophet/internal/mem"
+	"prophet/internal/recycle"
 )
 
 // PatternKind classifies a stream's access pattern.
@@ -127,26 +128,28 @@ func pcFor(seed uint64) mem.Addr { return mem.Addr(0x400000 + seed*0x40) }
 // Regions are 1M lines (64MB) apart, far larger than any stream needs.
 func regionFor(seed uint64) mem.Line { return mem.Line(1<<24 + seed*(1<<20)) }
 
-// stream is the per-pattern generator state.
+// stream is the per-pattern generator state. Its sequences hold line
+// offsets from region, carved from the generator's recycled buffer.
 type stream struct {
 	spec   PatternSpec
 	pc     mem.Addr
 	region mem.Line
 	rng    *mem.PRNG
 
-	seq []mem.Line // temporal order (Temporal/Noisy/Pointer/MultiPath)
+	seq []uint32 // temporal order (Temporal/Noisy/Pointer/MultiPath)
 	pos int
-	// MultiPath branch variants: variants[p][b] is the line used at
-	// branch b on passes where pass%Paths == p.
-	variants [][]mem.Line
+	// MultiPath branch variants: variants[p*branches+b] is the offset
+	// used at branch b on passes where pass%paths == p.
+	variants []uint32
+	paths    int
+	branches int
 	pass     int
 	// Indirect kinds.
-	idx        []int // index-array values (line offsets into the region)
+	idx        []uint32 // index-array values (line offsets into the region)
 	iter       int
 	kernelPC   mem.Addr
 	kernelBase mem.Line
 	emitData   bool
-	lastKnown  mem.Line
 }
 
 const (
@@ -160,10 +163,35 @@ const (
 	noiseSpanLines = 1 << 19 // 32MB of lines
 )
 
-// newStream builds the per-pattern state. sp.PCSeed is always non-zero here
-// (NewGenerator's clone expansion derives missing seeds); regionSeed is the
-// stream's collision-free region slot assigned by NewGenerator.
-func newStream(sp PatternSpec, regionSeed uint64) *stream {
+// seqLines is the stream's sequence (or index-array) length.
+func seqLines(sp PatternSpec) int {
+	if sp.SeqLines <= 0 {
+		return 1024
+	}
+	return sp.SeqLines
+}
+
+// multiPaths is a MultiPath stream's successor count at branch points.
+func multiPaths(sp PatternSpec) int { return max(sp.Paths, 2) }
+
+// streamWords is the number of buffer words newStream carves for sp.
+func streamWords(sp PatternSpec) int {
+	n := seqLines(sp)
+	switch sp.Kind {
+	case Temporal, NoisyTemporal, PointerChase, IndirectStride, IndirectComputed:
+		return n
+	case MultiPath:
+		return n + multiPaths(sp)*(n/branchEvery)
+	}
+	return 0
+}
+
+// newStream builds the per-pattern state in words, streamWords(sp) words of
+// the generator's buffer, whose old contents it overwrites. sp.PCSeed is
+// always non-zero here (NewGenerator's clone expansion derives missing
+// seeds); regionSeed is the stream's collision-free region slot assigned by
+// NewGenerator.
+func newStream(sp PatternSpec, regionSeed uint64, words []uint32) *stream {
 	pcSeed := sp.PCSeed
 	seqSeed := sp.SeqSeed
 	if seqSeed == 0 {
@@ -175,38 +203,33 @@ func newStream(sp PatternSpec, regionSeed uint64) *stream {
 		region: regionFor(regionSeed),
 		rng:    mem.NewPRNG(seqSeed*0x9e37 + 17),
 	}
-	n := sp.SeqLines
-	if n <= 0 {
-		n = 1024
-	}
+	n := seqLines(sp)
 	switch sp.Kind {
 	case Temporal, NoisyTemporal, PointerChase:
-		s.seq = permutedLines(s.region, n, mem.NewPRNG(seqSeed))
+		s.seq = words
+		permuteOffsets(s.seq, mem.NewPRNG(seqSeed))
 	case MultiPath:
-		s.seq = permutedLines(s.region, n, mem.NewPRNG(seqSeed))
-		paths := sp.Paths
-		if paths < 2 {
-			paths = 2
-		}
-		branches := n / branchEvery
-		s.variants = make([][]mem.Line, paths)
+		s.seq = words[:n]
+		permuteOffsets(s.seq, mem.NewPRNG(seqSeed))
+		s.paths = multiPaths(sp)
+		s.branches = n / branchEvery
+		s.variants = words[n:]
 		vr := mem.NewPRNG(seqSeed + 7)
-		for p := range s.variants {
-			s.variants[p] = make([]mem.Line, branches)
-			for b := range s.variants[p] {
+		for p := range s.paths {
+			for b := range s.branches {
 				if p == 0 {
 					// Path 0 keeps the base sequence line.
-					s.variants[p][b] = s.seq[b*branchEvery+branchEvery-1]
+					s.variants[b] = s.seq[b*branchEvery+branchEvery-1]
 				} else {
-					s.variants[p][b] = s.region + mem.Line(n+vr.Intn(n))
+					s.variants[p*s.branches+b] = uint32(n + vr.Intn(n))
 				}
 			}
 		}
 	case IndirectStride, IndirectComputed:
-		s.idx = make([]int, n)
+		s.idx = words
 		ir := mem.NewPRNG(seqSeed + 3)
 		for i := range s.idx {
-			s.idx[i] = ir.Intn(n)
+			s.idx[i] = uint32(ir.Intn(n))
 		}
 		s.kernelPC = s.pc + 8
 		s.kernelBase = s.region + mem.Line(2*n)
@@ -214,20 +237,17 @@ func newStream(sp PatternSpec, regionSeed uint64) *stream {
 	return s
 }
 
-// permutedLines returns a deterministic pseudo-random visit order over n
-// lines starting at base.
-func permutedLines(base mem.Line, n int, rng *mem.PRNG) []mem.Line {
-	// The Fisher–Yates swaps of mem.PRNG.Perm, run on the lines themselves
-	// so no []int permutation is built and copied.
-	out := make([]mem.Line, n)
+// permuteOffsets fills out with a deterministic pseudo-random visit order
+// over the offsets 0..len(out)-1: the Fisher–Yates swaps of mem.PRNG.Perm,
+// run on the offsets themselves so no []int permutation is built.
+func permuteOffsets(out []uint32, rng *mem.PRNG) {
 	for i := range out {
-		out[i] = base + mem.Line(i)
+		out[i] = uint32(i)
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(out) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		out[i], out[j] = out[j], out[i]
 	}
-	return out
 }
 
 // emit produces the stream's next access. serial reports whether the record
@@ -258,26 +278,24 @@ func (s *stream) emit() (a mem.Access, serial bool) {
 			base.Addr = (s.region + mem.Line(len(s.seq)*2+s.rng.Intn(noiseSpanLines))).Addr()
 			return base, sp.Serial
 		}
-		base.Addr = s.seq[s.pos].Addr()
+		base.Addr = (s.region + mem.Line(s.seq[s.pos])).Addr()
 		s.advance()
 		return base, sp.Serial
 	case PointerChase:
-		base.Addr = s.seq[s.pos].Addr()
+		base.Addr = (s.region + mem.Line(s.seq[s.pos])).Addr()
 		s.advance()
 		if sp.NoiseRatio > 0 && s.rng.Float64() < sp.NoiseRatio {
 			base.Addr = (s.region + mem.Line(len(s.seq)*2+s.rng.Intn(noiseSpanLines))).Addr()
 		}
 		return base, true
 	case MultiPath:
-		line := s.seq[s.pos]
+		off := s.seq[s.pos]
 		if (s.pos+1)%branchEvery == 0 {
 			b := s.pos / branchEvery
-			p := (s.pass + b) % len(s.variants)
-			if b < len(s.variants[p]) {
-				line = s.variants[p][b]
-			}
+			p := (s.pass + b) % s.paths
+			off = s.variants[p*s.branches+b]
 		}
-		base.Addr = line.Addr()
+		base.Addr = (s.region + mem.Line(off)).Addr()
 		s.advance()
 		return base, sp.Serial
 	case IndirectStride:
@@ -333,8 +351,11 @@ func (s *stream) advance() {
 	}
 }
 
-// Generator interleaves a workload's streams into one trace.
+// Generator interleaves a workload's streams into one trace. Its streams'
+// sequences share one buffer, which a drained generator hands to the next
+// one built.
 type Generator struct {
+	buf     *genBuffer
 	streams []*stream
 	cum     []float64 // cumulative weights for stream selection
 	rng     *mem.PRNG
@@ -342,6 +363,17 @@ type Generator struct {
 	count   uint64
 	limit   uint64
 }
+
+// genBuffer is a generator's stream storage: every sequence, branch
+// variant and index array, carved from one slice.
+type genBuffer struct {
+	words []uint32
+	rc    recycle.Slot
+}
+
+// genBuffers recycles drained generators' buffers.
+var genBuffers = recycle.New(func() *genBuffer { return &genBuffer{} },
+	func(b *genBuffer) *recycle.Slot { return &b.rc })
 
 // regionSlots is the number of distinct address regions; region assignment
 // hashes pcSeed into this space and rehashes on collision.
@@ -370,6 +402,10 @@ func NewGenerator(spec Spec, records uint64) *Generator {
 		if p.Weight < 0 || math.IsNaN(p.Weight) || math.IsInf(p.Weight, 0) {
 			panic(fmt.Sprintf("workloads: spec %q pattern %d (%s) has invalid weight %v",
 				spec.Name, i, p.Kind, p.Weight))
+		}
+		if p.SeqLines > math.MaxUint32/2 {
+			panic(fmt.Sprintf("workloads: spec %q pattern %d (%s) has %d SeqLines, more than a stream's uint32 offsets span",
+				spec.Name, i, p.Kind, p.SeqLines))
 		}
 		n := p.Clones
 		if n < 1 {
@@ -418,6 +454,15 @@ func NewGenerator(spec Spec, records uint64) *Generator {
 			owner[p.PCSeed%regionSlots] = p.PCSeed
 		}
 	}
+	words := 0
+	for _, p := range expanded {
+		words += streamWords(p)
+	}
+	g.buf = genBuffers.Get()
+	if cap(g.buf.words) < words {
+		g.buf.words = make([]uint32, words)
+	}
+	free := g.buf.words[:words]
 	acc := 0.0
 	for _, p := range expanded {
 		slot := p.PCSeed % regionSlots
@@ -431,16 +476,20 @@ func NewGenerator(spec Spec, records uint64) *Generator {
 			}
 			owner[slot] = p.PCSeed
 		}
-		g.streams = append(g.streams, newStream(p, slot))
+		w := streamWords(p)
+		g.streams = append(g.streams, newStream(p, slot, free[:w:w]))
+		free = free[w:]
 		acc += p.Weight / total
 		g.cum = append(g.cum, acc)
 	}
 	return g
 }
 
-// Next implements mem.Source.
+// Next implements mem.Source. The call that finds the generator drained
+// releases its buffer.
 func (g *Generator) Next() (mem.Access, bool) {
-	if g.count >= g.limit || len(g.streams) == 0 {
+	if g.count >= g.limit {
+		g.release()
 		return mem.Access{}, false
 	}
 	r := g.rng.Float64()
@@ -462,6 +511,15 @@ func (g *Generator) Next() (mem.Access, bool) {
 	}
 	g.lastIdx[idx] = g.count
 	return a, true
+}
+
+// release hands the generator's buffer to the next generator built. The
+// streams that index it go with it.
+func (g *Generator) release() {
+	if g.buf != nil {
+		genBuffers.Put(g.buf)
+		g.buf, g.streams = nil, nil
+	}
 }
 
 // Len implements mem.Sized: the exact number of records still to come, so

@@ -6,7 +6,9 @@ package workloads
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"prophet/internal/mem"
@@ -260,10 +262,10 @@ func TestMaterializeGeneratorAllocatesOnce(t *testing.T) {
 	}
 }
 
-// TestPermutedLinesMatchesPerm: permutedLines runs Perm's swaps on the
-// lines in place, so every visit order, and the generator state it leaves,
-// equals the Perm-based construction it replaced, and with them every
-// generated trace.
+// TestPermutedLinesMatchesPerm: permuteOffsets runs Perm's swaps on the
+// offsets in place, so every visit order (region + offset), and the
+// generator state it leaves, equals the Perm-based construction it
+// replaced, and with them every generated trace.
 func TestPermutedLinesMatchesPerm(t *testing.T) {
 	const base = mem.Line(1 << 20)
 	for _, n := range []int{0, 1, 2, 3, 17, 256, 4099} {
@@ -274,18 +276,99 @@ func TestPermutedLinesMatchesPerm(t *testing.T) {
 			for i, p := range perm {
 				want[i] = base + mem.Line(p)
 			}
-			got := permutedLines(base, n, rng)
+			got := make([]uint32, n)
+			permuteOffsets(got, rng)
 			if rng.Uint64() != ref.Uint64() {
 				t.Fatalf("n=%d seed=%d: the generator's stream diverges after the permutation", n, seed)
 			}
-			if len(got) != n {
-				t.Fatalf("n=%d seed=%d: %d lines", n, seed, len(got))
-			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d seed=%d: line %d = %d, Perm order gives %d", n, seed, i, got[i], want[i])
+				if line := base + mem.Line(got[i]); line != want[i] {
+					t.Fatalf("n=%d seed=%d: line %d = %d, Perm order gives %d", n, seed, i, line, want[i])
 				}
 			}
 		}
 	}
+}
+
+// recycleWorkloads is every catalog workload plus one spec with every
+// pattern kind, IndirectStride (in no catalog workload) and a MultiPath
+// stream of 3 paths included.
+func recycleWorkloads() []Workload {
+	return append(All(), spec("every-kind", 19,
+		PatternSpec{Kind: Temporal, Weight: 1, SeqLines: 700, PCSeed: 50},
+		PatternSpec{Kind: NoisyTemporal, Weight: 1, SeqLines: 500, NoiseRatio: 0.3, PCSeed: 51},
+		PatternSpec{Kind: PointerChase, Weight: 1, SeqLines: 900, PCSeed: 52},
+		PatternSpec{Kind: IndirectStride, Weight: 1, SeqLines: 400, PCSeed: 53},
+		PatternSpec{Kind: IndirectComputed, Weight: 1, SeqLines: 300, PCSeed: 54},
+		PatternSpec{Kind: RandomAccess, Weight: 1, PCSeed: 55},
+		PatternSpec{Kind: MultiPath, Weight: 1, SeqLines: 603, Paths: 3, PCSeed: 56},
+		PatternSpec{Kind: StreamScan, Weight: 1, SeqLines: 100, PCSeed: 57},
+	))
+}
+
+// freshTraces generates each workload's first records from generators
+// built on fresh storage: every released buffer is claimed first, and the
+// generators are all built before any is drained.
+func freshTraces(ws []Workload, records uint64) [][]mem.Access {
+	for genBuffers.Get().words != nil {
+	}
+	gens := make([]*Generator, len(ws))
+	for i, w := range ws {
+		gens[i] = NewGenerator(w.Spec, records)
+	}
+	out := make([][]mem.Access, len(ws))
+	for i, g := range gens {
+		out[i] = mem.Materialize(g)
+	}
+	return out
+}
+
+// TestRecycledGeneratorsMatchFresh: a drained generator hands its buffer
+// to the next one built, and generators on recycled (dirty, differently
+// sized) buffers emit exactly the records of fresh ones.
+func TestRecycledGeneratorsMatchFresh(t *testing.T) {
+	const records = 20_000
+	ws := recycleWorkloads()
+	want := freshTraces(ws, records)
+
+	a := NewGenerator(ws[0].Spec, records)
+	buf := a.buf
+	mem.Materialize(a)
+	if a.buf != nil || a.streams != nil {
+		t.Fatal("a drained generator kept its buffer")
+	}
+	if b := NewGenerator(ws[1].Spec, records); b.buf != buf {
+		t.Fatal("the drained generator's buffer was not reused")
+	}
+
+	for i := len(ws) - 1; i >= 0; i-- { // reverse order: each reuses another workload's buffer
+		got := mem.Materialize(NewGenerator(ws[i].Spec, records))
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("%s: a generator on a recycled buffer diverged from a fresh one", ws[i].Name)
+		}
+	}
+}
+
+// TestRecycledGeneratorsConcurrent: generators recycling one another's
+// buffers from several goroutines at once (as concurrent sweep workers
+// do) emit exactly the records of fresh ones. Run under -race.
+func TestRecycledGeneratorsConcurrent(t *testing.T) {
+	const records = 10_000
+	ws := recycleWorkloads()
+	want := freshTraces(ws, records)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range len(ws) {
+				i := (k*(g+1) + g) % len(ws)
+				if got := mem.Materialize(NewGenerator(ws[i].Spec, records)); !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d: %s diverged from a fresh generator", g, ws[i].Name)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
