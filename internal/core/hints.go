@@ -120,9 +120,6 @@ func (b *HintBuffer) Lookup(pc mem.Addr) (Hint, bool) {
 	return h, ok
 }
 
-// Len returns the number of installed hints.
-func (b *HintBuffer) Len() int { return len(b.hints) }
-
 // CSR is the control-and-status register carrying application-level hints
 // (Section 3.1). One manipulation instruction at program start writes it.
 type CSR struct {

@@ -144,9 +144,6 @@ func (p *Prophet) Name() string { return "prophet" }
 // CSR returns the engine's control/status register contents.
 func (p *Prophet) CSR() CSR { return p.csr }
 
-// HintCount returns the number of installed PC hints.
-func (p *Prophet) HintCount() int { return p.hints.Len() }
-
 // Dropped returns how many demand requests the insertion policy discarded.
 func (p *Prophet) Dropped() uint64 { return p.dropped }
 

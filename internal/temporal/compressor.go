@@ -63,14 +63,27 @@ type Compressor struct {
 	rc     recycle.Slot
 }
 
-// compressorSlots is a new compressor's slot count, sized for the tens of
-// thousands of distinct lines a typical simulated trace touches.
-const compressorSlots = 1 << 15
+// compressorSlots is a new compressor's slot count: the smallest power of
+// two whose ¾ load holds as many lines as the paper's 1 MB table has
+// entries (DefaultTableConfig().MaxEntries(), 196,608), so 2^18 slots
+// (1 MiB) and 196,608 lines (768 KiB). A catalog workload at its default
+// length trains 47k–184k distinct lines, so a process allocates this once
+// and no such run grows it; a larger footprint (a longer run or a recorded
+// trace) still doubles from here.
+var compressorSlots = slotsFor(DefaultTableConfig().MaxEntries())
 
-// compressors recycles Released compressors across runs. A compressor
-// grows to the distinct-line footprint of its run (tens to hundreds of
-// thousands of lines); a fresh one per run would regrow from the presize,
-// leaving every intermediate slot and toLine array behind as garbage.
+// slotsFor returns the smallest power of two whose ¾ holds lines.
+func slotsFor(lines int) int {
+	n := 1
+	for n/4*3 < lines {
+		n <<= 1
+	}
+	return n
+}
+
+// compressors recycles Released compressors across runs, so a process
+// allocates its compressor storage once per concurrent run, and regrows it
+// only for a run past the presize.
 var compressors = recycle.New(func() *Compressor {
 	c := &Compressor{}
 	c.alloc(compressorSlots)

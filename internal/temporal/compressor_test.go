@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"runtime"
 	"testing"
 
 	"prophet/internal/mem"
@@ -51,17 +52,23 @@ func checkCompressor(t *testing.T, c *Compressor, r *refCompressor) {
 	}
 }
 
+// modelSlots is where TestCompressorMatchesModel's compressor starts: far
+// below the presize, so its rounds cross several doublings at a size the
+// reference map keeps cheap.
+const modelSlots = 1 << 15
+
 // TestCompressorMatchesModel runs a seeded mix of Index, Lookup, Line and
 // Entries calls against refCompressor, through several doublings of the
 // table and across Release and reuse.
 func TestCompressorMatchesModel(t *testing.T) {
 	rng := mem.NewPRNG(42)
-	c := NewCompressor()
+	c := &Compressor{}
+	c.alloc(modelSlots)
 	for round := range 3 {
 		r := newRefCompressor()
-		// Lines are drawn from a pool that outgrows the presize several
-		// times; a third of the draws come from a hot set near zero so
-		// line 0 and hits on early indices are exercised too.
+		// Lines are drawn from a pool that outgrows the first round's
+		// table several times; a third of the draws come from a hot set
+		// near zero so line 0 and hits on early indices are exercised too.
 		pool := 120_000 * (round + 1)
 		for op := range 400_000 {
 			var l mem.Line
@@ -94,8 +101,11 @@ func TestCompressorMatchesModel(t *testing.T) {
 				}
 			}
 		}
-		if len(c.slots) <= compressorSlots {
+		if len(c.slots) <= modelSlots {
 			t.Fatalf("round %d: %d lines never grew the table", round, len(r.toLine))
+		}
+		if round == 0 && len(c.slots) < 4*modelSlots {
+			t.Fatalf("round 0: %d lines doubled the table fewer than twice", len(r.toLine))
 		}
 		checkCompressor(t, c, r)
 		c.Release()
@@ -169,7 +179,8 @@ func TestCompressorWideLines(t *testing.T) {
 		}
 	}
 
-	c, r := NewCompressor(), newRefCompressor()
+	c, r := &Compressor{}, newRefCompressor()
+	c.alloc(modelSlots)
 	for range 10_000 {
 		index(c, r, narrow())
 	}
@@ -241,4 +252,46 @@ func TestCompressorWideLines(t *testing.T) {
 	}
 	checkCompressor(t, c, r)
 	c.Release()
+}
+
+// TestCompressorPresizedForMaxTable: a new compressor holds as many lines
+// as the 1 MB table has entries without allocating or growing, and the next
+// line doubles it and still matches refCompressor.
+func TestCompressorPresizedForMaxTable(t *testing.T) {
+	n := DefaultTableConfig().MaxEntries()
+	// Two GC cycles expire every released compressor, so NewCompressor
+	// builds a new one instead of handing out one an earlier test grew.
+	runtime.GC()
+	runtime.GC()
+	c := NewCompressor()
+	defer c.Release()
+	if len(c.slots) != 1<<18 || cap(c.toLine) != n {
+		t.Fatalf("new compressor: %d slots for %d lines, want 2^18 for %d", len(c.slots), cap(c.toLine), n)
+	}
+	// AllocsPerRun calls fill twice, once unmeasured: each call indexes
+	// half the lines. A table below the presize grows in the second half.
+	next := mem.Line(0)
+	fill := func() {
+		for range n / 2 {
+			next += 7919
+			c.Index(next)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, fill); allocs != 0 {
+		t.Fatalf("indexing lines %d..%d made %v allocations, want 0", n/2, n, allocs)
+	}
+	if c.Entries() != n || len(c.slots) != 1<<18 {
+		t.Fatalf("after %d lines: %d entries in %d slots", n, c.Entries(), len(c.slots))
+	}
+	r := newRefCompressor()
+	for l := mem.Line(7919); l <= next; l += 7919 {
+		r.index(l)
+	}
+	if got, want := c.Index(next+1), r.index(next+1); got != want {
+		t.Fatalf("Index of line %d = %d, reference %d", n+1, got, want)
+	}
+	if len(c.slots) != 1<<19 {
+		t.Fatalf("line %d left %d slots, want 2^19", n+1, len(c.slots))
+	}
+	checkCompressor(t, c, r)
 }

@@ -96,24 +96,10 @@ func (u *TrainingUnit) Observe(pc mem.Addr, line mem.Line) (prev mem.Line, ok bo
 	return prev, ok
 }
 
-// Last peeks at PC's latest line without updating.
-func (u *TrainingUnit) Last(pc mem.Addr) (mem.Line, bool) {
-	i := u.slot(pc)
-	if u.valid[i] && u.pcs[i] == pc {
-		return u.lines[i], true
-	}
-	return 0, false
-}
-
-// Chase walks the Markov chain from compressed source src for up to degree
-// steps, translating targets back to lines. It is the shared prediction loop
-// of Triage, Triangel and Prophet.
-func Chase(table *Table, comp *Compressor, src uint32, degree int) []mem.Line {
-	return AppendChase(nil, table, comp, src, degree)
-}
-
-// AppendChase is Chase appending into dst, so per-access callers can recycle
-// one scratch buffer for the whole run instead of allocating per prediction.
+// AppendChase walks the Markov chain from compressed source src for up to
+// degree steps, appending the targets, translated back to lines, to dst.
+// It is the prediction loop Triage and Triangel share; appending lets them
+// recycle one scratch buffer for the whole run.
 func AppendChase(dst []mem.Line, table *Table, comp *Compressor, src uint32, degree int) []mem.Line {
 	cur := src
 	for i := 0; i < degree; i++ {

@@ -59,14 +59,12 @@ func (h *TargetHistogram) Observe(src, target uint64) {
 // Sources returns the number of distinct source addresses observed.
 func (h *TargetHistogram) Sources() int { return len(h.n) }
 
-// Fractions returns, for T = 1..maxDistinct, the fraction of sources with
-// exactly T distinct targets (the final bucket holds ">= maxDistinct").
-func (h *TargetHistogram) Fractions() []float64 { return h.FractionsMin(1) }
-
-// FractionsMin restricts the distribution to sources observed at least
-// minObservations times. Figure 8 concerns addresses that recur under
-// temporal prefetching, so its measurement uses a minimum of 2; one-shot
-// addresses trivially have one target and would wash the distribution out.
+// FractionsMin returns, for T = 1..maxDistinct, the fraction of sources
+// observed at least minObservations times that have exactly T distinct
+// targets (the final bucket holds ">= maxDistinct"). Figure 8 concerns
+// addresses that recur under temporal prefetching, so its measurement uses
+// a minimum of 2; one-shot addresses trivially have one target and would
+// wash the distribution out.
 func (h *TargetHistogram) FractionsMin(minObservations uint32) []float64 {
 	out := make([]float64, h.maxDistinct)
 	total := 0.0

@@ -397,9 +397,9 @@ func driveAgainstReference(t *testing.T, tb *Table, ref *refTable, rng *mem.PRNG
 			tb.Release()
 			tb, ref = NewTable(cfg, ways), newRefTable(cfg, ways)
 		}
-		if tb.Stats() != ref.stats || tb.Live() != ref.Live() || tb.Ways() != ref.ways {
+		if tb.Stats() != ref.stats || tb.live() != ref.Live() || tb.Ways() != ref.ways {
 			t.Fatalf("op %d: stats %+v live %d ways %d, reference %+v live %d ways %d",
-				op, tb.Stats(), tb.Live(), tb.Ways(), ref.stats, ref.Live(), ref.ways)
+				op, tb.Stats(), tb.live(), tb.Ways(), ref.stats, ref.Live(), ref.ways)
 		}
 		replacements = max(replacements, int(ref.stats.Replacements))
 	}

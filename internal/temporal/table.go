@@ -254,24 +254,8 @@ func (t *Table) Config() TableConfig { return t.cfg }
 // Ways returns the LLC ways currently allocated to metadata.
 func (t *Table) Ways() int { return t.ways }
 
-// Capacity returns the current entry capacity.
-func (t *Table) Capacity() int { return t.ways * t.cfg.Sets * t.cfg.EntriesPerWay }
-
 // Stats returns a copy of the table counters.
 func (t *Table) Stats() TableStats { return t.stats }
-
-// Live returns the number of valid entries (for occupancy accounting).
-func (t *Table) Live() int {
-	n := 0
-	for set := range t.count {
-		for _, tg := range t.setTags(set) {
-			if tg&tagLiveBit != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
 
 // setTags returns the tag words of one set's live window.
 func (t *Table) setTags(set int) []uint16 {

@@ -14,6 +14,31 @@ func smallTable(policy Policy) TableConfig {
 	return TableConfig{Sets: 16, EntriesPerWay: 2, MaxWays: 4, Policy: policy}
 }
 
+// capacity returns the table's current entry capacity.
+func (t *Table) capacity() int { return t.ways * t.cfg.Sets * t.cfg.EntriesPerWay }
+
+// live returns the number of valid entries.
+func (t *Table) live() int {
+	n := 0
+	for set := range t.count {
+		for _, tg := range t.setTags(set) {
+			if tg&tagLiveBit != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// last peeks at PC's latest line without updating.
+func (u *TrainingUnit) last(pc mem.Addr) (mem.Line, bool) {
+	i := u.slot(pc)
+	if u.valid[i] && u.pcs[i] == pc {
+		return u.lines[i], true
+	}
+	return 0, false
+}
+
 func TestCompressorRoundTrip(t *testing.T) {
 	c := NewCompressor()
 	lines := []mem.Line{100, 200, 100, 300}
@@ -56,7 +81,7 @@ func TestCompressorLookupNoAllocate(t *testing.T) {
 // recycled through Release/NewCompressor assigns the same index sequence as
 // a new one, starts empty, and no longer translates its old indices.
 func TestCompressorRecycledIsFresh(t *testing.T) {
-	const grown = 50_000 // past the presize, so the slots and toLine regrew
+	const grown = 200_000 // past the 196,608-line presize, so the slots and toLine regrew
 	c := NewCompressor()
 	for i := range grown {
 		c.Index(mem.Line(1_000_003 * uint64(i+1)))
@@ -200,7 +225,7 @@ func TestTableCapacityAndReplacement(t *testing.T) {
 	if tb.Stats().Replacements != 1 {
 		t.Fatalf("replacements = %d", tb.Stats().Replacements)
 	}
-	if live := tb.Live(); live != 2 {
+	if live := tb.live(); live != 2 {
 		t.Fatalf("live entries = %d, want 2", live)
 	}
 }
@@ -224,7 +249,7 @@ func TestTableProphetPriorityVictim(t *testing.T) {
 func TestTableZeroWaysDropsInserts(t *testing.T) {
 	tb := NewTable(smallTable(MetaSRRIP), 0)
 	ev := tb.Insert(1, 2, 0)
-	if ev.Valid || tb.Live() != 0 {
+	if ev.Valid || tb.live() != 0 {
 		t.Fatal("zero-capacity table accepted an insert")
 	}
 	if _, ok := tb.Lookup(1); ok {
@@ -243,14 +268,14 @@ func TestTableResizeShrinkEvicts(t *testing.T) {
 	if len(evs) != 6 {
 		t.Fatalf("shrink evicted %d entries, want 6", len(evs))
 	}
-	if tb.Live() != 2 {
-		t.Fatalf("live after shrink = %d, want 2", tb.Live())
+	if tb.live() != 2 {
+		t.Fatalf("live after shrink = %d, want 2", tb.live())
 	}
 	if tb.Ways() != 1 {
 		t.Fatalf("ways = %d", tb.Ways())
 	}
-	if tb.Capacity() != cfg.Sets*cfg.EntriesPerWay {
-		t.Fatalf("capacity = %d", tb.Capacity())
+	if tb.capacity() != cfg.Sets*cfg.EntriesPerWay {
+		t.Fatalf("capacity = %d", tb.capacity())
 	}
 }
 
@@ -357,16 +382,16 @@ func TestChase(t *testing.T) {
 	for i := 0; i+1 < len(idx); i++ {
 		tb.Insert(idx[i], idx[i+1], 0)
 	}
-	got := Chase(tb, comp, idx[0], 4)
+	got := AppendChase(nil, tb, comp, idx[0], 4)
 	if len(got) != 3 {
-		t.Fatalf("Chase found %d lines, want 3", len(got))
+		t.Fatalf("AppendChase found %d lines, want 3", len(got))
 	}
 	for i, want := range lines[1:] {
 		if got[i] != want {
 			t.Errorf("chase step %d = %v, want %v", i, got[i], want)
 		}
 	}
-	if got := Chase(tb, comp, idx[0], 2); len(got) != 2 {
+	if got := AppendChase(nil, tb, comp, idx[0], 2); len(got) != 2 {
 		t.Fatalf("degree-2 chase returned %d lines", len(got))
 	}
 }
@@ -380,11 +405,11 @@ func TestTrainingUnit(t *testing.T) {
 	if !ok || prev != 100 {
 		t.Fatalf("Observe = %v,%v want 100,true", prev, ok)
 	}
-	if last, ok := u.Last(1); !ok || last != 200 {
-		t.Fatalf("Last = %v,%v", last, ok)
+	if last, ok := u.last(1); !ok || last != 200 {
+		t.Fatalf("last = %v,%v", last, ok)
 	}
-	if _, ok := u.Last(999); ok {
-		t.Fatal("Last hit for unknown PC")
+	if _, ok := u.last(999); ok {
+		t.Fatal("last hit for unknown PC")
 	}
 }
 
@@ -397,7 +422,7 @@ func TestTrainingUnitConflict(t *testing.T) {
 		t.Skip("hash changed; aliasing assumption broken")
 	}
 	u.Observe(conflict, 2)
-	if _, ok := u.Last(0x10); ok {
+	if _, ok := u.last(0x10); ok {
 		t.Fatal("evicted PC still present")
 	}
 }
@@ -436,7 +461,7 @@ func TestTargetHistogram(t *testing.T) {
 	h.Observe(3, 10)
 	h.Observe(3, 20)
 	h.Observe(3, 30)
-	f := h.Fractions()
+	f := h.FractionsMin(1)
 	want := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3, 0, 0}
 	for i := range want {
 		if diff := f[i] - want[i]; diff > 1e-9 || diff < -1e-9 {
@@ -453,7 +478,7 @@ func TestTargetHistogramClamp(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(1, uint64(i))
 	}
-	f := h.Fractions()
+	f := h.FractionsMin(1)
 	if f[1] != 1.0 {
 		t.Fatalf("clamped bucket = %v, want 1.0", f[1])
 	}
@@ -461,7 +486,7 @@ func TestTargetHistogramClamp(t *testing.T) {
 
 func TestTargetHistogramEmpty(t *testing.T) {
 	h := NewTargetHistogram(3)
-	for _, v := range h.Fractions() {
+	for _, v := range h.FractionsMin(1) {
 		if v != 0 {
 			t.Fatal("empty histogram has non-zero fractions")
 		}
@@ -497,7 +522,7 @@ func TestTableInvariants(t *testing.T) {
 			case 2:
 				tb.Resize(rng.Intn(cfg.MaxWays + 1))
 			}
-			if tb.Live() > tb.Capacity() {
+			if tb.live() > tb.capacity() {
 				return false
 			}
 		}
