@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"strings"
 
@@ -170,7 +171,7 @@ type DispatchStats struct {
 	// Failovers counts jobs re-run locally after a backend stayed down.
 	Failovers int64 `json:"failovers"`
 	// Cached counts jobs answered from the durable result store before
-	// dispatch (zero unless WithResultStore is configured).
+	// dispatch (zero unless UseResultStore attached a store).
 	Cached int64 `json:"cached"`
 	// ShortLocal counts result slots the local engine left unfilled by
 	// returning fewer results than jobs — should stay zero; nonzero means
@@ -185,7 +186,9 @@ func pinnedLocal(j Job) bool { return externalPath(j.Workload.Name) != "" }
 
 // newHTTPBackend builds the dispatch backend for one peer base URL.
 func (e *Evaluator) newHTTPBackend(base string) *httpBackend {
-	return &httpBackend{base: base, client: e.backendClient, want: e.opts}
+	// No client-level timeout: simulations legitimately run long. Callers
+	// bound sweeps with the context.
+	return &httpBackend{base: base, client: http.DefaultClient, want: e.opts}
 }
 
 // AddBackend joins a prophetd peer to the sweep fleet at runtime, effective
@@ -212,18 +215,13 @@ func (e *Evaluator) RemoveBackend(url string) bool {
 // after the local engine exists (the dispatcher's failover closes over it);
 // the dispatcher always exists so peers can join an initially empty fleet.
 func (e *Evaluator) newDispatcher() *dispatch.Dispatcher[Job, Result] {
-	if e.backendClient == nil {
-		// No client-level timeout: simulations legitimately run long.
-		// Callers bound sweeps with the context.
-		e.backendClient = &http.Client{}
-	}
 	ring := make([]dispatch.Backend[Job, Result], len(e.backendURLs))
 	for i, u := range e.backendURLs {
 		ring[i] = e.newHTTPBackend(strings.TrimRight(u, "/"))
 	}
 	return dispatch.New(dispatch.Config[Job, Result]{
 		Backends: ring,
-		Logf:     e.logf,
+		Logf:     log.Printf,
 		Local: func(ctx context.Context, jobs []Job) []Result {
 			rs, _ := e.sweepLocal(ctx, jobs, nil)
 			return rs

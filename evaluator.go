@@ -3,8 +3,6 @@ package prophet
 import (
 	"context"
 	"fmt"
-	"log"
-	"net/http"
 
 	"prophet/internal/dispatch"
 	"prophet/internal/experiments"
@@ -24,12 +22,10 @@ type Evaluator struct {
 	workers int
 
 	backendURLs     []string
-	backendClient   *http.Client
 	backendRetries  int
 	backendMaxBatch int
-	logf            func(format string, args ...any)
 
-	// store is the optional durable result tier (WithResultStore): jobs
+	// store is the optional durable result tier (UseResultStore): jobs
 	// whose results are stored are answered from disk instead of being
 	// simulated, and completed results write through.
 	store ResultStore
@@ -94,12 +90,6 @@ func WithBackends(urls ...string) Option {
 	return func(e *Evaluator) { e.backendURLs = append([]string(nil), urls...) }
 }
 
-// WithBackendClient sets the HTTP client used to reach backends (default: a
-// client with no request timeout — sweeps are bounded by their context).
-func WithBackendClient(c *http.Client) Option {
-	return func(e *Evaluator) { e.backendClient = c }
-}
-
 // WithBackendRetries sets how many attempts each batch gets on its backend
 // before failing over to the local engine (default 2).
 func WithBackendRetries(n int) Option {
@@ -113,12 +103,6 @@ func WithBackendMaxBatch(n int) Option {
 	return func(e *Evaluator) { e.backendMaxBatch = n }
 }
 
-// WithLogf routes the evaluator's operational warnings (short engine
-// returns) to a custom sink (default: the standard library logger).
-func WithLogf(f func(format string, args ...any)) Option {
-	return func(e *Evaluator) { e.logf = f }
-}
-
 // New constructs an Evaluator from the paper's default configuration plus
 // the given options.
 func New(opts ...Option) *Evaluator {
@@ -130,9 +114,6 @@ func New(opts ...Option) *Evaluator {
 	// resolved value, so each describes the configuration simulated.
 	e.opts = e.opts.resolved()
 	e.eng = pipeline.NewEvaluator(e.opts.pipelineConfig(), e.workers)
-	if e.logf == nil {
-		e.logf = log.Printf
-	}
 	// The coordinator always exists, even with an empty initial fleet, so
 	// peers can join at runtime (AddBackend / prophetd's POST /v1/peers).
 	e.disp = e.newDispatcher()

@@ -245,7 +245,8 @@ func (s *memStore) len() int {
 func TestExternalWorkloadNeverStored(t *testing.T) {
 	ctx := context.Background()
 	st := &memStore{}
-	ev := prophet.New(prophet.WithWorkers(1), prophet.WithResultStore(st))
+	ev := prophet.New(prophet.WithWorkers(1))
+	ev.UseResultStore(st)
 	w, err := prophet.Find(champsimFixture)
 	if err != nil {
 		t.Fatal(err)

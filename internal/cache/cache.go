@@ -41,12 +41,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Eviction describes a line displaced by a fill, Invalidate or
-// SetDemandWays: the way's tag word and, for a line evicted while still
-// unreferenced by demand, the PC whose prefetch filled it. The zero
-// Eviction displaced nothing. It stays two words so that it is passed in
-// registers: the compiler keeps a struct of more than four fields on the
-// stack, and copying one built field by field stalls on store forwarding.
+// Eviction describes a line displaced by a fill or SetDemandWays: the way's
+// tag word and, for a line evicted while still unreferenced by demand, the
+// PC whose prefetch filled it. The zero Eviction displaced nothing. It
+// stays two words so that it is passed in registers: the compiler keeps a
+// struct of more than four fields on the stack, and copying one built field
+// by field stalls on store forwarding.
 type Eviction struct {
 	word    uint64
 	trigger mem.Addr
@@ -346,22 +346,14 @@ func (c *Cache) Insert(l mem.Line, now, ready uint64, dirty, prefetch bool, trig
 	return Eviction{}
 }
 
-// MarkDirty performs the writeback fast path: if l is present in the
-// demand-visible ways it applies exactly the side effects of a demand write
-// hit (recency touch, dirty bit, prefetch-flag consumption) and reports
-// true; otherwise it reports false with no state change, and the caller
-// inserts the line.
-func (c *Cache) MarkDirty(l mem.Line, now uint64) bool {
-	handled, _ := c.MarkDirtyFill(l, now)
-	return handled
-}
-
-// MarkDirtyFill is MarkDirty fused with the fill-side scan: the single tag
-// pass that checks for a writeback hit also records the first free demand
-// way, so a writeback miss can be completed by Fill without rescanning the
-// set. When handled is true the dirty-hit side effects have been applied
-// and the slot is meaningless; otherwise no state changed (exactly like a
-// false MarkDirty) and the slot obeys the usual FillSlot contract.
+// MarkDirtyFill performs the writeback fast path fused with the fill-side
+// scan. If l is present in the demand-visible ways it applies exactly the
+// side effects of a demand write hit (recency touch, dirty bit,
+// prefetch-flag consumption) and reports handled; the slot is then
+// meaningless. Otherwise no state changed, and the same tag pass has
+// recorded the first free demand way, so the caller completes the
+// writeback miss with Fill without rescanning the set; the slot obeys the
+// usual FillSlot contract.
 func (c *Cache) MarkDirtyFill(l mem.Line, now uint64) (handled bool, slot FillSlot) {
 	si := c.setIndex(l)
 	w, lv, free := c.scan(si, uint64(l)+1, c.demandWays)
@@ -371,17 +363,6 @@ func (c *Cache) MarkDirtyFill(l mem.Line, now uint64) (handled bool, slot FillSl
 	c.clock++
 	c.hit(si, w, lv, true)
 	return true, FillSlot{}
-}
-
-// Invalidate removes a line if present, returning its eviction record
-// (used by exclusive-ish LLC handling and by tests).
-func (c *Cache) Invalidate(l mem.Line) Eviction {
-	si := c.setIndex(l)
-	// Note: the full associativity is searched, not just the demand ways.
-	if w, _, _ := c.scan(si, uint64(l)+1, c.cfg.Ways); w >= 0 {
-		return c.evict(si*c.cfg.Ways + w)
-	}
-	return Eviction{}
 }
 
 // SetDemandWays narrows or widens the demand-visible associativity (the LLC
@@ -401,18 +382,4 @@ func (c *Cache) SetDemandWays(n int) []Eviction {
 	}
 	c.demandWays = n
 	return evs
-}
-
-// Occupancy returns the number of valid demand-visible lines (for tests).
-func (c *Cache) Occupancy() int {
-	n := 0
-	for si := 0; si < c.cfg.Sets(); si++ {
-		base := si * c.cfg.Ways
-		for _, lv := range c.lines[base : base+c.demandWays] {
-			if lv != 0 {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -185,28 +185,12 @@ func TestInsertRefillDoesNotDuplicate(t *testing.T) {
 	if ev.Valid() {
 		t.Fatalf("refill evicted %+v", ev)
 	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d after refill, want 1", c.Occupancy())
+	if c.occupancy() != 1 {
+		t.Fatalf("occupancy = %d after refill, want 1", c.occupancy())
 	}
 	res := c.Access(0, 2, false)
 	if res.Ready != 50 {
 		t.Fatalf("refill should keep earlier ready cycle, got %d", res.Ready)
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := New(small(LRU))
-	c.Insert(0, 0, 0, false, false, 0)
-	c.Access(0, 1, true)
-	ev := c.Invalidate(0)
-	if !ev.Valid() || !ev.Dirty() {
-		t.Fatalf("Invalidate returned %+v", ev)
-	}
-	if _, hit := c.Lookup(0); hit {
-		t.Fatal("line still present after Invalidate")
-	}
-	if ev2 := c.Invalidate(0); ev2.Valid() {
-		t.Fatal("second Invalidate reported a line")
 	}
 }
 
@@ -217,15 +201,15 @@ func TestSetDemandWaysShrinkEvicts(t *testing.T) {
 			c.Insert(mem.Line(s+4*w), uint64(w), uint64(w), false, false, 0)
 		}
 	}
-	if c.Occupancy() != 16 {
-		t.Fatalf("occupancy = %d, want 16", c.Occupancy())
+	if c.occupancy() != 16 {
+		t.Fatalf("occupancy = %d, want 16", c.occupancy())
 	}
 	evs := c.SetDemandWays(2)
 	if len(evs) != 8 {
 		t.Fatalf("shrinking 4->2 ways evicted %d lines, want 8", len(evs))
 	}
-	if c.Occupancy() != 8 {
-		t.Fatalf("occupancy after shrink = %d, want 8", c.Occupancy())
+	if c.occupancy() != 8 {
+		t.Fatalf("occupancy after shrink = %d, want 8", c.occupancy())
 	}
 	if c.DemandWays() != 2 {
 		t.Fatalf("DemandWays = %d, want 2", c.DemandWays())
@@ -234,8 +218,8 @@ func TestSetDemandWaysShrinkEvicts(t *testing.T) {
 	if evs := c.SetDemandWays(4); len(evs) != 0 {
 		t.Fatalf("growing evicted %d lines", len(evs))
 	}
-	if c.Occupancy() != 8 {
-		t.Fatalf("occupancy after grow = %d, want 8", c.Occupancy())
+	if c.occupancy() != 8 {
+		t.Fatalf("occupancy after grow = %d, want 8", c.occupancy())
 	}
 }
 
@@ -278,12 +262,12 @@ func TestCacheInvariants(t *testing.T) {
 			case 1:
 				c.Insert(l, uint64(i), uint64(i), false, rng.Intn(2) == 0, 0)
 			case 2:
-				c.Invalidate(l)
+				c.MarkDirtyFill(l, uint64(i))
 			case 3:
 				c.Lookup(l)
 			}
 		}
-		if c.Occupancy() > 16 {
+		if c.occupancy() > 16 {
 			return false
 		}
 		// Scan the tag words, which are authoritative for validity, for
@@ -327,7 +311,21 @@ func TestPLRUNonPow2Fallback(t *testing.T) {
 			c.Insert(l, uint64(i), uint64(i), false, false, 0)
 		}
 	}
-	if c.Occupancy() > 24 {
-		t.Fatalf("occupancy %d exceeds capacity", c.Occupancy())
+	if c.occupancy() > 24 {
+		t.Fatalf("occupancy %d exceeds capacity", c.occupancy())
 	}
+}
+
+// occupancy returns the number of valid demand-visible lines.
+func (c *Cache) occupancy() int {
+	n := 0
+	for si := 0; si < c.cfg.Sets(); si++ {
+		base := si * c.cfg.Ways
+		for _, lv := range c.lines[base : base+c.demandWays] {
+			if lv != 0 {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -128,7 +128,7 @@ func (m *model) verify(op string) {
 	if got := m.c.Stats(); got != m.stats {
 		m.t.Fatalf("after %s: stats %+v, want %+v", op, got, m.stats)
 	}
-	if got := m.c.Occupancy(); got != len(m.lines) {
+	if got := m.c.occupancy(); got != len(m.lines) {
 		m.t.Fatalf("after %s: occupancy %d, want %d", op, got, len(m.lines))
 	}
 	for l, st := range m.lines {
@@ -239,27 +239,19 @@ func runModel(t *testing.T, cfg Config, seed uint64, steps int) {
 			st.dirty = true
 			m.fill(op, l, st, c.Fill(slot, l, st.ready, true, st.prefetch, st.trigger))
 		case 12:
-			op = "MarkDirty"
-			handled := c.MarkDirty(l, uint64(i))
+			op = "MarkDirtyFill without fill"
+			handled, _ := c.MarkDirtyFill(l, uint64(i))
 			if _, ok := m.lines[l]; handled != ok {
-				t.Fatalf("MarkDirty(%v) handled=%v, resident=%v", l, handled, ok)
+				t.Fatalf("MarkDirtyFill(%v) handled=%v, resident=%v", l, handled, ok)
 			}
 			if handled {
 				m.hit(l, true)
 			}
-		case 13, 14:
+		case 13, 14, 15, 16:
 			op = "Lookup"
 			ready, hit := c.Lookup(l)
 			if st, ok := m.lines[l]; hit != ok || ready != st.ready {
 				t.Fatalf("Lookup(%v) = %d, %v; model %+v, %v", l, ready, hit, st, ok)
-			}
-		case 15, 16:
-			op = "Invalidate"
-			ev := c.Invalidate(l)
-			if _, ok := m.lines[l]; ok {
-				m.evicted(op, ev)
-			} else if ev != (Eviction{}) {
-				t.Fatalf("Invalidate(%v) of an absent line returned %+v", l, ev)
 			}
 		case 17, 18:
 			n := 1 + rng.Intn(cfg.Ways)

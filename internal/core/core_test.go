@@ -95,8 +95,8 @@ func TestInsertionHintDiscardsPC(t *testing.T) {
 	if p.TableStats().Insertions != 0 {
 		t.Fatal("filtered PC trained the table")
 	}
-	if p.Dropped() != 50 {
-		t.Fatalf("Dropped = %d, want 50", p.Dropped())
+	if p.dropped != 50 {
+		t.Fatalf("dropped = %d, want 50", p.dropped)
 	}
 }
 
@@ -257,12 +257,11 @@ func TestMVBGeometryAndStorage(t *testing.T) {
 		t.Fatalf("Entries = %d", vb.Entries())
 	}
 	// Section 5.10: 65,536 entries x 43 bits = 344KB.
-	wantBits := DefaultMVBEntries * 43
-	if vb.StorageBits() != wantBits {
-		t.Fatalf("StorageBits = %d, want %d", vb.StorageBits(), wantBits)
+	if MVBEntryBits != 43 {
+		t.Fatalf("MVBEntryBits = %d, want 43", MVBEntryBits)
 	}
-	if kb := float64(vb.StorageBits()) / 8 / 1024; kb < 343 || kb > 345 {
-		t.Fatalf("MVB storage = %.1fKB, want ~344KB", kb)
+	if kb := float64(vb.Entries()*MVBEntryBits) / 8 / 1024; kb != 344 {
+		t.Fatalf("MVB storage = %.1fKB, want 344KB", kb)
 	}
 }
 
@@ -278,7 +277,7 @@ func TestMVBCandidatesBudget(t *testing.T) {
 }
 
 func TestSimplifiedConfig(t *testing.T) {
-	cfg := SimplifiedConfig()
+	cfg := DefaultConfig().Simplified()
 	if cfg.Degree != 1 {
 		t.Error("simplified TP must use degree 1")
 	}
@@ -288,6 +287,23 @@ func TestSimplifiedConfig(t *testing.T) {
 	p := New(cfg, HintSet{}, nil)
 	if p.MetaWays() != cfg.Table.MaxWays {
 		t.Errorf("simplified TP table = %d ways, want fixed max %d", p.MetaWays(), cfg.Table.MaxWays)
+	}
+
+	// The rule keeps its receiver's geometry: profiling runs on the table
+	// and buffers the pipeline was configured with, not the defaults.
+	custom := DefaultConfig()
+	custom.Table.Sets *= 2
+	custom.Table.MaxWays = 4
+	custom.MVBEntries *= 2
+	custom.HintBufferEntries = 64
+	want := custom
+	want.Degree = 1
+	want.Features = Features{}
+	if got := custom.Simplified(); got != want {
+		t.Errorf("Simplified() = %+v, want %+v", got, want)
+	}
+	if custom.Degree != 4 || custom.Features != AllFeatures() {
+		t.Error("Simplified changed its receiver")
 	}
 }
 

@@ -70,6 +70,11 @@ const (
 // DefaultMVBEntries is the evaluated buffer size (Section 5.10).
 const DefaultMVBEntries = 65536
 
+// MVBEntryBits is one entry's hardware cost as Section 5.10 accounts it: a
+// 31-bit target, a 10-bit tag and a 2-bit use counter. The valid bit and
+// the recency field of the word layout above are simulator bookkeeping.
+const MVBEntryBits = 31 + vbTagBits + 2
+
 // victimBuffers recycles Released buffers across Prophet runs.
 var victimBuffers = recycle.New(func() *VictimBuffer { return &VictimBuffer{} },
 	func(b *VictimBuffer) *recycle.Slot { return &b.rc })
@@ -117,9 +122,6 @@ func (b *VictimBuffer) Release() {
 
 // Entries returns the buffer capacity in entries.
 func (b *VictimBuffer) Entries() int { return len(b.words) }
-
-// Candidates returns the per-lookup alternate-target budget.
-func (b *VictimBuffer) Candidates() int { return b.candidates }
 
 // locate returns srcKey's set and the valid bit and tag every entry of
 // srcKey carries.
@@ -238,9 +240,3 @@ func (b *VictimBuffer) AppendLookup(dst []uint32, srcKey uint32, exclude uint32)
 
 // Stats returns (inserts, hits) for reporting.
 func (b *VictimBuffer) Stats() (inserts, hits uint64) { return b.inserts, b.hits }
-
-// StorageBits returns the buffer's storage cost in bits: 43 bits per entry
-// (31-bit target + 10-bit tag + 2-bit counter), as accounted in Section 5.10.
-func (b *VictimBuffer) StorageBits() int {
-	return b.Entries() * (31 + vbTagBits + 2)
-}

@@ -260,8 +260,8 @@ func TestMVBReleaseRecyclesStorage(t *testing.T) {
 	if &b.words[0] != words {
 		t.Fatal("the released buffer's storage was not reused")
 	}
-	if ins, hits := b.Stats(); ins != 0 || hits != 0 || b.Candidates() != 2 {
-		t.Fatalf("recycled buffer: stats (%d, %d), candidates %d", ins, hits, b.Candidates())
+	if ins, hits := b.Stats(); ins != 0 || hits != 0 || b.candidates != 2 {
+		t.Fatalf("recycled buffer: stats (%d, %d), candidates %d", ins, hits, b.candidates)
 	}
 	if got := b.Lookup(5, ^uint32(0)); len(got) != 0 {
 		t.Fatalf("recycled buffer still answers %v for a released entry", got)

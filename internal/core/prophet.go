@@ -63,14 +63,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// SimplifiedConfig returns the Step 1 profiling configuration (Section 3.2):
-// insertion policy disabled, fixed 1MB metadata table, prefetch degree 1 —
-// "an unbiased evaluation of memory instructions under temporal prefetching".
-func SimplifiedConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Degree = 1
-	cfg.Features = Features{} // pure runtime: no filtering, no MVB, fixed table
-	return cfg
+// Simplified returns the Step 1 profiling configuration (Section 3.2) at
+// c's geometry: insertion policy disabled, fixed metadata table at its
+// maximum size, prefetch degree 1 — "an unbiased evaluation of memory
+// instructions under temporal prefetching".
+func (c Config) Simplified() Config {
+	c.Degree = 1
+	c.Features = Features{} // pure runtime: no filtering, no MVB, fixed table
+	return c
 }
 
 // Prophet is the temporal prefetcher with profile-guided metadata
@@ -143,9 +143,6 @@ func (p *Prophet) Name() string { return "prophet" }
 
 // CSR returns the engine's control/status register contents.
 func (p *Prophet) CSR() CSR { return p.csr }
-
-// Dropped returns how many demand requests the insertion policy discarded.
-func (p *Prophet) Dropped() uint64 { return p.dropped }
 
 // OnAccess implements temporal.Engine.
 func (p *Prophet) OnAccess(ev temporal.AccessEvent) []mem.Line {

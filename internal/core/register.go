@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"prophet/internal/registry"
-	"prophet/internal/sim"
 )
 
 // core self-registers the two schemes it anchors: the no-temporal-prefetching
-// baseline every figure normalizes to, and Prophet itself. Prophet's run
-// needs the profile -> learn -> analyze loop, whose analysis layer imports
-// this package — so the flow arrives through the evaluator-injected
-// Context.Prophet hook rather than a direct import.
+// baseline every figure normalizes to, which the evaluator has already
+// simulated (or served from its cache) for every job, and Prophet itself.
+// Prophet's run needs the profile -> learn -> analyze loop, whose analysis
+// layer imports this package — so the flow arrives through the
+// evaluator-injected Context.Prophet hook rather than a direct import.
 func init() {
 	registry.MustRegister("baseline", func() registry.Scheme {
 		return registry.Func(func(ctx registry.Context) (registry.Result, error) {
-			st := sim.RunOpts(ctx.Sim, ctx.Opts, nil, nil, nil, nil, ctx.Factory())
-			return registry.Result{Stats: st}, nil
+			return registry.Result{Stats: ctx.Baseline()}, nil
 		})
 	})
 	registry.MustRegister("prophet", func() registry.Scheme {

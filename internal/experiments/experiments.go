@@ -64,11 +64,6 @@ func (o Options) workers() int {
 	return runtime.NumCPU()
 }
 
-// forEach is the shared fan-out primitive (see pipeline.ForEach): fn(i)
-// runs for i in [0,n) on up to workers goroutines, and callers write
-// results into index-addressed slots so output stays deterministic.
-func forEach(workers, n int, fn func(i int)) { pipeline.ForEach(workers, n, fn) }
-
 // quickRecords is the trace length used in Quick mode.
 const quickRecords = 90_000
 

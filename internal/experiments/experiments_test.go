@@ -118,12 +118,27 @@ func TestFigure19CumulativeFeatures(t *testing.T) {
 	}
 }
 
+// TestStorageOverheadNumbers pins the whole ST table: Section 5.10's
+// Prophet sizes (48KB + 0.19KB + 344KB) and the Triage and Triangel rows.
 func TestStorageOverheadNumbers(t *testing.T) {
-	out := StorageOverhead(quick).Render()
-	for _, want := range []string{"48.00", "0.19", "344.00"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("storage table missing %s KB", want)
-		}
+	const want = "=== ST: Storage overhead (Section 5.10) ===\n" +
+		"Storage overhead\n" +
+		"Scheme    Structure                    KB    \n" +
+		"--------  ---------------------------  ------\n" +
+		"Prophet   Prophet replacement state    48.00 \n" +
+		"Prophet   Hint buffer                  0.19  \n" +
+		"Prophet   Multi-path Victim Buffer     344.00\n" +
+		"Prophet   TOTAL                        392.19\n" +
+		"Triage    Hawkeye replacement state    13.00 \n" +
+		"Triage    Bloom-filter resizer         200.00\n" +
+		"Triage    TOTAL                        213.00\n" +
+		"Triangel  SRRIP replacement state      48.00 \n" +
+		"Triangel  Set Dueller                  2.00  \n" +
+		"Triangel  Training unit + confidences  11.00 \n" +
+		"Triangel  TOTAL                        61.00 \n" +
+		"paper targets: Prophet = 48KB replacement state + 0.19KB hint buffer + 344KB MVB\n"
+	if got := StorageOverhead(quick).Render(); got != want {
+		t.Errorf("storage table:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -155,7 +155,7 @@ func Figure8(opts Options) Result {
 	for t := range series {
 		series[t].Values = make([]float64, len(set))
 	}
-	forEach(opts.workers(), len(set), func(wi int) {
+	pipeline.ForEach(opts.workers(), len(set), func(wi int) {
 		w := set[wi]
 		h := temporal.NewTargetHistogram(5)
 		train := temporal.NewTrainingUnit(1024)
@@ -242,7 +242,7 @@ func learnStages(cfg pipeline.Config, opts Options, evalInputs []namedWorkload, 
 	workers := opts.workers()
 	ev := pipeline.NewEvaluator(cfg, workers)
 	baseIPC := make([]float64, len(evalInputs))
-	forEach(workers, len(evalInputs), func(i int) {
+	pipeline.ForEach(workers, len(evalInputs), func(i int) {
 		baseIPC[i] = ev.Baseline(evalInputs[i].Name, evalInputs[i].Factory).IPC()
 	})
 	speedup := func(st sim.Stats, i int) float64 { return stats.Speedup(st.IPC(), baseIPC[i]) }
@@ -252,7 +252,7 @@ func learnStages(cfg pipeline.Config, opts Options, evalInputs []namedWorkload, 
 	// Disable: the runtime scheme alone (Triage4 + Triangel metadata —
 	// the Figure 19 ablation base).
 	disable := textplot.Series{Name: "Disable", Values: make([]float64, len(evalInputs))}
-	forEach(workers, len(evalInputs), func(i int) {
+	pipeline.ForEach(workers, len(evalInputs), func(i int) {
 		eng := core.New(ablationConfig(cfg, core.Features{}), core.HintSet{}, nil)
 		st := sim.Run(cfg.Sim, eng, nil, nil, nil, evalInputs[i].Factory())
 		eng.Release()
@@ -268,7 +268,7 @@ func learnStages(cfg pipeline.Config, opts Options, evalInputs []namedWorkload, 
 		p.ProfileAndLearn(lw.Factory())
 		p.Analyze()
 		s := textplot.Series{Name: stageNames[si], Values: make([]float64, len(evalInputs))}
-		forEach(workers, len(evalInputs), func(i int) {
+		pipeline.ForEach(workers, len(evalInputs), func(i int) {
 			st := p.Run(evalInputs[i].Factory())
 			s.Values[i] = speedup(st, i)
 		})
@@ -277,7 +277,7 @@ func learnStages(cfg pipeline.Config, opts Options, evalInputs []namedWorkload, 
 
 	// Direct: each input profiled for itself (the learning goal).
 	direct := textplot.Series{Name: "Direct", Values: make([]float64, len(evalInputs))}
-	forEach(workers, len(evalInputs), func(i int) {
+	pipeline.ForEach(workers, len(evalInputs), func(i int) {
 		st, _ := pipeline.RunProphetDirect(cfg, evalInputs[i].Factory)
 		direct.Values[i] = speedup(st, i)
 	})
@@ -400,7 +400,7 @@ func sensitivity(opts Options, settingNames []string, apply func(cfg *pipeline.C
 		series[i].Values = make([]float64, len(set))
 	}
 	labels := make([]string, len(set))
-	forEach(workers, len(set), func(wi int) {
+	pipeline.ForEach(workers, len(set), func(wi int) {
 		w := set[wi]
 		baseStats := ev.Baseline(w.Name, w.Factory)
 		// Step 1 once per workload; the counters feed every setting.
@@ -518,7 +518,7 @@ func Figure19(opts Options) Result {
 	}
 	labels := make([]string, len(set))
 	rows := make([][]string, len(set))
-	forEach(workers, len(set), func(wi int) {
+	pipeline.ForEach(workers, len(set), func(wi int) {
 		w := set[wi]
 		base := ev.Baseline(w.Name, w.Factory)
 		p := pipeline.NewProphet(cfg)

@@ -81,9 +81,9 @@ func StorageOverhead(Options) Result {
 		}
 		t.AddRow(scheme, "TOTAL", fmt.Sprintf("%.2f", storage.TotalKB(items)))
 	}
-	add("Prophet", storage.Prophet())
+	add("Prophet", storage.Prophet(core.DefaultConfig()))
 	add("Triage", storage.Triage())
-	add("Triangel", storage.Triangel())
+	add("Triangel", storage.Triangel(triangel.Default()))
 	return Result{
 		ID:     "ST",
 		Title:  "Storage overhead (Section 5.10)",
@@ -102,7 +102,7 @@ func EnergyOverhead(opts Options) Result {
 	set := specSet(opts)
 	labels := make([]string, len(set))
 	overheads := make([]float64, len(set))
-	forEach(opts.workers(), len(set), func(wi int) {
+	pipeline.ForEach(opts.workers(), len(set), func(wi int) {
 		w := set[wi]
 		factory := factoryFor(w, opts)
 		trStats := pipeline.RunTriangel(cfg.Sim, triangel.Default(), factory())

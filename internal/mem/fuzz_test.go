@@ -10,7 +10,7 @@ import (
 // FuzzTraceReader hammers the native-trace parser with arbitrary bytes:
 // corrupt magic, bad versions, absurd header counts, and mid-record
 // truncation must all surface as ErrBadTrace (from NewTraceReader or Err,
-// and from ReadTrace), never a panic, unbounded allocation, or a silently
+// and from readTrace), never a panic, unbounded allocation, or a silently
 // short stream.
 func FuzzTraceReader(f *testing.F) {
 	var good bytes.Buffer
@@ -28,12 +28,12 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(forgedTrace(f)) // accepted count, one record behind it
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if recs, err := ReadTrace(bytes.NewReader(data)); err != nil {
+		if recs, err := readTrace(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrBadTrace) {
-				t.Fatalf("ReadTrace error %v not classified under ErrBadTrace", err)
+				t.Fatalf("readTrace error %v not classified under ErrBadTrace", err)
 			}
 		} else if uint64(len(recs)) != binary.LittleEndian.Uint64(data[12:]) {
-			t.Fatalf("ReadTrace returned %d records, header declares %d", len(recs), binary.LittleEndian.Uint64(data[12:]))
+			t.Fatalf("readTrace returned %d records, header declares %d", len(recs), binary.LittleEndian.Uint64(data[12:]))
 		}
 		tr, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
@@ -54,8 +54,8 @@ func FuzzTraceReader(f *testing.F) {
 			if !errors.Is(err, ErrBadTrace) {
 				t.Fatalf("Err() = %v, not classified under ErrBadTrace", err)
 			}
-		} else if n != tr.Count() {
-			t.Fatalf("clean stream delivered %d of %d declared records", n, tr.Count())
+		} else if n != tr.count {
+			t.Fatalf("clean stream delivered %d of %d declared records", n, tr.count)
 		}
 		if _, ok := tr.Next(); ok {
 			t.Fatal("Next() succeeded after stream end")

@@ -227,9 +227,9 @@ func TestTraceRoundTrip(t *testing.T) {
 	if n != uint64(len(recs)) {
 		t.Fatalf("WriteTrace wrote %d records, want %d", n, len(recs))
 	}
-	got, err := ReadTrace(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+		t.Fatalf("readTrace: %v", err)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("round trip length %d, want %d", len(got), len(recs))
@@ -261,7 +261,7 @@ func TestTraceRoundTripProperty(t *testing.T) {
 		if _, err := WriteTrace(&buf, NewSliceSource(recs)); err != nil {
 			return false
 		}
-		got, err := ReadTrace(&buf)
+		got, err := readTrace(&buf)
 		if err != nil || len(got) != n {
 			return false
 		}
@@ -278,11 +278,11 @@ func TestTraceRoundTripProperty(t *testing.T) {
 }
 
 func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace file at all"))); err == nil {
-		t.Fatal("ReadTrace accepted garbage")
+	if _, err := readTrace(bytes.NewReader([]byte("not a trace file at all"))); err == nil {
+		t.Fatal("readTrace accepted garbage")
 	}
-	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
-		t.Fatal("ReadTrace accepted empty input")
+	if _, err := readTrace(bytes.NewReader(nil)); err == nil {
+		t.Fatal("readTrace accepted empty input")
 	}
 }
 
@@ -293,8 +293,8 @@ func TestReadTraceRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := ReadTrace(bytes.NewReader(raw[:len(raw)-5])); err == nil {
-		t.Fatal("ReadTrace accepted truncated file")
+	if _, err := readTrace(bytes.NewReader(raw[:len(raw)-5])); err == nil {
+		t.Fatal("readTrace accepted truncated file")
 	}
 }
 
@@ -311,7 +311,7 @@ func forgedTrace(t testing.TB) []byte {
 }
 
 // TestReadTraceForgedCountBounded: a header may claim any count up to
-// maxTraceRecords, but ReadTrace must not allocate for it before the records
+// maxTraceRecords, but readTrace must not allocate for it before the records
 // arrive. Sizing the slice from the header made this 43-byte input allocate
 // 8 GiB and die with a fatal out-of-memory error.
 func TestReadTraceForgedCountBounded(t *testing.T) {
@@ -321,19 +321,19 @@ func TestReadTraceForgedCountBounded(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	recs, err := ReadTrace(bytes.NewReader(data))
+	recs, err := readTrace(bytes.NewReader(data))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("ReadTrace = %d records, %v; want ErrBadTrace", len(recs), err)
+		t.Fatalf("readTrace = %d records, %v; want ErrBadTrace", len(recs), err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
-		t.Fatalf("ReadTrace of a forged header allocated %d bytes", grew)
+		t.Fatalf("readTrace of a forged header allocated %d bytes", grew)
 	}
 }
 
 // TestTraceReaderRefusesHugeCount: a header count past maxTraceRecords is
 // refused by NewTraceReader itself, so every reader of a native trace
-// (ReadTrace, the ingest "file" format) rejects it before decoding.
+// (readTrace, the ingest "file" format) rejects it before decoding.
 func TestTraceReaderRefusesHugeCount(t *testing.T) {
 	data := forgedTrace(t)
 	binary.LittleEndian.PutUint64(data[12:], maxTraceRecords+1)

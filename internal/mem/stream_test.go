@@ -38,8 +38,8 @@ func TestTraceReaderStreams(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if tr.Count() != uint64(n) {
-			t.Fatalf("n=%d: Count = %d", n, tr.Count())
+		if tr.count != uint64(n) {
+			t.Fatalf("n=%d: Count = %d", n, tr.count)
 		}
 		for i := 0; ; i++ {
 			a, ok := tr.Next()

@@ -148,11 +148,8 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	}, nil
 }
 
-// Count returns the record count declared in the trace header.
-func (t *TraceReader) Count() uint64 { return t.count }
-
 // Err returns the error that terminated the stream early, if any. A stream
-// that delivered all Count records reports nil.
+// that delivered every record its header declares reports nil.
 func (t *TraceReader) Err() error { return t.err }
 
 // Next implements Source, decoding the next record from the block buffer.
@@ -193,21 +190,8 @@ func (t *TraceReader) refill() bool {
 	return true
 }
 
-// ReadTrace reads an entire trace produced by WriteTrace.
-func ReadTrace(r io.Reader) ([]Access, error) {
-	tr, err := NewTraceReader(r)
-	if err != nil {
-		return nil, err
-	}
-	recs := Collect(tr, 0)
-	if err := tr.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
 // maxTracePrealloc caps the records a TraceReader reports through Len, and
-// so the capacity ReadTrace preallocates from a header count nothing has
+// so the capacity Collect preallocates from a header count nothing has
 // checked yet. A forged header then costs at most this many records
 // (2 MiB) up front; an honest larger trace grows past it by append.
 const maxTracePrealloc = 1 << 16

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -12,6 +13,21 @@ func testRecords() []Access {
 		{PC: 0x400110, Addr: 0x7f0010c0, Kind: Store, Dep: 0, Gap: 12},
 		{PC: 0x400100, Addr: 0x7f001100, Kind: Load, Dep: 2, Gap: 65535},
 	}
+}
+
+// readTrace reads an entire trace produced by WriteTrace, the way the
+// ingest "file" format does: stream it through a TraceReader, collect the
+// records, and report the reader's error.
+func readTrace(r io.Reader) ([]Access, error) {
+	tr, err := NewTraceReader(r)
+	if err != nil {
+		return nil, err
+	}
+	recs := Collect(tr, 0)
+	if err := tr.Err(); err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // TestWriteReadTraceRoundTrip pins the in-memory writer/reader pair.
@@ -25,7 +41,7 @@ func TestWriteReadTraceRoundTrip(t *testing.T) {
 	if n != uint64(len(recs)) {
 		t.Fatalf("wrote %d records, want %d", n, len(recs))
 	}
-	got, err := ReadTrace(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

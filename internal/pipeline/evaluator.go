@@ -185,12 +185,10 @@ func (e *Evaluator) Baseline(key string, factory SourceFactory) sim.Stats {
 // RunDirect implements registry.ProphetRunner: the single-input Figure 5
 // flow (profile, learn, analyze, run) on a fresh pipeline.
 func (e *Evaluator) RunDirect(factory registry.SourceFactory) (sim.Stats, map[string]int) {
-	p := NewProphet(e.cfg)
-	p.ProfileAndLearn(factory())
-	res := p.Analyze()
-	st := p.Run(factory())
-	meta := map[string]int{"hints": len(res.Hints.PC), "metaWays": res.Hints.MetaWays}
-	if res.Hints.DisableTP {
+	st, p := RunProphetDirect(e.cfg, SourceFactory(factory))
+	hints := p.Analyze().Hints
+	meta := map[string]int{"hints": len(hints.PC), "metaWays": hints.MetaWays}
+	if hints.DisableTP {
 		meta["disableTP"] = 1
 	}
 	return st, meta
@@ -221,16 +219,11 @@ func (e *Evaluator) run(ctx context.Context, job Job, ent *traceEntry) Outcome {
 	}
 	job.Factory = func() mem.Source { return ent.trace().Source() }
 	out.Base = e.Baseline(job.Key, job.Factory)
-	if job.Scheme == "baseline" {
-		// The baseline scheme IS the cached run; don't simulate it twice.
-		out.Stats = out.Base
-		return out
-	}
 	res, err := factory().Run(registry.Context{
 		Sim:      e.cfg.Sim,
 		Opts:     e.cfg.Run,
 		Factory:  registry.SourceFactory(job.Factory),
-		Baseline: func() sim.Stats { return e.Baseline(job.Key, job.Factory) },
+		Baseline: func() sim.Stats { return out.Base },
 		Prophet:  e,
 	})
 	out.Stats, out.Meta, out.Err = res.Stats, res.Meta, err

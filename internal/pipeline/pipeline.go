@@ -14,13 +14,14 @@ import (
 	"prophet/internal/mem"
 	"prophet/internal/pmu"
 	"prophet/internal/sim"
-	"prophet/internal/triage"
 	"prophet/internal/triangel"
 
 	// Registered for their scheme-registry side effects: every binary that
-	// evaluates through the pipeline can resolve "gaze" and "rpg2".
+	// evaluates through the pipeline can resolve "gaze", "rpg2" and
+	// "triage".
 	_ "prophet/internal/gaze"
 	_ "prophet/internal/rpg2"
+	_ "prophet/internal/triage"
 )
 
 // SourceFactory produces a fresh deterministic trace for each run.
@@ -33,14 +34,6 @@ type SourceFactory func() mem.Source
 // figures are normalized to this configuration.
 func RunBaseline(cfg sim.Config, src mem.Source) sim.Stats {
 	return sim.Run(cfg, nil, nil, nil, nil, src)
-}
-
-// RunTriage runs the Triage hardware prefetcher.
-func RunTriage(cfg sim.Config, tcfg triage.Config, src mem.Source) sim.Stats {
-	e := triage.New(tcfg)
-	st := sim.Run(cfg, e, nil, nil, nil, src)
-	e.Release()
-	return st
 }
 
 // RunTriangel runs the Triangel hardware prefetcher.
@@ -95,10 +88,7 @@ func NewProphet(cfg Config) *Prophet {
 // PMU counters.
 func (p *Prophet) Profile(src mem.Source) *pmu.Counters {
 	counters := pmu.NewCounters(1)
-	simplified := p.cfg.Prophet
-	simplified.Degree = 1
-	simplified.Features = core.Features{}
-	engine := core.New(simplified, core.HintSet{}, nil)
+	engine := core.New(p.cfg.Prophet.Simplified(), core.HintSet{}, nil)
 	sim.RunOpts(p.cfg.Sim, p.cfg.Run, engine, nil, counters, nil, src)
 	engine.Release()
 	return counters

@@ -6,9 +6,9 @@ import (
 
 	"prophet/internal/core"
 	"prophet/internal/mem"
+	"prophet/internal/registry"
 	"prophet/internal/rpg2"
 	"prophet/internal/sim"
-	"prophet/internal/triage"
 	"prophet/internal/triangel"
 	"prophet/internal/workloads"
 )
@@ -40,7 +40,7 @@ func TestBaselineAndSchemesRun(t *testing.T) {
 	if base.IPC() <= 0 {
 		t.Fatal("baseline IPC")
 	}
-	tg := RunTriage(cfg.Sim, triage.Default(), f())
+	tg := runTriage(cfg.Sim, f())
 	tr := RunTriangel(cfg.Sim, triangel.Default(), f())
 	if tg.TPIssued == 0 || tr.TPIssued == 0 {
 		t.Fatal("hardware prefetchers issued nothing")
@@ -169,9 +169,17 @@ func TestDeterministicPipeline(t *testing.T) {
 	}
 }
 
-// TestRunTriageRecyclesEngineStorage: RunTriage releases its engine, so a
-// second identical run reuses the first run's metadata table and address
-// compressor and allocates a small fraction of the cold run's bytes.
+// runTriage runs the registered triage scheme, the path a sweep takes.
+func runTriage(cfg sim.Config, src mem.Source) sim.Stats {
+	scheme, _ := registry.Lookup("triage")
+	res, _ := scheme().Run(registry.Context{Sim: cfg, Factory: func() mem.Source { return src }})
+	return res.Stats
+}
+
+// TestRunTriageRecyclesEngineStorage: the triage scheme releases its
+// engine, so a second identical run reuses the first run's metadata table
+// and address compressor and allocates a small fraction of the cold run's
+// bytes.
 func TestRunTriageRecyclesEngineStorage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts at random")
@@ -182,7 +190,7 @@ func TestRunTriageRecyclesEngineStorage(t *testing.T) {
 	run := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		RunTriage(cfg.Sim, triage.Default(), mem.NewSliceSource(recs))
+		runTriage(cfg.Sim, mem.NewSliceSource(recs))
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
@@ -190,7 +198,7 @@ func TestRunTriageRecyclesEngineStorage(t *testing.T) {
 	runtime.GC()
 	cold, warm := run(), run()
 	if warm*4 > cold {
-		t.Fatalf("second RunTriage allocated %d bytes, first %d; want under a quarter", warm, cold)
+		t.Fatalf("second triage run allocated %d bytes, first %d; want under a quarter", warm, cold)
 	}
 }
 

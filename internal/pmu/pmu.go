@@ -20,11 +20,7 @@
 // Figure 2 — which OverheadBytes quantifies for the Section 5.4 experiment.
 package pmu
 
-import (
-	"sort"
-
-	"prophet/internal/mem"
-)
+import "prophet/internal/mem"
 
 // PCCounters holds the per-PC PEBS event counts.
 type PCCounters struct {
@@ -130,26 +126,6 @@ func (c *Counters) MissWeights() map[mem.Addr]uint64 {
 		out[pc] = e.L2Misses
 	}
 	return out
-}
-
-// TopMissPCs returns up to n PCs ordered by descending L2 miss count
-// (deterministic: ties break on PC).
-func (c *Counters) TopMissPCs(n int) []mem.Addr {
-	pcs := make([]mem.Addr, 0, len(c.PC))
-	for pc := range c.PC {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool {
-		mi, mj := c.PC[pcs[i]].L2Misses, c.PC[pcs[j]].L2Misses
-		if mi != mj {
-			return mi > mj
-		}
-		return pcs[i] < pcs[j]
-	})
-	if n > 0 && len(pcs) > n {
-		pcs = pcs[:n]
-	}
-	return pcs
 }
 
 // OverheadBytes estimates the profiling payload size: three 8-byte counters

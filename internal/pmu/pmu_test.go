@@ -53,38 +53,6 @@ func TestAllocatedEntries(t *testing.T) {
 	}
 }
 
-func TestTopMissPCs(t *testing.T) {
-	c := NewCounters(1)
-	for i := 0; i < 5; i++ {
-		c.RecordL2Miss(1)
-	}
-	for i := 0; i < 9; i++ {
-		c.RecordL2Miss(2)
-	}
-	c.RecordL2Miss(3)
-	top := c.TopMissPCs(2)
-	if len(top) != 2 || top[0] != 2 || top[1] != 1 {
-		t.Fatalf("TopMissPCs = %v, want [2 1]", top)
-	}
-	all := c.TopMissPCs(0)
-	if len(all) != 3 {
-		t.Fatalf("TopMissPCs(0) = %v, want all 3", all)
-	}
-}
-
-func TestTopMissPCsDeterministicTies(t *testing.T) {
-	for trial := 0; trial < 5; trial++ {
-		c := NewCounters(1)
-		for pc := mem.Addr(10); pc <= 14; pc++ {
-			c.RecordL2Miss(pc)
-		}
-		top := c.TopMissPCs(3)
-		if top[0] != 10 || top[1] != 11 || top[2] != 12 {
-			t.Fatalf("tie break not deterministic: %v", top)
-		}
-	}
-}
-
 func TestSamplingApproximatesExact(t *testing.T) {
 	exact := NewCounters(1)
 	sampled := NewCounters(16)

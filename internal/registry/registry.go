@@ -48,9 +48,9 @@ type Context struct {
 	// Factory produces the workload trace; call once per simulation pass.
 	Factory SourceFactory
 	// Baseline returns the no-prefetching run for this trace, served from
-	// the evaluator's cache — schemes that degenerate to the baseline
-	// (RPG2 without kernels) should call it instead of re-simulating.
-	// May be nil when no cache-capable caller is attached.
+	// the evaluator's cache — the baseline scheme and schemes that
+	// degenerate to it (RPG2 without kernels) call it instead of
+	// re-simulating.
 	Baseline func() sim.Stats
 	// Prophet is the profile-guided pipeline hook; nil when the caller
 	// cannot run pipelines (the prophet scheme then fails cleanly).

@@ -169,9 +169,6 @@ func (p *Prefetcher) Name() string { return "rpg2" }
 // Distance returns the configured prefetch distance.
 func (p *Prefetcher) Distance() int { return p.distance }
 
-// KernelCount returns how many PCs carry software prefetches.
-func (p *Prefetcher) KernelCount() int { return len(p.kernels) }
-
 // Issued returns the number of software prefetches executed.
 func (p *Prefetcher) Issued() uint64 { return p.issued }
 

@@ -150,7 +150,7 @@ func TestDefaultsMatchPaper(t *testing.T) {
 
 func TestPrefetcherName(t *testing.T) {
 	pf := NewPrefetcher(nil, 4)
-	if pf.Name() != "rpg2" || pf.KernelCount() != 0 || pf.Distance() != 4 {
+	if pf.Name() != "rpg2" || len(pf.kernels) != 0 || pf.Distance() != 4 {
 		t.Error("metadata accessors wrong")
 	}
 }

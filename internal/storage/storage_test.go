@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"prophet/internal/core"
+	"prophet/internal/triangel"
 )
 
 func kbOf(items []Item, name string) float64 {
@@ -17,7 +20,7 @@ func kbOf(items []Item, name string) float64 {
 
 // Section 5.10's exact numbers.
 func TestProphetStorageMatchesPaper(t *testing.T) {
-	items := Prophet()
+	items := Prophet(core.DefaultConfig())
 	if got := kbOf(items, "Prophet replacement state"); got != 48 {
 		t.Errorf("replacement state = %v KB, want 48", got)
 	}
@@ -40,14 +43,34 @@ func TestTriageStorageMatchesPaper(t *testing.T) {
 }
 
 func TestTriangelStorage(t *testing.T) {
-	items := Triangel()
+	items := Triangel(triangel.Default())
 	if got := kbOf(items, "Set Dueller"); got != 2 {
 		t.Errorf("Set Dueller = %v KB, want ~2", got)
 	}
 }
 
+// TestGeometryReachesLedger: the rows follow the engines' configurations,
+// so a geometry change shows in the storage table.
+func TestGeometryReachesLedger(t *testing.T) {
+	pcfg := core.DefaultConfig()
+	pcfg.MVBEntries *= 2
+	if got := kbOf(Prophet(pcfg), "Multi-path Victim Buffer"); got != 2*344 {
+		t.Errorf("MVB at %d entries = %v KB, want %v", pcfg.MVBEntries, got, 2*344)
+	}
+	pcfg = core.DefaultConfig()
+	pcfg.Table.MaxWays = 4
+	if got := kbOf(Prophet(pcfg), "Prophet replacement state"); got != 24 {
+		t.Errorf("Prophet replacement state at 4 ways = %v KB, want 24", got)
+	}
+	tcfg := triangel.Default()
+	tcfg.Table.MaxWays = 4
+	if got := kbOf(Triangel(tcfg), "SRRIP replacement state"); got != 24 {
+		t.Errorf("Triangel SRRIP state at 4 ways = %v KB, want 24", got)
+	}
+}
+
 func TestTotalKB(t *testing.T) {
-	total := TotalKB(Prophet())
+	total := TotalKB(Prophet(core.DefaultConfig()))
 	if math.Abs(total-(48+0.19+344)) > 0.01 {
 		t.Errorf("Prophet total = %v KB", total)
 	}

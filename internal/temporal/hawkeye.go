@@ -54,8 +54,3 @@ func (h *hawkeyeState) friendly(set int, tag uint16) bool {
 	}
 	return false
 }
-
-// StorageBits accounts the predictor's cost: ghost tags (10 bits each) per
-// set. At the Table 1 geometry (2048 sets) this is ~20KB, the same order as
-// the 13KB the paper cites for Triage's Hawkeye.
-func (h *hawkeyeState) StorageBits(sets int) int { return sets * hawkeyeGhosts * tagBits }

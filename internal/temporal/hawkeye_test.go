@@ -76,16 +76,6 @@ func TestHawkeyeGhostListBounded(t *testing.T) {
 	}
 }
 
-func TestHawkeyeStorageSameOrderAsPaper(t *testing.T) {
-	h := newHawkeyeState()
-	kb := float64(h.StorageBits(2048)) / 8 / 1024
-	// Paper cites 13KB for Triage's Hawkeye; our lite predictor should be
-	// the same order of magnitude at the Table 1 geometry.
-	if kb < 5 || kb > 40 {
-		t.Fatalf("Hawkeye-lite storage = %.1f KB, outside the paper's order (13KB)", kb)
-	}
-}
-
 func TestHawkeyePolicyName(t *testing.T) {
 	if MetaHawkeye.String() != "meta-hawkeye" {
 		t.Error("policy name")

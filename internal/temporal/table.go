@@ -376,8 +376,12 @@ func (t *Table) Insert(src, target uint32, priority uint8) Evicted {
 	return ev
 }
 
+// RRPVBits is the width of a slot's SRRIP re-reference prediction value,
+// the replacement state MetaSRRIP keeps per metadata entry.
+const RRPVBits = 2
+
 const (
-	srripMaxRRPV    = 3
+	srripMaxRRPV    = 1<<RRPVBits - 1
 	srripInsertRRPV = 2
 )
 

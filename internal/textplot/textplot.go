@@ -115,6 +115,3 @@ func Chart(title string, labels []string, series []Series, width int) string {
 
 // F formats a float with 3 decimals (table cell helper).
 func F(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// Pct formats a ratio as a percentage with 2 decimals.
-func Pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }

@@ -51,7 +51,4 @@ func TestFormatters(t *testing.T) {
 	if F(1.23456) != "1.235" {
 		t.Errorf("F = %q", F(1.23456))
 	}
-	if Pct(0.1234) != "12.34%" {
-		t.Errorf("Pct = %q", Pct(0.1234))
-	}
 }

@@ -66,6 +66,11 @@ func Default() Config {
 	}
 }
 
+// TrainingEntries is the per-PC state's size: the training unit's
+// entries, and as many slots of PatternConf and ReuseConf. A power of two,
+// because both are direct-mapped by PC.
+const TrainingEntries = 1024
+
 const (
 	confMax  = 15 // 4-bit counters
 	confInit = 8
@@ -132,8 +137,8 @@ func New(cfg Config) *Prefetcher {
 		cfg:        cfg,
 		table:      temporal.NewTable(cfg.Table, cfg.Ways),
 		comp:       temporal.NewCompressor(),
-		train:      temporal.NewTrainingUnit(1024),
-		pcs:        make([]pcState, 1024),
+		train:      temporal.NewTrainingUnit(TrainingEntries),
+		pcs:        make([]pcState, TrainingEntries),
 		scratch:    make([]mem.Line, 0, cfg.Degree),
 		patRing:    make([]patternSample, patternSamplerCap),
 		patIndex:   temporal.NewLineIndex(patternSamplerCap),
@@ -383,8 +388,5 @@ func (p *Prefetcher) Release() {
 
 // PatternConf exposes a PC's confidence counter for tests and Figure 1.
 func (p *Prefetcher) PatternConf(pc mem.Addr) int8 { return p.pcSlot(pc).patternConf }
-
-// ReuseConf exposes a PC's reuse confidence for tests.
-func (p *Prefetcher) ReuseConf(pc mem.Addr) int8 { return p.pcSlot(pc).reuseConf }
 
 var _ temporal.Engine = (*Prefetcher)(nil)

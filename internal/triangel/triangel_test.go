@@ -60,7 +60,7 @@ func TestReuseConfFiltersRandomPC(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p.OnAccess(miss(pc, mem.Line(rng.Intn(1<<22))))
 	}
-	if got := p.ReuseConf(pc); got >= p.cfg.ReuseThreshold {
+	if got := p.pcSlot(pc).reuseConf; got >= p.cfg.ReuseThreshold {
 		t.Fatalf("ReuseConf = %d after random stream, want < %d", got, p.cfg.ReuseThreshold)
 	}
 	if ins := p.TableStats().Insertions; ins > n/2 {

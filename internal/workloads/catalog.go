@@ -59,7 +59,7 @@ func spec(name string, seed uint64, patterns ...PatternSpec) Workload {
 }
 
 // SPEC returns the seven irregular SPEC-CPU-like workloads of Figures 10-12
-// and 16-19. See DESIGN.md §4 for each workload's encoded properties.
+// and 16-19. Each workload's doc comment states its encoded properties.
 func SPEC() []Workload {
 	return []Workload{
 		AstarBiglakes(),

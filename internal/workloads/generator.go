@@ -1,10 +1,10 @@
 // Package workloads provides the synthetic SPEC-CPU-like irregular
 // workloads of the evaluation. Real SPEC traces are not redistributable, so
 // each workload is a parameterized generator reproducing the memory-access
-// *character* the paper's results depend on (see DESIGN.md §4): pointer
-// chasing, interleaved useful/useless temporal patterns, multi-path Markov
-// sequences, computed (non-stride) prefetch kernels, metadata footprints
-// above and below the 1MB table, and bandwidth sensitivity.
+// *character* the paper's results depend on: pointer chasing, interleaved
+// useful/useless temporal patterns, multi-path Markov sequences, computed
+// (non-stride) prefetch kernels, metadata footprints above and below the
+// 1MB table, and bandwidth sensitivity.
 //
 // A workload is a weighted interleaving of pattern streams. Every stream
 // owns one instruction PC and one address region, so per-PC training in the

@@ -1,5 +1,5 @@
 // Durable result store plumbing: the public half of the disk cache tier.
-// An Evaluator given a ResultStore (WithResultStore / UseResultStore) never
+// An Evaluator given a ResultStore (UseResultStore) never
 // recomputes a job whose result is already stored — Run, RunJob, SweepLocal
 // and sharded Sweep all consult the store first and write completed results
 // through — so restarts start warm and a fleet coordinator's store turns
@@ -96,16 +96,11 @@ func DecodeStoredResult(b []byte) (Report, error) {
 	return Report{Stats: sr.Stats, Meta: sr.Meta}, nil
 }
 
-// WithResultStore attaches a durable result store as the cache tier under
+// UseResultStore attaches a durable result store as the cache tier under
 // the engine: jobs whose results are stored are answered from disk without
-// simulating, and completed computations write through.
-func WithResultStore(rs ResultStore) Option {
-	return func(e *Evaluator) { e.store = rs }
-}
-
-// UseResultStore attaches rs to an already-constructed evaluator — the
-// daemon's wiring order, where the store's fingerprint comes from the
-// evaluator's resolved options. It is not synchronized with concurrent
+// simulating, and completed computations write through. It takes an
+// already-constructed evaluator because the store's fingerprint comes from
+// the evaluator's resolved options. It is not synchronized with concurrent
 // runs: call it before the evaluator starts serving.
 func (e *Evaluator) UseResultStore(rs ResultStore) { e.store = rs }
 

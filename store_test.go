@@ -93,7 +93,8 @@ func TestResultStoreRunJobHits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := prophet.New(prophet.WithResultStore(st))
+	b := prophet.New()
+	b.UseResultStore(st)
 	second, err := b.Run(context.Background(), w, prophet.Prophet)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,8 @@ func TestStoreNeverAnswersUnregisteredScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &memStore{m: map[string][]byte{prophet.StoreKey(j): val}}
-	ev := prophet.New(prophet.WithResultStore(st))
+	ev := prophet.New()
+	ev.UseResultStore(st)
 
 	if rep, err := ev.RunJob(context.Background(), j); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
 		t.Fatalf("RunJob on an unregistered scheme = %+v, %v; want an unknown scheme error", rep.Stats, err)
