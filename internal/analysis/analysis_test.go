@@ -135,6 +135,21 @@ func TestAnalyzeGeneratesHints(t *testing.T) {
 	}
 }
 
+// TestMissWeightsRounding: Analyze rounds each hinted PC's merged miss
+// weight to the nearest integer, halves up, for the hint buffer's ranking.
+func TestMissWeightsRounding(t *testing.T) {
+	p := profileWith(map[mem.Addr]learning.PCProfile{
+		1: {Accuracy: 0.5, MissWeight: 99.5},
+		2: {Accuracy: 0.5, MissWeight: 99.49},
+		3: {Accuracy: 0.5, MissWeight: 100},
+		4: {Accuracy: 0.05, MissWeight: 7.5}, // filtered PCs keep their weight
+	}, 50_000)
+	w := Analyze(p, DefaultParams()).Weights
+	if w[1] != 100 || w[2] != 99 || w[3] != 100 || w[4] != 8 || len(w) != 4 {
+		t.Fatalf("Weights = %v, want 1:100 2:99 3:100 4:8", w)
+	}
+}
+
 func TestAnalyzeTrimsToHintBuffer(t *testing.T) {
 	pcs := map[mem.Addr]learning.PCProfile{}
 	for i := 0; i < 300; i++ {

@@ -92,11 +92,17 @@ func TestInsertionHintDiscardsPC(t *testing.T) {
 			t.Fatalf("filtered PC still prefetched %v", got)
 		}
 	}
-	if p.TableStats().Insertions != 0 {
-		t.Fatal("filtered PC trained the table")
+	// The discard is the only thing the table sees of the filtered PC:
+	// no insertion. The same misses from an unhinted PC insert.
+	if n := p.TableStats().Insertions; n != 0 {
+		t.Fatalf("filtered PC made %d table insertions, want 0", n)
 	}
-	if p.dropped != 50 {
-		t.Fatalf("dropped = %d, want 50", p.dropped)
+	goodPC := mem.Addr(0x540)
+	for i := 0; i < 50; i++ {
+		p.OnAccess(miss(goodPC, mem.Line(i*3)))
+	}
+	if p.TableStats().Insertions == 0 {
+		t.Fatal("an unhinted PC made no insertions: the filter check above shows nothing")
 	}
 }
 

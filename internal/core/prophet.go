@@ -88,8 +88,6 @@ type Prophet struct {
 
 	scratch []mem.Line // prediction buffer reused across OnAccess calls
 	altBuf  []uint32   // MVB lookup buffer, likewise recycled
-
-	dropped uint64 // demand requests discarded by the insertion policy
 }
 
 // New builds a Prophet engine from its configuration and the binary's hint
@@ -160,7 +158,6 @@ func (p *Prophet) OnAccess(ev temporal.AccessEvent) []mem.Line {
 				// Equation 1: discard all demand requests from
 				// PCs with no temporal pattern — no training,
 				// no metadata insertion, no prefetch.
-				p.dropped++
 				return nil
 			}
 			priority = h.Priority

@@ -29,7 +29,7 @@ type comparison struct {
 }
 
 // namedWorkload pairs a label with its trace factory. Key names the trace
-// in the pipeline's trace cache; comparison entries set it (see
+// for the evaluator's baseline memo; comparison entries set it (see
 // Options.traceKey), the learning studies key on Name.
 type namedWorkload struct {
 	Name    string

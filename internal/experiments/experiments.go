@@ -84,10 +84,10 @@ func (o Options) records(def uint64) uint64 {
 	return def
 }
 
-// traceKey names a catalog workload's trace under these options. The
-// pipeline's trace cache is shared by every evaluator in the process, so the
-// name alone would let a trace made under one Options (a Quick-scaled spec,
-// another length) answer for another's.
+// traceKey names a catalog workload's trace under these options: the key of
+// the evaluator's baseline memo and of the sweep's job grouping. It carries
+// the options that shape the trace, so a baseline simulated under one
+// Options (a Quick-scaled spec, another length) never answers for another's.
 func (o Options) traceKey(name string) string {
 	return fmt.Sprintf("%s@records=%d,quick=%t", name, o.Records, o.Quick)
 }

@@ -16,6 +16,7 @@
 package graphs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -390,13 +391,27 @@ func (w Workload) degree() int {
 	return d
 }
 
-// Source returns a deterministic trace of up to records memory records.
+// Source returns a deterministic trace of up to records memory records. The
+// algorithm runs once per workload and length while its packed trace stays
+// in the packed-trace memo (mem.Traces); every call replays it.
 func (w Workload) Source(records uint64) mem.Source {
 	if records == 0 {
 		records = DefaultRecords
 	}
+	key := fmt.Sprintf("graph:%+v@%d", w, records)
+	p, err := mem.Traces.Do(context.Background(), key, func() (*mem.Packed, error) {
+		return mem.Pack(mem.NewSliceSource(w.trace(int(records)))), nil
+	})
+	if err != nil {
+		panic(err) // only a panicking build fails; re-raise it
+	}
+	return p.Source()
+}
+
+// trace runs the workload's algorithm until it has recorded records accesses.
+func (w Workload) trace(records int) []mem.Access {
 	g := NewGraph(w.Nodes, w.degree(), uint64(w.Nodes)*37+uint64(w.Param))
-	t := &tracer{limit: int(records)}
+	t := &tracer{recs: make([]mem.Access, 0, records), limit: records}
 	seed := uint64(len(w.Name)) * 1009
 	switch w.Algorithm {
 	case "bfs":
@@ -412,7 +427,7 @@ func (w Workload) Source(records uint64) mem.Source {
 	default:
 		panic(fmt.Sprintf("graphs: unknown algorithm %q", w.Algorithm))
 	}
-	return mem.NewSliceSource(t.recs)
+	return t.recs
 }
 
 // DefaultRecords matches the SPEC-like workloads' trace length.

@@ -1,6 +1,7 @@
 package graphs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,17 +37,20 @@ func TestCRONOSetMatchesFigure15(t *testing.T) {
 	}
 }
 
+// TestTracesDeterministic: two builds of a workload's trace are identical,
+// and Source replays that trace. Source answers a second call from the
+// packed-trace memo, so the builds compared are trace's own.
 func TestTracesDeterministic(t *testing.T) {
 	for _, w := range CRONO() {
-		a := mem.Collect(w.Source(3000), 0)
-		b := mem.Collect(w.Source(3000), 0)
+		a, b := w.trace(3000), w.trace(3000)
 		if len(a) != 3000 {
 			t.Fatalf("%s: %d records", w.Name, len(a))
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: record %d differs", w.Name, i)
-			}
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: two builds differ", w.Name)
+		}
+		if !slices.Equal(mem.Collect(w.Source(3000), 0), a) {
+			t.Fatalf("%s: Source replays another trace", w.Name)
 		}
 	}
 }

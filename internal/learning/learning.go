@@ -106,20 +106,6 @@ func (p *Profile) Accuracy(pc mem.Addr) float64 {
 	return -1
 }
 
-// MissWeights returns the merged per-PC miss weights, rounded to integers
-// for the hint buffer's ranking interface.
-func (p *Profile) MissWeights() map[mem.Addr]uint64 {
-	out := make(map[mem.Addr]uint64, len(p.PCs))
-	for pc, e := range p.PCs {
-		if e.MissWeight > 0 {
-			out[pc] = uint64(e.MissWeight + 0.5)
-		} else {
-			out[pc] = 0
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the profile.
 func (p *Profile) Clone() *Profile {
 	out := &Profile{L: p.L, Loops: p.Loops, AllocatedEntries: p.AllocatedEntries, PCs: make(map[mem.Addr]PCProfile, len(p.PCs))}

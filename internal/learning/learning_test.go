@@ -122,15 +122,6 @@ func TestNoEvidenceKeepsOldAccuracy(t *testing.T) {
 	}
 }
 
-func TestMissWeightsRounding(t *testing.T) {
-	p := NewProfile(4)
-	p.Learn(counters(map[mem.Addr]float64{1: 0.5}, 0))
-	w := p.MissWeights()
-	if w[1] != 100 {
-		t.Fatalf("MissWeights = %v", w)
-	}
-}
-
 func TestUnknownPCAccuracy(t *testing.T) {
 	p := NewProfile(4)
 	if p.Accuracy(42) != -1 {

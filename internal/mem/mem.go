@@ -143,9 +143,9 @@ func Materialize(src Source) []Access {
 
 // Collect drains a source into a slice, stopping after max records
 // (max <= 0 means unbounded). It is the materialization path behind
-// Materialize; the sweep's trace store, the root trace-file cache and the
-// trace-file writer hold Packed traces instead. A Sized source is collected
-// into one allocation of its Len.
+// Materialize; the packed-trace memo (Traces) and the trace-file writer
+// hold Packed traces instead. A Sized source is collected into one
+// allocation of its Len.
 func Collect(src Source, max int) []Access {
 	var out []Access
 	if s, ok := src.(Sized); ok {

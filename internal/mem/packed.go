@@ -3,12 +3,15 @@ package mem
 import (
 	"encoding/binary"
 	"slices"
+
+	"prophet/internal/memo"
 )
 
 // Packed is a read-only trace held in a compact, lossless encoding: about
 // 6 bytes per record on the catalog workloads, against 24 for an []Access.
-// It is what the trace caches keep, so a long-lived process pays for a
-// trace's record stream once and as little as the stream needs.
+// It is what the packed-trace memo (Traces) keeps, so a long-lived process
+// pays for a costly trace's record stream once and as little as the stream
+// needs.
 //
 // The encoding has a PC dictionary (each distinct PC once, in order of first
 // appearance) and, per record:
@@ -31,6 +34,15 @@ type Packed struct {
 	bytes  int
 }
 
+// Traces is the one memo of packed traces, for those that cost far more to
+// rebuild than to replay: graph workloads and recorded trace files (a
+// catalog generator rebuilds its trace at 30–40 ns a record, so it is never
+// held). Keys carry everything that shapes a trace, such as a file's size
+// and mtime, so an entry never goes stale. A sweep holds its keys in flight
+// itself (pipeline.SweepFunc), so the bound only carries traces across
+// sweeps and requests.
+var Traces = memo.New[*Packed](4, 0, nil)
+
 const (
 	packChunkBytes = 64 << 10
 	// kindEscape in a header's low 2 bits means a full Kind byte follows.
@@ -41,9 +53,9 @@ const (
 )
 
 // Pack encodes src's remaining records. A PackedSource that has delivered
-// nothing yet is returned as its trace without re-encoding, so caches
-// layered over one packed trace (a decoded trace file under the sweep's
-// trace store) share its storage.
+// nothing yet is returned as its trace without re-encoding, so packing a
+// fresh replay of a held trace shares its storage: WriteTrace exports a
+// graph or trace-file workload from the memo's copy.
 func Pack(src Source) *Packed {
 	if s, ok := src.(*PackedSource); ok && s.left == s.p.n {
 		return s.p
@@ -128,6 +140,9 @@ type PackedSource struct {
 
 // Len implements Sized.
 func (s *PackedSource) Len() int { return s.left }
+
+// Trace returns the trace s replays.
+func (s *PackedSource) Trace() *Packed { return s.p }
 
 // Next implements Source.
 func (s *PackedSource) Next() (Access, bool) {

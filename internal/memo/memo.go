@@ -4,9 +4,9 @@
 // Every layer that amortizes repeated work across requests is an instance of
 // Memo: prophetd's serving tier (results across HTTP clients), the
 // evaluator's baselines (the denominator every normalized metric shares),
-// and the parsed and validated external trace files. The sweep's
-// materialized traces are not: a sweep leases them only while its jobs
-// replay them (see internal/pipeline).
+// and the packed traces that cost far more to rebuild than to replay —
+// graph workloads and parsed, validated trace files (mem.Traces). Catalog
+// workloads are not held: every pass regenerates them.
 //
 // A Memo coalesces concurrent calls for one key onto a single computation
 // (singleflight), holds at most a fixed number of completed entries (least

@@ -22,9 +22,9 @@ type Job struct {
 	// keys must produce identical traces from their factories (the usual
 	// key is "name@records").
 	Key string
-	// Factory produces the job's deterministic trace. A sweep calls it
-	// once per key, to pack the trace that every pass of the key's jobs
-	// replays.
+	// Factory produces the job's deterministic trace. Every simulation
+	// pass of the job (baseline, profile, scheme run) calls it again,
+	// unless the key's trace is held (see SweepFunc).
 	Factory SourceFactory
 	// Scheme is the registered scheme name ("baseline", "triage",
 	// "triangel", "rpg2", "prophet", or anything registered since).
@@ -58,89 +58,6 @@ type Evaluator struct {
 // baselineEntries bounds an evaluator's baseline cache: about ten times the
 // 26-workload catalog, at a few hundred bytes per sim.Stats.
 const baselineEntries = 256
-
-// traces is the process-wide store of materialized traces, leased by the
-// jobs in flight. Trace factories are deterministic per key, so every
-// simulation pass over the same key — baseline, scheme run, Prophet's
-// profile pass, RPG2's tuning ladder, each scheme of a sweep — replays one
-// in-memory trace instead of re-generating (or re-decoding) the stream.
-// Generation is a measurable fraction of short runs; this is the
-// sweep-level scratch reuse that removes it. The packed form holds about 6
-// bytes a record against 24 for an []mem.Access, and replay decodes it
-// straight into the simulator's block buffer; trace.Bytes() is an entry's
-// exact size.
-//
-// The store is global, not per-evaluator, because a trace depends only on
-// its key (workload name, record count, file identity) — never on the
-// system configuration — so concurrent sweeps of independent evaluators
-// over one key share one trace. It holds a key only while a job holds it:
-// a sweep leases the key of each of its jobs before any runs, the first
-// pass packs the trace, and the last job's release drops it. What it holds
-// is thus bounded by the work in flight, not by a cache size.
-var traces = traceStore{m: map[string]*traceEntry{}}
-
-type traceStore struct {
-	mu sync.Mutex
-	m  map[string]*traceEntry
-}
-
-// traceEntry is one key's trace and the number of jobs holding it.
-type traceEntry struct {
-	refs int // guarded by the store's mu
-	// trace packs the trace on its first call and returns it thereafter;
-	// concurrent first calls wait for one pack, and a factory panic
-	// reaches every caller.
-	trace func() *mem.Packed
-	// packed is the trace once packed, for HeldTraces.
-	packed atomic.Pointer[mem.Packed]
-}
-
-// acquire leases key for one job, creating its entry, packed from f on
-// first use, when no job holds the key.
-func (s *traceStore) acquire(key string, f SourceFactory) *traceEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ent := s.m[key]
-	if ent == nil {
-		ent = &traceEntry{}
-		ent.trace = sync.OnceValue(func() *mem.Packed {
-			// Pack returns the storage of an unread packed source as is
-			// (trace files packed by the root-level cache), so the two
-			// layers never hold duplicate copies of one trace.
-			p := mem.Pack(f())
-			ent.packed.Store(p)
-			return p
-		})
-		s.m[key] = ent
-	}
-	ent.refs++
-	return ent
-}
-
-// release ends one job's lease on key; the last one drops the trace.
-func (s *traceStore) release(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ent := s.m[key]
-	if ent.refs--; ent.refs == 0 {
-		delete(s.m, key)
-	}
-}
-
-// HeldTraces reports how many packed traces the trace store holds, and
-// their bytes: the traces of the jobs in flight. It reads zero whenever no
-// sweep or run is in progress.
-func HeldTraces() (n, bytes int) {
-	traces.mu.Lock()
-	defer traces.mu.Unlock()
-	for _, ent := range traces.m {
-		if p := ent.packed.Load(); p != nil {
-			n++
-			bytes += p.Bytes()
-		}
-	}
-	return n, bytes
-}
 
 // NewEvaluator builds an evaluator. workers <= 0 selects runtime.NumCPU().
 func NewEvaluator(cfg Config, workers int) *Evaluator {
@@ -202,10 +119,8 @@ func (e *Evaluator) Run(ctx context.Context, job Job) Outcome {
 	return out
 }
 
-// run executes one job under its lease on the job's trace, and ends the
-// lease when it returns.
-func (e *Evaluator) run(ctx context.Context, job Job, ent *traceEntry) Outcome {
-	defer traces.release(job.Key)
+// run executes one job, its passes replaying key's trace.
+func (e *Evaluator) run(ctx context.Context, job Job, key *keyTrace) Outcome {
 	out := Outcome{Job: job}
 	if err := ctx.Err(); err != nil {
 		out.Err = err
@@ -217,7 +132,7 @@ func (e *Evaluator) run(ctx context.Context, job Job, ent *traceEntry) Outcome {
 			job.Scheme, strings.Join(registry.Names(), ", "))
 		return out
 	}
-	job.Factory = func() mem.Source { return ent.trace().Source() }
+	job.Factory = key.factory(job.Factory)
 	out.Base = e.Baseline(job.Key, job.Factory)
 	res, err := factory().Run(registry.Context{
 		Sim:      e.cfg.Sim,
@@ -246,32 +161,66 @@ func (e *Evaluator) Sweep(ctx context.Context, jobs ...Job) ([]Outcome, error) {
 // per job, with the job's index, as soon as the job ends, from the
 // goroutine that ran it; it returns when every call has returned. Outcomes
 // are Sweep's. Jobs run grouped by trace key, keys in order of first
-// appearance (a workload-major list runs as given), and every key is
-// leased from the trace store for each of its jobs before any runs. A
-// key's trace is thus packed once per sweep, by its first pass, and
-// dropped when its last job ends, so about one trace per worker is live.
+// appearance (a workload-major list runs as given), so a key's later jobs
+// find its baseline computed or wait for its one simulation in flight.
+// Every pass calls the job's factory again, so a catalog workload
+// regenerates its trace and nothing holds it. A packed trace a factory
+// returns (a graph or trace file's mem.Traces entry) is held until the
+// key's last job ends, so a sweep builds it once whatever the memo evicts.
 func (e *Evaluator) SweepFunc(ctx context.Context, jobs []Job, done func(i int, out Outcome)) {
-	rank := make(map[string]int)
+	keys := make(map[string]*keyTrace)
 	for _, j := range jobs {
-		if _, ok := rank[j.Key]; !ok {
-			rank[j.Key] = len(rank)
+		if keys[j.Key] == nil {
+			keys[j.Key] = &keyTrace{rank: len(keys)}
 		}
+		keys[j.Key].jobs++
 	}
 	order := make([]int, len(jobs))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return rank[jobs[a].Key] - rank[jobs[b].Key] })
-	ents := make([]*traceEntry, len(jobs))
-	for _, i := range order {
-		ents[i] = traces.acquire(jobs[i].Key, jobs[i].Factory)
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return keys[jobs[a].Key].rank - keys[jobs[b].Key].rank })
 	ForEach(e.workers, len(order), func(k int) {
 		i := order[k]
-		out := e.run(ctx, jobs[i], ents[i])
-		ents[i] = nil // the store alone keeps a trace, while a job holds it
+		key := keys[jobs[i].Key]
+		out := e.run(ctx, jobs[i], key)
+		key.end()
 		done(i, out)
 	})
+}
+
+// keyTrace is the packed trace a sweep holds for one key's jobs.
+type keyTrace struct {
+	rank   int // the key's place in the sweep's order
+	mu     sync.Mutex
+	jobs   int // the key's jobs not yet ended
+	packed *mem.Packed
+}
+
+// factory wraps a job's factory: a packed trace it returns is held, and
+// later passes replay the held trace instead of calling the factory.
+func (k *keyTrace) factory(f SourceFactory) SourceFactory {
+	return func() mem.Source {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		if k.packed != nil {
+			return k.packed.Source()
+		}
+		src := f()
+		if s, ok := src.(*mem.PackedSource); ok {
+			k.packed = s.Trace()
+		}
+		return src
+	}
+}
+
+// end ends one of the key's jobs; the last one drops the held trace.
+func (k *keyTrace) end() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.jobs--; k.jobs == 0 {
+		k.packed = nil
+	}
 }
 
 // ForEach runs fn(i) for i in [0,n) on up to workers goroutines and blocks

@@ -4,7 +4,11 @@
 //
 // The package is the programmatic equivalent of the paper's methodology
 // (Section 5.1): every scheme runs the same trace on the same simulated
-// machine, differing only in the prefetching engine attached.
+// machine, differing only in the prefetching engine attached. It holds no
+// catalog trace: every simulation pass calls its SourceFactory again, so a
+// catalog workload's generator rebuilds the trace. A graph or trace-file
+// workload replays the packed trace mem.Traces holds, which a sweep keeps
+// from a key's first pass until its last job ends.
 package pipeline
 
 import (

@@ -119,15 +119,6 @@ func (c *Counters) Accuracy(pc mem.Addr) float64 {
 	return -1
 }
 
-// MissWeights returns each PC's L2 miss count (hint-buffer ranking weights).
-func (c *Counters) MissWeights() map[mem.Addr]uint64 {
-	out := make(map[mem.Addr]uint64, len(c.PC))
-	for pc, e := range c.PC {
-		out[pc] = e.L2Misses
-	}
-	return out
-}
-
 // OverheadBytes estimates the profiling payload size: three 8-byte counters
 // per touched PC plus the two global counters. This is the "Counter ~B"
 // side of Figure 2's counters-vs-traces comparison.

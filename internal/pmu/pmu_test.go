@@ -72,16 +72,6 @@ func TestSamplingApproximatesExact(t *testing.T) {
 	}
 }
 
-func TestMissWeights(t *testing.T) {
-	c := NewCounters(1)
-	c.RecordL2Miss(7)
-	c.RecordL2Miss(7)
-	w := c.MissWeights()
-	if w[7] != 2 {
-		t.Fatalf("MissWeights = %v", w)
-	}
-}
-
 func TestOverheadBytesTiny(t *testing.T) {
 	c := NewCounters(1)
 	for pc := mem.Addr(1); pc <= 100; pc++ {

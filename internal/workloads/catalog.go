@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"prophet/internal/mem"
 )
@@ -269,24 +271,39 @@ func Xalancbmk() Workload {
 // Get resolves any catalog workload by name (SPEC set, all gcc inputs,
 // astar and soplex inputs).
 func Get(name string) (Workload, bool) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, true
-		}
+	all := catalog()
+	i, ok := slices.BinarySearchFunc(all, name, func(w Workload, name string) int { return strings.Compare(w.Name, name) })
+	if !ok {
+		return Workload{}, false
 	}
-	return Workload{}, false
+	return all[i].clone(), true
 }
 
 // All returns every catalog workload, sorted by name.
 func All() []Workload {
-	var out []Workload
-	out = append(out, SPEC()...)
-	out = append(out, AstarRivers(), Soplex("ref"))
+	out := slices.Clone(catalog())
+	for i := range out {
+		out[i] = out[i].clone()
+	}
+	return out
+}
+
+// catalog builds every catalog workload once, sorted by name. Get and All
+// hand out clones, so a caller that edits a workload's patterns changes its
+// own copy only.
+var catalog = sync.OnceValue(func() []Workload {
+	out := append(SPEC(), AstarRivers(), Soplex("ref"))
 	for _, in := range gccInputs {
 		if in.name != "166" {
 			out = append(out, GCC(in.name))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Workload) int { return strings.Compare(a.Name, b.Name) })
 	return out
+})
+
+// clone copies w with its own Patterns.
+func (w Workload) clone() Workload {
+	w.Spec.Patterns = slices.Clone(w.Spec.Patterns)
+	return w
 }

@@ -186,6 +186,13 @@ func streamWords(sp PatternSpec) int {
 	return 0
 }
 
+// catalogWords is the most buffer words a catalog workload's generator
+// carves, gcc_g23's (TestCatalogWords keeps it so). A fresh generator buffer
+// holds at least that many, so a process that generates catalog workloads
+// in any order allocates one buffer per generator live at once, not one
+// each time a larger spec comes along.
+const catalogWords = 73_200
+
 // newStream builds the per-pattern state in words, streamWords(sp) words of
 // the generator's buffer, whose old contents it overwrites. sp.PCSeed is
 // always non-zero here (NewGenerator's clone expansion derives missing
@@ -250,10 +257,10 @@ func permuteOffsets(out []uint32, rng *mem.PRNG) {
 	}
 }
 
-// emit produces the stream's next access. serial reports whether the record
-// depends on the stream's previous record.
-func (s *stream) emit() (a mem.Access, serial bool) {
-	sp := s.spec
+// emit writes the stream's next access into a, whose Dep it zeroes. serial
+// reports whether the record depends on the stream's previous record.
+func (s *stream) emit(a *mem.Access) (serial bool) {
+	sp := &s.spec
 	kind := mem.Load
 	if sp.StoreRatio > 0 && s.rng.Float64() < sp.StoreRatio {
 		kind = mem.Store
@@ -270,24 +277,24 @@ func (s *stream) emit() (a mem.Access, serial bool) {
 	} else if gap < 0 {
 		gap = 0
 	}
-	base := mem.Access{PC: s.pc, Kind: kind, Gap: uint16(gap)}
+	*a = mem.Access{PC: s.pc, Kind: kind, Gap: uint16(gap)}
 
 	switch sp.Kind {
 	case Temporal, NoisyTemporal:
 		if sp.NoiseRatio > 0 && s.rng.Float64() < sp.NoiseRatio {
-			base.Addr = (s.region + mem.Line(len(s.seq)*2+s.rng.Intn(noiseSpanLines))).Addr()
-			return base, sp.Serial
+			a.Addr = (s.region + mem.Line(len(s.seq)*2+s.rng.Intn(noiseSpanLines))).Addr()
+			return sp.Serial
 		}
-		base.Addr = (s.region + mem.Line(s.seq[s.pos])).Addr()
+		a.Addr = (s.region + mem.Line(s.seq[s.pos])).Addr()
 		s.advance()
-		return base, sp.Serial
+		return sp.Serial
 	case PointerChase:
-		base.Addr = (s.region + mem.Line(s.seq[s.pos])).Addr()
+		a.Addr = (s.region + mem.Line(s.seq[s.pos])).Addr()
 		s.advance()
 		if sp.NoiseRatio > 0 && s.rng.Float64() < sp.NoiseRatio {
-			base.Addr = (s.region + mem.Line(len(s.seq)*2+s.rng.Intn(noiseSpanLines))).Addr()
+			a.Addr = (s.region + mem.Line(len(s.seq)*2+s.rng.Intn(noiseSpanLines))).Addr()
 		}
-		return base, true
+		return true
 	case MultiPath:
 		off := s.seq[s.pos]
 		if (s.pos+1)%branchEvery == 0 {
@@ -295,52 +302,52 @@ func (s *stream) emit() (a mem.Access, serial bool) {
 			p := (s.pass + b) % s.paths
 			off = s.variants[p*s.branches+b]
 		}
-		base.Addr = (s.region + mem.Line(off)).Addr()
+		a.Addr = (s.region + mem.Line(off)).Addr()
 		s.advance()
-		return base, sp.Serial
+		return sp.Serial
 	case IndirectStride:
 		if s.emitData {
 			s.emitData = false
-			base.Addr = (s.region + mem.Line(s.idx[s.iter%len(s.idx)])).Addr()
+			a.Addr = (s.region + mem.Line(s.idx[s.iter%len(s.idx)])).Addr()
 			s.iter++
-			return base, true // a[b[i]] depends on the kernel load
+			return true // a[b[i]] depends on the kernel load
 		}
 		s.emitData = true
-		base.PC = s.kernelPC
-		base.Addr = (s.kernelBase + mem.Line(s.iter/kernelElemsPerLine)).Addr()
+		a.PC = s.kernelPC
+		a.Addr = (s.kernelBase + mem.Line(s.iter/kernelElemsPerLine)).Addr()
 		if s.iter/kernelElemsPerLine >= 1<<18 {
 			s.iter = 0 // wrap the kernel sweep
 		}
-		return base, false
+		return false
 	case IndirectComputed:
 		if s.emitData {
 			s.emitData = false
-			base.Addr = (s.region + mem.Line(s.idx[s.iter%len(s.idx)])).Addr()
+			a.Addr = (s.region + mem.Line(s.idx[s.iter%len(s.idx)])).Addr()
 			s.iter++
-			return base, true
+			return true
 		}
 		s.emitData = true
-		base.PC = s.kernelPC
+		a.PC = s.kernelPC
 		// Computed kernel: the kernel address itself hops irregularly
 		// (multi-step arithmetic in mcf), so neither stride prefetcher
 		// nor RPG2 can cover it — but the hop order repeats, so
 		// temporal prefetching can.
-		base.Addr = (s.kernelBase + mem.Line(s.idx[(s.iter*7+3)%len(s.idx)])).Addr()
-		return base, true
+		a.Addr = (s.kernelBase + mem.Line(s.idx[(s.iter*7+3)%len(s.idx)])).Addr()
+		return true
 	case RandomAccess:
-		base.Addr = (s.region + mem.Line(s.rng.Intn(noiseSpanLines))).Addr()
-		return base, false
+		a.Addr = (s.region + mem.Line(s.rng.Intn(noiseSpanLines))).Addr()
+		return false
 	case StreamScan:
 		wrap := sp.SeqLines
 		if wrap <= 0 {
 			wrap = 1 << 18
 		}
-		base.Addr = (s.region + mem.Line(s.pos)).Addr()
+		a.Addr = (s.region + mem.Line(s.pos)).Addr()
 		s.pos = (s.pos + 1) % wrap
-		return base, false
+		return false
 	}
-	base.Addr = s.region.Addr()
-	return base, false
+	a.Addr = s.region.Addr()
+	return false
 }
 
 func (s *stream) advance() {
@@ -460,7 +467,7 @@ func NewGenerator(spec Spec, records uint64) *Generator {
 	}
 	g.buf = genBuffers.Get()
 	if cap(g.buf.words) < words {
-		g.buf.words = make([]uint32, words)
+		g.buf.words = make([]uint32, max(words, catalogWords))
 	}
 	free := g.buf.words[:words]
 	acc := 0.0
@@ -492,6 +499,26 @@ func (g *Generator) Next() (mem.Access, bool) {
 		g.release()
 		return mem.Access{}, false
 	}
+	var a mem.Access
+	g.record(&a)
+	return a, true
+}
+
+// NextBlock implements mem.BlockSource, generating up to len(buf) records
+// into buf. The block that drains the generator releases its buffer.
+func (g *Generator) NextBlock(buf []mem.Access) []mem.Access {
+	buf = buf[:min(uint64(len(buf)), g.limit-g.count)]
+	for i := range buf {
+		g.record(&buf[i])
+	}
+	if g.count >= g.limit {
+		g.release()
+	}
+	return buf
+}
+
+// record generates the next record into a; the caller checks the limit.
+func (g *Generator) record(a *mem.Access) {
 	r := g.rng.Float64()
 	idx := len(g.streams) - 1
 	for i, c := range g.cum {
@@ -500,7 +527,7 @@ func (g *Generator) Next() (mem.Access, bool) {
 			break
 		}
 	}
-	a, serial := g.streams[idx].emit()
+	serial := g.streams[idx].emit(a)
 	g.count++
 	if serial && g.lastIdx[idx] > 0 {
 		dep := g.count - g.lastIdx[idx]
@@ -510,7 +537,6 @@ func (g *Generator) Next() (mem.Access, bool) {
 		a.Dep = uint32(dep)
 	}
 	g.lastIdx[idx] = g.count
-	return a, true
 }
 
 // release hands the generator's buffer to the next generator built. The
@@ -527,3 +553,4 @@ func (g *Generator) release() {
 func (g *Generator) Len() int { return int(g.limit - g.count) }
 
 var _ mem.Sized = (*Generator)(nil)
+var _ mem.BlockSource = (*Generator)(nil)

@@ -4,6 +4,7 @@
 package workloads
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -371,4 +372,91 @@ func TestRecycledGeneratorsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// blockTrace drains g through NextBlock in blocks of n records, checking
+// that each block holds n records until the last.
+func blockTrace(t *testing.T, g *Generator, n int) []mem.Access {
+	t.Helper()
+	var out []mem.Access
+	buf := make([]mem.Access, n)
+	for {
+		blk := g.NextBlock(buf)
+		if len(blk) == 0 {
+			return out
+		}
+		if len(blk) < n && g.Len() != 0 {
+			t.Fatalf("a short block of %d records with %d left", len(blk), g.Len())
+		}
+		out = append(out, blk...)
+	}
+}
+
+// TestGeneratorBlockMatchesNext: NextBlock generates exactly the records
+// Next does, at every block size and interleaved with Next, and both
+// report exhaustion at the same record. The block that drains a generator
+// releases its buffer.
+func TestGeneratorBlockMatchesNext(t *testing.T) {
+	const records = 10_000
+	for _, w := range recycleWorkloads() {
+		var want []mem.Access
+		g := NewGenerator(w.Spec, records)
+		for a, ok := g.Next(); ok; a, ok = g.Next() {
+			want = append(want, a)
+		}
+		if len(want) != records {
+			t.Fatalf("%s: Next gave %d records, want %d", w.Name, len(want), records)
+		}
+		check := func(how string, g *Generator, got []mem.Access) {
+			t.Helper()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %s: %d records differ from Next's %d", w.Name, how, len(got), len(want))
+			}
+			if g.buf != nil {
+				t.Fatalf("%s %s: a drained generator kept its buffer", w.Name, how)
+			}
+			if a, ok := g.Next(); ok || len(g.NextBlock(make([]mem.Access, 8))) != 0 {
+				t.Fatalf("%s %s: the generator went on past its last record (%+v)", w.Name, how, a)
+			}
+		}
+		for _, n := range []int{1, 7, 4096} {
+			g := NewGenerator(w.Spec, records)
+			check(fmt.Sprintf("blocks of %d", n), g, blockTrace(t, g, n))
+		}
+		g = NewGenerator(w.Spec, records)
+		var got []mem.Access
+		buf := make([]mem.Access, 64)
+		for k := 0; ; k++ {
+			if k%2 == 0 {
+				a, ok := g.Next()
+				if !ok {
+					break
+				}
+				got = append(got, a)
+				continue
+			}
+			blk := g.NextBlock(buf[:1+k%64])
+			if len(blk) == 0 {
+				break
+			}
+			got = append(got, blk...)
+		}
+		check("interleaved", g, got)
+	}
+}
+
+// TestCatalogWords: catalogWords is the largest buffer a catalog workload's
+// generator carves, so one fresh buffer fits any catalog workload.
+func TestCatalogWords(t *testing.T) {
+	most := 0
+	for _, w := range All() {
+		words := 0
+		for _, p := range w.Spec.Patterns {
+			words += streamWords(p) * max(p.Clones, 1)
+		}
+		most = max(most, words)
+	}
+	if most != catalogWords {
+		t.Fatalf("the largest catalog spec takes %d words; catalogWords is %d", most, catalogWords)
+	}
 }

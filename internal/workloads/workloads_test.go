@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -306,4 +307,18 @@ func TestSoplexUnknownInputPanics(t *testing.T) {
 		}
 	}()
 	Soplex("nope")
+}
+
+// TestGetReturnsCopies: Get and All hand out copies of the catalog, so a
+// caller that edits a returned workload's patterns leaves every later Get
+// unchanged.
+func TestGetReturnsCopies(t *testing.T) {
+	w, _ := Get("mcf")
+	w.Spec.Patterns[0].SeqLines = 1
+	for _, w := range All() {
+		w.Spec.Patterns[0].SeqLines = 1
+	}
+	if got, _ := Get("mcf"); !reflect.DeepEqual(got, MCF()) {
+		t.Fatalf("editing returned workloads changed the catalog's mcf: %+v", got.Spec.Patterns[0])
+	}
 }

@@ -55,7 +55,6 @@ import (
 	"prophet/internal/graphs"
 	"prophet/internal/ingest"
 	"prophet/internal/mem"
-	"prophet/internal/memo"
 	"prophet/internal/pipeline"
 	"prophet/internal/sim"
 	"prophet/internal/stats"
@@ -155,13 +154,12 @@ func (w Workload) factory() (pipeline.SourceFactory, error) {
 		return func() mem.Source { return g.Source(records) }, nil
 	}
 	if f, path, ok := ingest.Split(w.Name); ok {
-		// A recorded trace is read and validated once, packed, through a
-		// small cache; the factory then replays it from memory, so the
-		// multi-pass schemes (RPG2, Prophet) and multi-scheme sweeps over
-		// one file see identical streams without re-reading the file. A
-		// shorter record budget replays a prefix view of the same chunks,
-		// so the sweep's trace store keeps this packed storage, never a
-		// second copy, whatever the budget.
+		// A recorded trace is read and validated once, packed, through
+		// the packed-trace memo; the factory then replays it from memory,
+		// so the multi-pass schemes (RPG2, Prophet) and multi-scheme
+		// sweeps over one file see identical streams without re-reading
+		// the file. A shorter record budget replays a prefix view of the
+		// same chunks, never a second copy.
 		trace, err := readTraceCached(f, path)
 		if err != nil {
 			return nil, fmt.Errorf("prophet: workload %q: %w", w.Name, err)
@@ -181,15 +179,6 @@ func externalPath(name string) string {
 	_, path, _ := ingest.Split(name)
 	return path
 }
-
-// Packed trace files are memoized by format, path, size and mtime, so a
-// regenerated file is a new key and its stale entries age out of the bound.
-// fileTraces holds the few most recently used: without it, every factory()
-// resolution — one per Find, one per sweep job — re-reads and re-decodes
-// the whole file, and a 5-scheme sweep over one trace would hold 5 copies.
-const fileCacheEntries = 4
-
-var fileTraces = memo.New[*mem.Packed](fileCacheEntries, 0, nil)
 
 // fileStamp is the identity suffix of an on-disk trace: "#<size>.<mtime>".
 func fileStamp(path string) (string, error) {
@@ -212,14 +201,17 @@ func (w Workload) stamp() string {
 	return ""
 }
 
-// readTraceCached reads a trace file through fileTraces. The packed trace
-// is shared read-only across callers (each replay holds only a cursor).
+// readTraceCached reads a trace file through the packed-trace memo
+// (mem.Traces), keyed by format, path, size and mtime. Without it, every
+// factory() resolution — one per Find, one per sweep job — would re-read
+// and re-decode the whole file. The packed trace is shared read-only across
+// callers (each replay holds only a cursor).
 func readTraceCached(f ingest.Format, path string) (*mem.Packed, error) {
 	st, err := fileStamp(path)
 	if err != nil {
 		return nil, err
 	}
-	return fileTraces.Do(context.Background(), f.Name+":"+path+st, func() (*mem.Packed, error) {
+	return mem.Traces.Do(context.Background(), f.Name+":"+path+st, func() (*mem.Packed, error) {
 		return ingest.Read(f, path)
 	})
 }

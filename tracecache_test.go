@@ -11,19 +11,17 @@ import (
 	"testing"
 
 	"prophet/internal/mem"
-	"prophet/internal/pipeline"
 	"prophet/internal/workloads"
 )
 
 // TestFileTraceSharesPackedStorage pins that a recorded trace is held once,
 // whatever its format and record budget. The factory of a file:, champsim:
-// or csv: workload replays the root cache's packed trace unwrapped whenever
-// the record budget covers the whole file, so mem.Pack, which is how the
-// sweep's trace store materializes a factory's source, returns the cached
-// trace itself rather than a second encoding, and so does every later
-// resolution of the unchanged file. A shorter budget replays a prefix view
-// of the same storage, which mem.Pack hands through without encoding
-// anything.
+// or csv: workload replays the packed-trace memo's trace unwrapped whenever
+// the record budget covers the whole file, so mem.Pack of a factory's
+// source returns the memoized trace itself rather than a second encoding,
+// and so does every later resolution of the unchanged file. A shorter
+// budget replays a prefix view of the same storage, which mem.Pack hands
+// through without encoding anything.
 func TestFileTraceSharesPackedStorage(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := workloads.Get("sphinx3")
@@ -63,7 +61,7 @@ func TestFileTraceSharesPackedStorage(t *testing.T) {
 				}
 			}
 			if p != cached {
-				t.Fatalf("%s records=%d: the trace store would hold a second copy of the file", tc.format, budget)
+				t.Fatalf("%s records=%d: the replay is a second copy of the file", tc.format, budget)
 			}
 		}
 
@@ -103,10 +101,10 @@ func TestFileTraceSharesPackedStorage(t *testing.T) {
 	}
 }
 
-// TestSweepsLeaveNoTraces: the sweep trace store holds a trace only while a
-// job replays it, so nothing stays packed once Sweep, SweepStream or a
-// single Run returns.
-func TestSweepsLeaveNoTraces(t *testing.T) {
+// TestCatalogSweepsHoldNoTraces: a catalog workload replays by running its
+// generator again, so a 2-worker Sweep, a SweepStream and a single Run over
+// catalog workloads add no entry to the packed-trace memo.
+func TestCatalogSweepsHoldNoTraces(t *testing.T) {
 	var ws []Workload
 	for _, name := range []string{"sphinx3", "xalancbmk"} {
 		w, err := Find(name)
@@ -115,12 +113,14 @@ func TestSweepsLeaveNoTraces(t *testing.T) {
 		}
 		ws = append(ws, w.WithRecords(5_000))
 	}
-	jobs := Jobs(ws, Baseline, Triage)
+	jobs := Jobs(ws, Baseline, Triage, Prophet)
 	ctx := context.Background()
+	before := mem.Traces.Stats()
 	check := func(after string) {
 		t.Helper()
-		if n, bytes := pipeline.HeldTraces(); n != 0 {
-			t.Fatalf("after %s the trace store holds %d traces, %d bytes", after, n, bytes)
+		if st := mem.Traces.Stats(); st.Misses != before.Misses || st.Entries > before.Entries {
+			t.Fatalf("after %s the packed-trace memo built %d traces and holds %d, want none added to %d",
+				after, st.Misses-before.Misses, st.Entries, before.Entries)
 		}
 	}
 	if _, err := New(WithWorkers(2)).Sweep(ctx, jobs...); err != nil {
