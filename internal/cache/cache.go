@@ -367,19 +367,18 @@ func (c *Cache) MarkDirtyFill(l mem.Line, now uint64) (handled bool, slot FillSl
 
 // SetDemandWays narrows or widens the demand-visible associativity (the LLC
 // calls this when metadata ways are allocated or released). Shrinking evicts
-// every line in the ways being removed and returns them, dirty lines first
-// requiring writeback by the caller.
-func (c *Cache) SetDemandWays(n int) []Eviction {
+// every line in the ways being removed and passes each to evicted, set by
+// set, as it goes; the caller writes the dirty ones back. Nothing is
+// collected, so a shrink allocates nothing.
+func (c *Cache) SetDemandWays(n int, evicted func(Eviction)) {
 	n = max(0, min(n, c.cfg.Ways))
-	var evs []Eviction
 	for si := 0; n < c.demandWays && si < c.cfg.Sets(); si++ {
 		base := si * c.cfg.Ways
 		for i := base + n; i < base+c.demandWays; i++ {
 			if c.lines[i] != 0 {
-				evs = append(evs, c.evict(i))
+				evicted(c.evict(i))
 			}
 		}
 	}
 	c.demandWays = n
-	return evs
 }

@@ -204,9 +204,10 @@ func TestSetDemandWaysShrinkEvicts(t *testing.T) {
 	if c.occupancy() != 16 {
 		t.Fatalf("occupancy = %d, want 16", c.occupancy())
 	}
-	evs := c.SetDemandWays(2)
-	if len(evs) != 8 {
-		t.Fatalf("shrinking 4->2 ways evicted %d lines, want 8", len(evs))
+	evicted := 0
+	c.SetDemandWays(2, func(Eviction) { evicted++ })
+	if evicted != 8 {
+		t.Fatalf("shrinking 4->2 ways evicted %d lines, want 8", evicted)
 	}
 	if c.occupancy() != 8 {
 		t.Fatalf("occupancy after shrink = %d, want 8", c.occupancy())
@@ -215,9 +216,7 @@ func TestSetDemandWaysShrinkEvicts(t *testing.T) {
 		t.Fatalf("DemandWays = %d, want 2", c.DemandWays())
 	}
 	// Growing back exposes empty ways without resurrecting lines.
-	if evs := c.SetDemandWays(4); len(evs) != 0 {
-		t.Fatalf("growing evicted %d lines", len(evs))
-	}
+	c.SetDemandWays(4, func(ev Eviction) { t.Fatalf("growing evicted %v", ev) })
 	if c.occupancy() != 8 {
 		t.Fatalf("occupancy after grow = %d, want 8", c.occupancy())
 	}
@@ -225,11 +224,11 @@ func TestSetDemandWaysShrinkEvicts(t *testing.T) {
 
 func TestSetDemandWaysClamps(t *testing.T) {
 	c := New(small(LRU))
-	c.SetDemandWays(-3)
+	c.SetDemandWays(-3, nil)
 	if c.DemandWays() != 0 {
 		t.Fatalf("DemandWays = %d, want 0", c.DemandWays())
 	}
-	c.SetDemandWays(99)
+	c.SetDemandWays(99, nil)
 	if c.DemandWays() != 4 {
 		t.Fatalf("DemandWays = %d, want 4 (config max)", c.DemandWays())
 	}

@@ -256,12 +256,12 @@ func runModel(t *testing.T, cfg Config, seed uint64, steps int) {
 		case 17, 18:
 			n := 1 + rng.Intn(cfg.Ways)
 			op = fmt.Sprintf("SetDemandWays(%d)", n)
-			for _, ev := range c.SetDemandWays(n) {
+			c.SetDemandWays(n, func(ev Eviction) {
 				if n >= m.ways {
 					t.Fatalf("%s from %d ways evicted %+v", op, m.ways, ev)
 				}
 				m.evicted(op, ev)
-			}
+			})
 			m.ways = n
 			for si := 0; si < cfg.Sets(); si++ {
 				if got := m.inSet(si); got > n {

@@ -23,7 +23,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"prophet/internal/mem"
 )
@@ -74,37 +75,49 @@ const HintBufferEntries = 128
 type HintBuffer struct {
 	cap   int
 	hints map[mem.Addr]Hint
+	cands []hintCand // Install's ranking scratch, kept for the next Install
+}
+
+type hintCand struct {
+	pc mem.Addr
+	w  uint64
 }
 
 // NewHintBuffer returns a hint buffer with the given capacity
 // (HintBufferEntries when capEntries <= 0).
 func NewHintBuffer(capEntries int) *HintBuffer {
+	b := &HintBuffer{}
+	b.setCap(capEntries)
+	b.hints = make(map[mem.Addr]Hint, b.cap)
+	return b
+}
+
+// setCap sets the capacity the next Install fills to (HintBufferEntries
+// when capEntries <= 0).
+func (b *HintBuffer) setCap(capEntries int) {
 	if capEntries <= 0 {
 		capEntries = HintBufferEntries
 	}
-	return &HintBuffer{cap: capEntries, hints: make(map[mem.Addr]Hint, capEntries)}
+	b.cap = capEntries
 }
 
 // Install loads hints for the given PCs, prioritized by weight (miss
 // contribution, Section 4.4: "Prophet focuses on memory instructions that
-// contribute the most to cache misses"). It returns the number installed,
-// at most the buffer capacity.
+// contribute the most to cache misses"), in place of any installed before.
+// It returns the number installed, at most the buffer capacity.
 func (b *HintBuffer) Install(hints map[mem.Addr]Hint, weight map[mem.Addr]uint64) int {
-	type cand struct {
-		pc mem.Addr
-		w  uint64
-	}
-	cands := make([]cand, 0, len(hints))
+	cands := b.cands[:0]
 	for pc := range hints {
-		cands = append(cands, cand{pc: pc, w: weight[pc]})
+		cands = append(cands, hintCand{pc: pc, w: weight[pc]})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].w != cands[j].w {
-			return cands[i].w > cands[j].w
+	slices.SortFunc(cands, func(x, y hintCand) int {
+		if c := cmp.Compare(y.w, x.w); c != 0 {
+			return c
 		}
-		return cands[i].pc < cands[j].pc // deterministic tie-break
+		return cmp.Compare(x.pc, y.pc) // deterministic tie-break
 	})
-	b.hints = make(map[mem.Addr]Hint, b.cap)
+	b.cands = cands
+	clear(b.hints)
 	for _, c := range cands {
 		if len(b.hints) >= b.cap {
 			break

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"prophet/internal/recycle"
-)
+import "math/bits"
 
 // Multi-path Victim Buffer (Section 4.5). The metadata table stores one
 // Markov target per source; addresses participating in several temporal
@@ -41,7 +37,9 @@ import (
 // share it, so their tie falls to way order. When a set's recency would
 // pass 20 bits, its recencies are first renumbered densely from 0, which
 // keeps their order and their ties.
-// Released buffers are recycled, so a run reuses the last run's words.
+//
+// A Prophet engine keeps its buffer, so a recycled engine's run reuses the
+// last run's words.
 type VictimBuffer struct {
 	setBits    uint
 	assoc      int
@@ -50,7 +48,6 @@ type VictimBuffer struct {
 
 	inserts uint64
 	hits    uint64
-	rc      recycle.Slot
 }
 
 const (
@@ -75,15 +72,18 @@ const DefaultMVBEntries = 65536
 // the recency field of the word layout above are simulator bookkeeping.
 const MVBEntryBits = 31 + vbTagBits + 2
 
-// victimBuffers recycles Released buffers across Prophet runs.
-var victimBuffers = recycle.New(func() *VictimBuffer { return &VictimBuffer{} },
-	func(b *VictimBuffer) *recycle.Slot { return &b.rc })
-
 // NewVictimBuffer builds an MVB with the given total entries (rounded up to
 // a power of two), set associativity, and the number of alternate targets
 // returned per lookup (Figure 16c's "Candidates", 1 in the final design).
-// It reuses the storage of a Released buffer when one is available.
 func NewVictimBuffer(entries, assoc, candidates int) *VictimBuffer {
+	b := &VictimBuffer{}
+	b.reset(entries, assoc, candidates)
+	return b
+}
+
+// reset gives b the geometry NewVictimBuffer describes, empty, reusing its
+// words when they are enough.
+func (b *VictimBuffer) reset(entries, assoc, candidates int) {
 	if assoc <= 0 {
 		assoc = 4
 	}
@@ -97,7 +97,6 @@ func NewVictimBuffer(entries, assoc, candidates int) *VictimBuffer {
 	for setCount*assoc < entries {
 		setCount <<= 1
 	}
-	b := victimBuffers.Get()
 	if n := setCount * assoc; cap(b.words) < n {
 		b.words = make([]uint64, n)
 	} else {
@@ -108,16 +107,6 @@ func NewVictimBuffer(entries, assoc, candidates int) *VictimBuffer {
 	b.assoc = assoc
 	b.candidates = candidates
 	b.inserts, b.hits = 0, 0
-	return b
-}
-
-// Release returns the buffer's storage for a future NewVictimBuffer. The
-// caller must not touch the buffer afterwards.
-func (b *VictimBuffer) Release() {
-	if b == nil {
-		return
-	}
-	victimBuffers.Put(b)
 }
 
 // Entries returns the buffer capacity in entries.

@@ -149,7 +149,6 @@ func checkSet(t *testing.T, op int, b *VictimBuffer, ref *refVictimBuffer, srcKe
 func driveMVB(t *testing.T, entries, assoc, candidates, ops int, keys, targets uint64, seed uint64) (renumbered int) {
 	t.Helper()
 	got := NewVictimBuffer(entries, assoc, candidates)
-	defer got.Release()
 	want := newRefVictimBuffer(entries, assoc, candidates)
 	rng := mem.NewPRNG(seed)
 	var gotBuf, wantBuf []uint32
@@ -246,19 +245,23 @@ func TestRenumberKeepsOrderAndTies(t *testing.T) {
 	}
 }
 
-// TestMVBReleaseRecyclesStorage: a released buffer's words serve the next
-// one, which starts empty whatever the released one held.
+// TestMVBReleaseRecyclesStorage: a released engine's victim-buffer words
+// serve the next engine built, whose buffer starts empty whatever the
+// released one held, at the new engine's candidate count.
 func TestMVBReleaseRecyclesStorage(t *testing.T) {
-	a := NewVictimBuffer(DefaultMVBEntries, 4, 1)
+	p := New(testConfig(), hintsAllWays(), nil)
 	for k := range uint32(1000) {
-		a.Insert(k, k+1)
+		p.MVB().Insert(k, k+1)
 	}
-	words := &a.words[0]
-	a.Release()
-	b := NewVictimBuffer(DefaultMVBEntries, 4, 2)
-	defer b.Release()
+	words := &p.MVB().words[0]
+	p.Release()
+	cfg := testConfig()
+	cfg.MVBCandidates = 2
+	q := New(cfg, hintsAllWays(), nil)
+	defer q.Release()
+	b := q.MVB()
 	if &b.words[0] != words {
-		t.Fatal("the released buffer's storage was not reused")
+		t.Fatal("the released engine's victim-buffer storage was not reused")
 	}
 	if ins, hits := b.Stats(); ins != 0 || hits != 0 || b.candidates != 2 {
 		t.Fatalf("recycled buffer: stats (%d, %d), candidates %d", ins, hits, b.candidates)
@@ -268,18 +271,59 @@ func TestMVBReleaseRecyclesStorage(t *testing.T) {
 	}
 }
 
-// TestProphetReleaseRecyclesMVB: Release hands the engine's victim buffer
-// to the next engine built.
+// TestProphetReleaseRecyclesMVB: the victim buffer lives in the engine,
+// Release drops the reference to it, and an engine recycled with the
+// feature off exposes none.
 func TestProphetReleaseRecyclesMVB(t *testing.T) {
 	p := New(testConfig(), hintsAllWays(), nil)
-	vb := p.MVB()
+	if p.MVB() != &p.victims {
+		t.Fatal("the victim buffer is not the engine's own")
+	}
 	p.Release()
 	if p.MVB() != nil {
 		t.Fatal("Release kept the victim buffer reference")
 	}
-	q := New(testConfig(), hintsAllWays(), nil)
-	defer q.Release()
-	if q.MVB() != vb {
-		t.Fatal("the released engine's victim buffer was not reused")
+	cfg := testConfig()
+	cfg.Features.MVB = false
+	q := New(cfg, hintsAllWays(), nil)
+	if q != p || q.MVB() != nil {
+		t.Fatalf("recycled engine %p (released %p) exposes victim buffer %p with the feature off", q, p, q.MVB())
+	}
+	q.Release()
+}
+
+// TestProphetReleaseRecyclesHintBuffer: a rebuilt engine's hint buffer
+// holds exactly the new hint set, at the new configuration's capacity,
+// whatever the released engine had installed.
+func TestProphetReleaseRecyclesHintBuffer(t *testing.T) {
+	hints := hintsAllWays()
+	for pc := range mem.Addr(3) {
+		hints.PC[0x400+pc] = Hint{Insert: true, Priority: uint8(pc)}
+	}
+	installed := func(p *Prophet) int {
+		n := 0
+		for pc := range hints.PC {
+			if _, ok := p.hints.Lookup(pc); ok {
+				n++
+			}
+		}
+		return n
+	}
+	cfg := testConfig()
+	cfg.HintBufferEntries = 1
+	p := New(cfg, hints, nil)
+	if n := installed(p); n != 1 {
+		t.Fatalf("a 1-entry hint buffer holds %d hints", n)
+	}
+	p.Release()
+	q := New(testConfig(), hints, nil)
+	if n := installed(q); q != p || n != 3 {
+		t.Fatalf("recycled engine %p (released %p) holds %d of 3 hints", q, p, n)
+	}
+	q.Release()
+	r := New(testConfig(), hintsAllWays(), nil)
+	defer r.Release()
+	if n := installed(r); r != q || n != 0 {
+		t.Fatalf("recycled engine %p (released %p) holds %d stale hints", r, q, n)
 	}
 }

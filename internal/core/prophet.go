@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"prophet/internal/mem"
+	"prophet/internal/recycle"
 	"prophet/internal/temporal"
 )
 
@@ -84,15 +87,35 @@ type Prophet struct {
 	comp  *temporal.Compressor
 	train *temporal.TrainingUnit
 	reuse *temporal.ReuseBuffer
-	mvb   *VictimBuffer
+	mvb   *VictimBuffer // &victims when Features.MVB, else nil
+
+	// victims is the Multi-path Victim Buffer's storage, which the engine
+	// owns and keeps across recycling whether or not the feature is on.
+	victims VictimBuffer
 
 	scratch []mem.Line // prediction buffer reused across OnAccess calls
 	altBuf  []uint32   // MVB lookup buffer, likewise recycled
+
+	rc recycle.Slot
 }
 
+// engines recycles Released engines, so a run reuses the last run's hint
+// buffer, training unit, reuse buffer and victim buffer (512 KiB at the
+// default size) instead of allocating them.
+var engines = recycle.New(func() *Prophet {
+	return &Prophet{
+		hints: NewHintBuffer(HintBufferEntries),
+		train: temporal.NewTrainingUnit(1024),
+		reuse: temporal.NewReuseBuffer(128),
+	}
+}, func(p *Prophet) *recycle.Slot { return &p.rc })
+
 // New builds a Prophet engine from its configuration and the binary's hint
-// set. hintWeight carries each PC's miss contribution for hint-buffer
-// prioritization (may be nil when hints fit the buffer).
+// set, reusing a Released engine's storage when available. hintWeight
+// carries each PC's miss contribution for hint-buffer prioritization (may
+// be nil when hints fit the buffer). A reused engine is observably fresh:
+// its hint buffer, training unit, reuse buffer and victim buffer are
+// emptied and every counter restarts from zero.
 func New(cfg Config, hints HintSet, hintWeight map[mem.Addr]uint64) *Prophet {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 1
@@ -116,23 +139,27 @@ func New(cfg Config, hints HintSet, hintWeight map[mem.Addr]uint64) *Prophet {
 			ways = 0
 		}
 	}
-	p := &Prophet{
+	p := engines.Get()
+	p.hints.setCap(cfg.HintBufferEntries)
+	p.train.Reset()
+	p.reuse.Reset()
+	*p = Prophet{
 		cfg:     cfg,
 		csr:     csr,
-		hints:   NewHintBuffer(cfg.HintBufferEntries),
+		hints:   p.hints,
 		table:   temporal.NewTable(tableCfg, ways),
 		comp:    temporal.NewCompressor(),
-		train:   temporal.NewTrainingUnit(1024),
-		reuse:   temporal.NewReuseBuffer(128),
-		scratch: make([]mem.Line, 0, 2*cfg.Degree),
-		altBuf:  make([]uint32, 0, cfg.MVBCandidates+1),
+		train:   p.train,
+		reuse:   p.reuse,
+		victims: p.victims,
+		scratch: slices.Grow(p.scratch[:0], 2*cfg.Degree),
+		altBuf:  slices.Grow(p.altBuf[:0], cfg.MVBCandidates+1),
 	}
 	if cfg.Features.MVB {
-		p.mvb = NewVictimBuffer(cfg.MVBEntries, cfg.MVBAssoc, cfg.MVBCandidates)
+		p.victims.reset(cfg.MVBEntries, cfg.MVBAssoc, cfg.MVBCandidates)
+		p.mvb = &p.victims
 	}
-	if len(hints.PC) > 0 {
-		p.hints.Install(hints.PC, hintWeight)
-	}
+	p.hints.Install(hints.PC, hintWeight)
 	return p
 }
 
@@ -256,16 +283,16 @@ func (p *Prophet) TableStats() temporal.TableStats { return p.table.Stats() }
 // Table exposes the metadata table for measurement tooling.
 func (p *Prophet) Table() *temporal.Table { return p.table }
 
-// Release returns the metadata table, the address compressor and the
-// victim buffer to their pools, so the next engine built reuses their
-// storage. The engine (and anything obtained through Table or MVB) must not
-// be used after: Release drops the references, so a later use panics
-// instead of sharing storage with another run.
+// Release returns the metadata table and the address compressor to their
+// shared pools and the engine, with its victim buffer, to its own, so the
+// next engine built reuses all of their storage. The engine (and anything
+// obtained through Table or MVB) must not be used after, nor released
+// again: the next New may hand it to another run.
 func (p *Prophet) Release() {
 	p.table.Release()
 	p.comp.Release()
-	p.mvb.Release()
 	p.table, p.comp, p.mvb = nil, nil, nil
+	engines.Put(p)
 }
 
 // MVB exposes the victim buffer (nil when the feature is off).

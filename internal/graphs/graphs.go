@@ -123,9 +123,10 @@ const (
 	pcFrontier  = mem.Addr(0x500200)
 )
 
-// tracer accumulates the algorithm's access stream up to a record limit.
+// tracer packs the algorithm's access stream as it is traced, up to a
+// record limit.
 type tracer struct {
-	recs  []mem.Access
+	pack  *mem.Packer
 	limit int
 }
 
@@ -133,22 +134,30 @@ type tracer struct {
 // coalesced access per line.
 const elemsPerLine4B = 16
 
-func (t *tracer) full() bool { return len(t.recs) >= t.limit }
+func (t *tracer) full() bool { return t.pack.Len() >= t.limit }
 
 func (t *tracer) access(pc mem.Addr, addr mem.Addr, kind mem.Kind, dep uint32, gap uint16) {
 	if t.full() {
 		return
 	}
-	t.recs = append(t.recs, mem.Access{PC: pc, Addr: addr, Kind: kind, Dep: dep, Gap: gap})
+	t.pack.Add(mem.Access{PC: pc, Addr: addr, Kind: kind, Dep: dep, Gap: gap})
 }
+
+// visitSet marks the vertices one traversal round has visited, a bit each,
+// so a million-vertex graph's set takes 122 KB.
+type visitSet []uint64
+
+func newVisitSet(n int) visitSet  { return make(visitSet, (n+63)/64) }
+func (s visitSet) has(u int) bool { return s[u>>6]&(1<<(u&63)) != 0 }
+func (s visitSet) add(u int)      { s[u>>6] |= 1 << (u & 63) }
 
 // --- algorithms ---
 
 // bfs runs breadth-first searches from rotating sources until the trace
 // budget is exhausted.
 func bfs(g *Graph, t *tracer, seed uint64) {
-	visited := make([]uint32, g.n)
-	epoch := uint32(0)
+	visited := newVisitSet(g.n)
+	var frontier, next []int // reused across levels and rounds
 	rng := mem.NewPRNG(seed)
 	// A small cycling source pool: traversals from the same source repeat
 	// their visit order, giving the temporal prefetcher its pattern.
@@ -158,13 +167,13 @@ func bfs(g *Graph, t *tracer, seed uint64) {
 	}
 	const visitBudget = 400 // bounded sub-traversal per source
 	for round := 0; !t.full(); round++ {
-		epoch++
+		clear(visited)
 		src := sources[round%len(sources)]
-		frontier := []int{src}
-		visited[src] = epoch
+		frontier = append(frontier[:0], src)
+		visited.add(src)
 		visits := 0
 		for len(frontier) > 0 && !t.full() && visits < visitBudget {
-			var next []int
+			next = next[:0]
 			for _, u := range frontier {
 				if t.full() || visits >= visitBudget {
 					break
@@ -187,22 +196,22 @@ func bfs(g *Graph, t *tracer, seed uint64) {
 					// visited[v]: indirect, depends on the
 					// neighbour load.
 					t.access(pcDistLoad, arrDist.addr(v), mem.Load, 1, 1)
-					if visited[v] != epoch {
-						visited[v] = epoch
+					if !visited.has(v) {
+						visited.add(v)
 						t.access(pcDistStor, arrDist.addr(v), mem.Store, 0, 1)
 						next = append(next, v)
 					}
 				}
 			}
-			frontier = next
+			frontier, next = next, frontier
 		}
 	}
 }
 
 // dfs runs depth-first traversals (stack order) from rotating sources.
 func dfs(g *Graph, t *tracer, seed uint64) {
-	visited := make([]uint32, g.n)
-	epoch := uint32(0)
+	visited := newVisitSet(g.n)
+	var stack []int // reused across rounds
 	rng := mem.NewPRNG(seed)
 	sources := make([]int, 6)
 	for i := range sources {
@@ -210,17 +219,17 @@ func dfs(g *Graph, t *tracer, seed uint64) {
 	}
 	const visitBudget = 400
 	for round := 0; !t.full(); round++ {
-		epoch++
-		stack := []int{sources[round%len(sources)]}
+		clear(visited)
+		stack = append(stack[:0], sources[round%len(sources)])
 		visits := 0
 		for len(stack) > 0 && !t.full() && visits < visitBudget {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			t.access(pcFrontier, arrFront.addr(len(stack)), mem.Load, 0, 1)
-			if visited[u] == epoch {
+			if visited.has(u) {
 				continue
 			}
-			visited[u] = epoch
+			visited.add(u)
 			visits++
 			if u%elemsPerLine4B == 0 {
 				t.access(pcOffsets, arrOffsets.addr(u), mem.Load, 0, 2)
@@ -233,7 +242,7 @@ func dfs(g *Graph, t *tracer, seed uint64) {
 				}
 				v := g.Nbr(u, j)
 				t.access(pcDistLoad, arrDist.addr(v), mem.Load, 1, 1)
-				if visited[v] != epoch {
+				if !visited.has(v) {
 					stack = append(stack, v)
 					t.access(pcFrontier, arrFront.addr(len(stack)), mem.Store, 0, 1)
 				}
@@ -313,21 +322,21 @@ func sssp(g *Graph, t *tracer, seed uint64) {
 // bc approximates Brandes betweenness centrality: forward BFS passes
 // accumulating path counts, then backward dependency accumulation.
 func bc(g *Graph, t *tracer, seed uint64) {
-	visited := make([]uint32, g.n)
-	epoch := uint32(0)
+	visited := newVisitSet(g.n)
+	var frontier, next, order []int // reused across levels and rounds
 	rng := mem.NewPRNG(seed)
 	sources := make([]int, 6)
 	for i := range sources {
 		sources[i] = rng.Intn(g.n)
 	}
 	for round := 0; !t.full(); round++ {
-		epoch++
+		clear(visited)
 		src := sources[round%len(sources)]
-		frontier := []int{src}
-		visited[src] = epoch
-		var order []int
+		frontier = append(frontier[:0], src)
+		visited.add(src)
+		order = order[:0]
 		for len(frontier) > 0 && !t.full() && len(order) <= 400 {
-			var next []int
+			next = next[:0]
 			for _, u := range frontier {
 				if t.full() || len(order) > 400 {
 					break
@@ -344,14 +353,14 @@ func bc(g *Graph, t *tracer, seed uint64) {
 					}
 					v := g.Nbr(u, j)
 					t.access(pcSigma, arrSigma.addr(v), mem.Load, 1, 1)
-					if visited[v] != epoch {
-						visited[v] = epoch
+					if !visited.has(v) {
+						visited.add(v)
 						t.access(pcSigma, arrSigma.addr(v), mem.Store, 0, 1)
 						next = append(next, v)
 					}
 				}
 			}
-			frontier = next
+			frontier, next = next, frontier
 		}
 		// Backward accumulation in reverse BFS order (its own loop,
 		// hence its own load PC).
@@ -400,7 +409,7 @@ func (w Workload) Source(records uint64) mem.Source {
 	}
 	key := fmt.Sprintf("graph:%+v@%d", w, records)
 	p, err := mem.Traces.Do(context.Background(), key, func() (*mem.Packed, error) {
-		return mem.Pack(mem.NewSliceSource(w.trace(int(records)))), nil
+		return w.trace(int(records)), nil
 	})
 	if err != nil {
 		panic(err) // only a panicking build fails; re-raise it
@@ -408,10 +417,11 @@ func (w Workload) Source(records uint64) mem.Source {
 	return p.Source()
 }
 
-// trace runs the workload's algorithm until it has recorded records accesses.
-func (w Workload) trace(records int) []mem.Access {
+// trace runs the workload's algorithm until it has recorded records
+// accesses, and returns them packed.
+func (w Workload) trace(records int) *mem.Packed {
 	g := NewGraph(w.Nodes, w.degree(), uint64(w.Nodes)*37+uint64(w.Param))
-	t := &tracer{recs: make([]mem.Access, 0, records), limit: records}
+	t := &tracer{pack: mem.NewPacker(), limit: records}
 	seed := uint64(len(w.Name)) * 1009
 	switch w.Algorithm {
 	case "bfs":
@@ -427,7 +437,7 @@ func (w Workload) trace(records int) []mem.Access {
 	default:
 		panic(fmt.Sprintf("graphs: unknown algorithm %q", w.Algorithm))
 	}
-	return t.recs
+	return t.pack.Finish()
 }
 
 // DefaultRecords matches the SPEC-like workloads' trace length.

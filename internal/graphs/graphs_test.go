@@ -1,6 +1,7 @@
 package graphs
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -37,20 +38,41 @@ func TestCRONOSetMatchesFigure15(t *testing.T) {
 	}
 }
 
-// TestTracesDeterministic: two builds of a workload's trace are identical,
-// and Source replays that trace. Source answers a second call from the
-// packed-trace memo, so the builds compared are trace's own.
+// TestTracesDeterministic: two builds of a workload's trace encode the
+// same records in the same bytes, and Source replays that trace. Source
+// answers a second call from the packed-trace memo, so the builds compared
+// are trace's own.
 func TestTracesDeterministic(t *testing.T) {
 	for _, w := range CRONO() {
 		a, b := w.trace(3000), w.trace(3000)
-		if len(a) != 3000 {
-			t.Fatalf("%s: %d records", w.Name, len(a))
+		if a.Len() != 3000 {
+			t.Fatalf("%s: %d records", w.Name, a.Len())
 		}
-		if !slices.Equal(a, b) {
+		recs := mem.Collect(a.Source(), 0)
+		if a.Bytes() != b.Bytes() || !slices.Equal(mem.Collect(b.Source(), 0), recs) {
 			t.Fatalf("%s: two builds differ", w.Name)
 		}
-		if !slices.Equal(mem.Collect(w.Source(3000), 0), a) {
+		if !slices.Equal(mem.Collect(w.Source(3000), 0), recs) {
 			t.Fatalf("%s: Source replays another trace", w.Name)
+		}
+	}
+}
+
+// TestTraceBuildPacksAsItTraces: a default-length graph build encodes its
+// records as the algorithm emits them, so it allocates less than twice the
+// packed trace it returns (the graph's own arrays included), where holding
+// the records first as an []Access took 24 bytes a record, about 4x.
+func TestTraceBuildPacksAsItTraces(t *testing.T) {
+	for _, w := range CRONO() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p := w.trace(DefaultRecords)
+		runtime.ReadMemStats(&after)
+		if p.Len() != DefaultRecords {
+			t.Fatalf("%s: %d records", w.Name, p.Len())
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2*uint64(p.Bytes()) {
+			t.Errorf("%s: building a %d-byte trace allocated %d bytes, want under twice that", w.Name, p.Bytes(), got)
 		}
 	}
 }

@@ -60,38 +60,68 @@ func Pack(src Source) *Packed {
 	if s, ok := src.(*PackedSource); ok && s.left == s.p.n {
 		return s.p
 	}
-	p := &Packed{}
-	index := map[Addr]uint64{}
-	var last []Addr // previous address of each PC, by dictionary index
-	chunk := make([]byte, 0, packChunkBytes)
+	k := NewPacker()
 	for a, ok := src.Next(); ok; a, ok = src.Next() {
-		if cap(chunk)-len(chunk) < maxPackedRecord {
-			p.addChunk(chunk)
-			chunk = make([]byte, 0, packChunkBytes)
-		}
-		i, seen := index[a.PC]
-		if !seen {
-			i = uint64(len(p.pcs))
-			index[a.PC] = i
-			p.pcs = append(p.pcs, a.PC)
-			last = append(last, 0)
-		}
-		if a.Kind < kindEscape {
-			chunk = binary.AppendUvarint(chunk, i<<2|uint64(a.Kind))
-		} else {
-			chunk = binary.AppendUvarint(chunk, i<<2|kindEscape)
-			chunk = append(chunk, byte(a.Kind))
-		}
-		chunk = binary.AppendVarint(chunk, int64(a.Addr-last[i]))
-		chunk = binary.AppendUvarint(chunk, uint64(a.Dep))
-		chunk = binary.AppendUvarint(chunk, uint64(a.Gap))
-		last[i] = a.Addr
-		p.n++
+		k.Add(a)
 	}
-	if len(chunk) > 0 {
-		p.addChunk(slices.Clone(chunk)) // trim the last chunk's spare capacity
+	return k.Finish()
+}
+
+// Packer builds a Packed trace one record at a time, so a producer that
+// generates records (a graph algorithm's tracer) encodes them as it goes
+// instead of first holding them as an []Access at 24 bytes a record.
+type Packer struct {
+	p     *Packed
+	index map[Addr]uint64 // PC -> dictionary index
+	last  []Addr          // previous address of each PC, by dictionary index
+	chunk []byte
+}
+
+// NewPacker returns a packer holding no records.
+func NewPacker() *Packer {
+	return &Packer{p: &Packed{}, index: map[Addr]uint64{}, chunk: make([]byte, 0, packChunkBytes)}
+}
+
+// Add appends a record.
+func (k *Packer) Add(a Access) {
+	p, chunk := k.p, k.chunk
+	if cap(chunk)-len(chunk) < maxPackedRecord {
+		p.addChunk(chunk)
+		chunk = make([]byte, 0, packChunkBytes)
+	}
+	i, seen := k.index[a.PC]
+	if !seen {
+		i = uint64(len(p.pcs))
+		k.index[a.PC] = i
+		p.pcs = append(p.pcs, a.PC)
+		k.last = append(k.last, 0)
+	}
+	if a.Kind < kindEscape {
+		chunk = binary.AppendUvarint(chunk, i<<2|uint64(a.Kind))
+	} else {
+		chunk = binary.AppendUvarint(chunk, i<<2|kindEscape)
+		chunk = append(chunk, byte(a.Kind))
+	}
+	chunk = binary.AppendVarint(chunk, int64(a.Addr-k.last[i]))
+	chunk = binary.AppendUvarint(chunk, uint64(a.Dep))
+	chunk = binary.AppendUvarint(chunk, uint64(a.Gap))
+	k.last[i] = a.Addr
+	k.chunk = chunk
+	p.n++
+}
+
+// Len returns the number of records added.
+func (k *Packer) Len() int { return k.p.n }
+
+// Finish returns the trace of every record added. The packer must not be
+// used afterwards.
+func (k *Packer) Finish() *Packed {
+	p := k.p
+	if len(k.chunk) > 0 {
+		p.addChunk(slices.Clone(k.chunk)) // trim the last chunk's spare capacity
 	}
 	p.pcs = slices.Clone(p.pcs) // drop append's spare capacity
+	*k = Packer{}
 	return p
 }
 

@@ -1,6 +1,6 @@
 // Package recycle hands the storage of released per-run objects (metadata
-// tables, address compressors, victim buffers, trace-generator buffers) to
-// the next run that builds one. Each run would otherwise allocate megabytes
+// tables, address compressors, temporal engines, trace-generator buffers)
+// to the next run that builds one. Each run would otherwise allocate megabytes
 // afresh and leave the old storage to the GC.
 package recycle
 

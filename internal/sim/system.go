@@ -148,11 +148,11 @@ func (s *System) syncMetaWays(now uint64) {
 	if s.l3.DemandWays() == want {
 		return
 	}
-	for _, ev := range s.l3.SetDemandWays(want) {
+	s.l3.SetDemandWays(want, func(ev cache.Eviction) {
 		if ev.Dirty() {
 			s.dram.Write(ev.Line(), now)
 		}
-	}
+	})
 }
 
 // Access implements cpu.Memory for demand accesses.

@@ -77,6 +77,9 @@ func NewTrainingUnit(entries int) *TrainingUnit {
 	}
 }
 
+// Reset forgets every PC, as a new unit of the same size would.
+func (u *TrainingUnit) Reset() { clear(u.valid) }
+
 func (u *TrainingUnit) slot(pc mem.Addr) int {
 	x := uint64(pc) >> 2
 	x ^= x >> 9
@@ -151,6 +154,13 @@ func NewReuseBuffer(capEntries int) *ReuseBuffer {
 		head:    -1,
 		tail:    -1,
 	}
+}
+
+// Reset empties the buffer, keeping its storage. Slots at or past Len are
+// never read before an insert writes them.
+func (b *ReuseBuffer) Reset() {
+	b.index.clear()
+	b.head, b.tail, b.n = -1, -1, 0
 }
 
 // Lookup returns the buffered target for src.

@@ -117,6 +117,13 @@ func (m *probeMap[K]) del(k K) {
 // len returns the number of stored entries.
 func (m *probeMap[K]) len() int { return m.count }
 
+// clear empties the map, keeping its capacity: an entry exists only where
+// its state byte is set, so stale keys and values are never read.
+func (m *probeMap[K]) clear() {
+	clear(m.state)
+	m.count = 0
+}
+
 func (m *probeMap[K]) grow() {
 	oldKeys, oldVals, oldState := m.keys, m.vals, m.state
 	m.alloc(len(oldKeys) * 2)

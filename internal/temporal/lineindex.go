@@ -30,6 +30,9 @@ func (x *LineIndex) Del(l mem.Line) { x.m.del(l) }
 // Len returns the number of indexed lines.
 func (x *LineIndex) Len() int { return x.m.len() }
 
+// Clear empties the index, keeping its capacity.
+func (x *LineIndex) Clear() { x.m.clear() }
+
 // IndexSet is a set of compressed indices — the distinct-source estimator
 // of Triage's resizing logic, which adds one element per trainable access.
 // Compressed indices are dense from 0 (first-touch order), so the set is a

@@ -346,6 +346,13 @@ func TestTableRecycledAcrossPolicies(t *testing.T) {
 	}
 }
 
+// resizeEvicted resizes tb and returns the entries the resize displaced.
+func resizeEvicted(tb *Table, ways int) []Evicted {
+	var evs []Evicted
+	tb.Resize(ways, func(e Evicted) { evs = append(evs, e) })
+	return evs
+}
+
 // driveAgainstReference runs the random operation sequence of
 // TestTableMatchesReference on tb and ref, which must start equivalent, and
 // releases tb at the end.
@@ -381,7 +388,7 @@ func driveAgainstReference(t *testing.T, tb *Table, ref *refTable, rng *mem.PRNG
 			}
 		case r < 99:
 			ways := rng.Intn(cfg.MaxWays+3) - 1 // -1 and MaxWays+1 clamp
-			got, want := tb.Resize(ways), ref.Resize(ways)
+			got, want := resizeEvicted(tb, ways), ref.Resize(ways)
 			if len(got) != len(want) {
 				t.Fatalf("op %d Resize(%d) evicted %d entries, reference %d", op, ways, len(got), len(want))
 			}

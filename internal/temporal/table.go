@@ -455,29 +455,30 @@ func victimPriority(tags []uint16, prios []uint8) int {
 }
 
 // Resize changes the allocated ways, evicting surplus entries (victims chosen
-// by the configured policy) when shrinking. Evicted entries are returned so
-// resizing can feed the victim buffer.
-func (t *Table) Resize(ways int) []Evicted {
+// by the configured policy) when shrinking. Each displaced entry is passed
+// to evicted, in eviction order, unless evicted is nil; nothing is
+// collected, so a shrink allocates nothing.
+func (t *Table) Resize(ways int, evicted func(Evicted)) {
 	if ways < 0 {
 		ways = 0
 	}
 	if ways > t.cfg.MaxWays {
 		ways = t.cfg.MaxWays
 	}
-	var evs []Evicted
 	if ways < t.ways {
 		capPerSet := ways * t.cfg.EntriesPerWay
 		for set := range t.count {
 			for n := int(t.count[set]) - capPerSet; n > 0; n-- {
 				vi := t.victim(set*t.maxPerSet, int(t.count[set]))
-				evs = append(evs, t.evicted(set, vi))
+				if evicted != nil {
+					evicted(t.evicted(set, vi))
+				}
 				t.tags[set*t.maxPerSet+vi] &^= tagLiveBit
 				t.compactSet(set)
 			}
 		}
 	}
 	t.ways = ways
-	return evs
 }
 
 // compactSet shifts a set's live entries to the front of its window,

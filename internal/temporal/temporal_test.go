@@ -264,7 +264,7 @@ func TestTableResizeShrinkEvicts(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tb.Insert(uint32(16*i), uint32(i+1), 0)
 	}
-	evs := tb.Resize(1) // down to 2 entries per set
+	evs := resizeEvicted(tb, 1) // down to 2 entries per set
 	if len(evs) != 6 {
 		t.Fatalf("shrink evicted %d entries, want 6", len(evs))
 	}
@@ -281,11 +281,11 @@ func TestTableResizeShrinkEvicts(t *testing.T) {
 
 func TestTableResizeClamps(t *testing.T) {
 	tb := NewTable(smallTable(MetaSRRIP), 2)
-	tb.Resize(99)
+	tb.Resize(99, nil)
 	if tb.Ways() != 4 {
 		t.Fatalf("ways = %d, want clamped 4", tb.Ways())
 	}
-	tb.Resize(-1)
+	tb.Resize(-1, nil)
 	if tb.Ways() != 0 {
 		t.Fatalf("ways = %d, want 0", tb.Ways())
 	}
@@ -327,7 +327,7 @@ func TestEvictedSrcKey(t *testing.T) {
 		t.Fatalf("update displaced %+v, want Src %d", ev, 3<<11|5)
 	}
 	// A shrink to zero ways evicts it as a replacement would.
-	if evs := tb.Resize(0); len(evs) != 1 || evs[0].Src != 3<<11|5 || evs[0].Target != 2 {
+	if evs := resizeEvicted(tb, 0); len(evs) != 1 || evs[0].Src != 3<<11|5 || evs[0].Target != 2 {
 		t.Fatalf("shrink evicted %+v, want one entry with Src %d target 2", evs, 3<<11|5)
 	}
 }
@@ -520,7 +520,7 @@ func TestTableInvariants(t *testing.T) {
 					}
 				}
 			case 2:
-				tb.Resize(rng.Intn(cfg.MaxWays + 1))
+				tb.Resize(rng.Intn(cfg.MaxWays+1), nil)
 			}
 			if tb.live() > tb.capacity() {
 				return false

@@ -11,7 +11,10 @@
 package triage
 
 import (
+	"slices"
+
 	"prophet/internal/mem"
+	"prophet/internal/recycle"
 	"prophet/internal/temporal"
 )
 
@@ -55,9 +58,19 @@ type Prefetcher struct {
 	// exactly and account for in internal/storage.
 	epochSources temporal.IndexSet
 	epochAccess  uint64
+
+	rc recycle.Slot
 }
 
-// New builds a Triage prefetcher.
+// engines recycles Released prefetchers, so a run reuses the last run's
+// training unit and epoch set instead of allocating them.
+var engines = recycle.New(func() *Prefetcher {
+	return &Prefetcher{train: temporal.NewTrainingUnit(1024)}
+}, func(p *Prefetcher) *recycle.Slot { return &p.rc })
+
+// New builds a Triage prefetcher, reusing a Released one's storage when
+// available. A reused prefetcher is observably fresh: its training unit
+// and epoch set are emptied and every counter restarts from zero.
 func New(cfg Config) *Prefetcher {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 1
@@ -65,13 +78,18 @@ func New(cfg Config) *Prefetcher {
 	if cfg.Hawkeye {
 		cfg.Table.Policy = temporal.MetaHawkeye
 	}
-	return &Prefetcher{
-		cfg:     cfg,
-		table:   temporal.NewTable(cfg.Table, cfg.Ways),
-		comp:    temporal.NewCompressor(),
-		train:   temporal.NewTrainingUnit(1024),
-		scratch: make([]mem.Line, 0, cfg.Degree),
+	p := engines.Get()
+	p.train.Reset()
+	p.epochSources.Clear()
+	*p = Prefetcher{
+		cfg:          cfg,
+		table:        temporal.NewTable(cfg.Table, cfg.Ways),
+		comp:         temporal.NewCompressor(),
+		train:        p.train,
+		scratch:      slices.Grow(p.scratch[:0], cfg.Degree),
+		epochSources: p.epochSources,
 	}
+	return p
 }
 
 // Name implements temporal.Engine.
@@ -124,7 +142,7 @@ func (p *Prefetcher) maybeResize() {
 	if ways > p.cfg.Table.MaxWays {
 		ways = p.cfg.Table.MaxWays
 	}
-	p.table.Resize(ways)
+	p.table.Resize(ways, nil)
 }
 
 // PrefetchUseful implements temporal.Engine (Triage takes no feedback).
@@ -143,14 +161,15 @@ func (p *Prefetcher) TableStats() temporal.TableStats { return p.table.Stats() }
 func (p *Prefetcher) Table() *temporal.Table { return p.table }
 
 // Release returns the metadata table and the address compressor to their
-// pools, so the next engine built reuses their storage. The prefetcher (and
-// anything obtained through Table) must not be used after: Release drops
-// both references, so a later use panics instead of sharing storage with
-// another run.
+// shared pools and the prefetcher to its own, so the next engine built
+// reuses all of their storage. The prefetcher (and anything obtained
+// through Table) must not be used after, nor released again: the next New
+// may hand it to another run.
 func (p *Prefetcher) Release() {
 	p.table.Release()
 	p.comp.Release()
 	p.table, p.comp = nil, nil
+	engines.Put(p)
 }
 
 var _ temporal.Engine = (*Prefetcher)(nil)

@@ -109,7 +109,7 @@ func TestBloomResizeGrows(t *testing.T) {
 	cfg.BloomResize = true
 	cfg.ResizeEpoch = 800
 	p := New(cfg)
-	p.Table().Resize(1)
+	p.Table().Resize(1, nil)
 	pc := mem.Addr(0x800)
 	// ~800 distinct sources per epoch need ceil(800/256) = 4 ways.
 	for i := 0; i < 1600; i++ {

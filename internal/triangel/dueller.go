@@ -17,46 +17,77 @@ import (
 // behaviour; the Prophet paper observes the resulting allocations are often
 // too conservative on omnetpp and mcf. That emerges here naturally: the
 // histograms describe the previous epoch, not the future.
+//
+// The shadow stacks are flat: one array per monitor holds a stack for each
+// sampled set, set after set, with each stack's depth beside it, so a reset
+// clears a few counters instead of reallocating per-set slices.
 type dueller struct {
 	tableCfg   temporal.TableConfig
 	metaWeight float64
 
-	sampleMask uint64 // LLC sets sampled (1/64)
-	llcSets    map[uint64][]mem.Line
-	llcHist    []float64 // hits by stack position (way)
-	llcMisses  float64
+	llc     []mem.Line              // duellerSets stacks of duellerLLCWays lines
+	llcLen  [duellerSets]int        // live depth of each LLC stack
+	llcHist [duellerLLCWays]float64 // hits by stack position (way)
 
-	metaSets   map[uint32][]uint32
-	metaHist   []float64 // hits by stack position in way-granularity
-	metaMisses float64
+	meta      []uint32         // duellerSets stacks of metaDepth sources
+	metaDepth int              // EntriesPerWay x MaxWays: the table's associativity
+	metaLen   [duellerSets]int // live depth of each metadata stack
+	metaHist  []float64        // hits by stack position in way-granularity
 }
 
 const (
 	duellerLLCWays = 16
 	duellerDecay   = 0.5
 	sampleShift    = 6 // sample 1/64 of sets
+	// duellerSets is the count of sampled sets among the LLC's 2048.
+	duellerSets = 2048 >> sampleShift
 )
 
-func newDueller(tableCfg temporal.TableConfig, metaWeight float64) *dueller {
-	return &dueller{
+// reset readies d for a run at tableCfg's geometry with the given metadata
+// weight, with empty stacks and histograms, reusing its arrays when they
+// are large enough. Stack slots past a stack's depth are never read.
+func (d *dueller) reset(tableCfg temporal.TableConfig, metaWeight float64) {
+	depth := tableCfg.EntriesPerWay * tableCfg.MaxWays
+	*d = dueller{
 		tableCfg:   tableCfg,
 		metaWeight: metaWeight,
-		llcSets:    make(map[uint64][]mem.Line),
-		llcHist:    make([]float64, duellerLLCWays),
-		metaSets:   make(map[uint32][]uint32),
-		metaHist:   make([]float64, tableCfg.MaxWays),
+		llc:        d.llc,
+		meta:       d.meta,
+		metaDepth:  depth,
+		metaHist:   d.metaHist,
 	}
+	if d.llc == nil {
+		d.llc = make([]mem.Line, duellerSets*duellerLLCWays)
+	}
+	if n := duellerSets * depth; cap(d.meta) < n {
+		d.meta = make([]uint32, n)
+	}
+	if cap(d.metaHist) < tableCfg.MaxWays {
+		d.metaHist = make([]float64, tableCfg.MaxWays)
+	}
+	d.metaHist = d.metaHist[:tableCfg.MaxWays]
+	clear(d.metaHist)
+}
+
+// sampled returns the monitor slot of the set that key maps to among the
+// LLC's 2048, or false when that set is not sampled.
+func sampled(key uint64) (int, bool) {
+	set := key & 2047
+	if set&(1<<sampleShift-1) != 0 {
+		return 0, false
+	}
+	return int(set >> sampleShift), true
 }
 
 // observeLLC feeds a demand LLC access (an L2 miss) into the LLC monitor.
 // The Mattson stack updates move-to-front in place — the shadow stacks are
 // long-lived and must not allocate per sampled access.
 func (d *dueller) observeLLC(l mem.Line) {
-	set := uint64(l) & 2047
-	if set&(1<<sampleShift-1) != 0 {
+	k, ok := sampled(uint64(l))
+	if !ok {
 		return
 	}
-	stack := d.llcSets[set]
+	stack := d.llc[k*duellerLLCWays : k*duellerLLCWays+d.llcLen[k]]
 	pos := -1
 	for i, x := range stack {
 		if x == l {
@@ -65,21 +96,15 @@ func (d *dueller) observeLLC(l mem.Line) {
 		}
 	}
 	if pos >= 0 {
-		if pos < len(d.llcHist) {
-			d.llcHist[pos]++
-		}
+		d.llcHist[pos]++
 		// Move-to-front: rotate [0, pos] right by one.
 		copy(stack[1:pos+1], stack[:pos])
 		stack[0] = l
 		return
 	}
-	d.llcMisses++
 	if len(stack) < duellerLLCWays {
-		if stack == nil {
-			stack = make([]mem.Line, 0, duellerLLCWays)
-		}
-		stack = append(stack, 0)
-		d.llcSets[set] = stack
+		d.llcLen[k]++
+		stack = stack[:len(stack)+1]
 	}
 	// Prepend, dropping the coldest entry when already full.
 	copy(stack[1:], stack[:len(stack)-1])
@@ -88,11 +113,11 @@ func (d *dueller) observeLLC(l mem.Line) {
 
 // observeMeta feeds a metadata insertion/access into the metadata monitor.
 func (d *dueller) observeMeta(src uint32) {
-	set := src & 2047
-	if set&(1<<sampleShift-1) != 0 {
+	k, ok := sampled(uint64(src))
+	if !ok {
 		return
 	}
-	stack := d.metaSets[set]
+	stack := d.meta[k*d.metaDepth : k*d.metaDepth+d.metaLen[k]]
 	pos := -1
 	for i, x := range stack {
 		if x == src {
@@ -100,9 +125,8 @@ func (d *dueller) observeMeta(src uint32) {
 			break
 		}
 	}
-	entriesPerWay := d.tableCfg.EntriesPerWay
 	if pos >= 0 {
-		way := pos / entriesPerWay
+		way := pos / d.tableCfg.EntriesPerWay
 		if way < len(d.metaHist) {
 			d.metaHist[way]++
 		}
@@ -110,13 +134,9 @@ func (d *dueller) observeMeta(src uint32) {
 		stack[0] = src
 		return
 	}
-	d.metaMisses++
-	if max := entriesPerWay * d.tableCfg.MaxWays; len(stack) < max {
-		if stack == nil {
-			stack = make([]uint32, 0, max)
-		}
-		stack = append(stack, 0)
-		d.metaSets[set] = stack
+	if len(stack) < d.metaDepth {
+		d.metaLen[k]++
+		stack = stack[:len(stack)+1]
 	}
 	copy(stack[1:], stack[:len(stack)-1])
 	stack[0] = src
@@ -147,7 +167,5 @@ func (d *dueller) choose(current int) int {
 	for i := range d.metaHist {
 		d.metaHist[i] *= duellerDecay
 	}
-	d.llcMisses *= duellerDecay
-	d.metaMisses *= duellerDecay
 	return best
 }

@@ -21,10 +21,52 @@
 // dot / red dot" signal of Figure 1. ReuseConf is trained by a reuse
 // sampler: sampled lines that recur within the table's entry capacity raise
 // it, samples that expire unreferenced lower it.
+//
+// # Audit against the Triangel paper
+//
+// The paper's text (arXiv 2406.10627) is not in this repository, so every
+// paper value below is recalled, not checked, and marked so; "not
+// recalled" means no value is claimed. "Seed" means the value has been in
+// the code since the repository's first commit with no recorded source.
+//
+//	mechanism              paper (recalled)              here                     source
+//	PatternConf            4-bit, per PC                 4-bit, threshold 8       seed
+//	ReuseConf              4-bit, per PC                 4-bit, threshold 6       seed
+//	training entries       not recalled                  1024 (TrainingEntries)   seed
+//	history sampler        not recalled                  2048, 1/64 of lines      seed
+//	reuse sampler          not recalled                  4096, 1/64 of lines      seed
+//	metadata replacement   SRRIP                         2-bit SRRIP              seed
+//	Set-Dueller            sampled sets, about 2 KB      32 of 2048 sets, 16-way  seed
+//	                                                     LLC and full-depth table
+//	                                                     stacks, decay 0.5
+//	MetaHitWeight          no weight recalled            0.8                      fitted to reproduce
+//	                                                                              conservative ways on
+//	                                                                              omnetpp and mcf
+//	prefetch degree        up to 4, chained              4 at PatternConf >= 8,   seed
+//	                                                     else 1
+//	starting ways          not recalled                  MaxWays (8, 1 MB),       seed, shared with
+//	                                                     as Triage                Triage
+//
+// Mechanisms the paper describes, as recalled, that this package does not
+// model:
+//
+//   - the Second-Chance Sampler, which gives a sampled entry that just
+//     missed the reuse window a second look before ReuseConf falls;
+//   - the Metadata Reuse Buffer, which caches recently used metadata in
+//     front of the LLC table (Prophet's engine has one, temporal.ReuseBuffer);
+//   - the lookahead and the BasePatternConf/HighPatternConf split that set
+//     the prefetch degree and distance; here one threshold switches between
+//     degree 1 and the full chain.
+//
+// Adding any of them, or changing a value above, changes results and
+// belongs in a reviewed model-change step.
 package triangel
 
 import (
+	"slices"
+
 	"prophet/internal/mem"
+	"prophet/internal/recycle"
 	"prophet/internal/temporal"
 )
 
@@ -125,28 +167,57 @@ type Prefetcher struct {
 	reuseIndex *temporal.LineIndex
 	accessTick uint64
 
+	// dueller is the Set-Dueller's storage, kept whether or not
+	// cfg.SetDueller runs it.
 	dueller *dueller
+
+	rc recycle.Slot
 }
 
-// New builds a Triangel prefetcher.
-func New(cfg Config) *Prefetcher {
-	if cfg.Degree <= 0 {
-		cfg.Degree = 1
-	}
-	p := &Prefetcher{
-		cfg:        cfg,
-		table:      temporal.NewTable(cfg.Table, cfg.Ways),
-		comp:       temporal.NewCompressor(),
+// engines recycles Released prefetchers, so a run reuses the last run's
+// training unit, PC table, sampler rings and indexes and Set-Dueller
+// instead of allocating them (about 380 KB a run).
+var engines = recycle.New(func() *Prefetcher {
+	return &Prefetcher{
 		train:      temporal.NewTrainingUnit(TrainingEntries),
 		pcs:        make([]pcState, TrainingEntries),
-		scratch:    make([]mem.Line, 0, cfg.Degree),
 		patRing:    make([]patternSample, patternSamplerCap),
 		patIndex:   temporal.NewLineIndex(patternSamplerCap),
 		reuseRing:  make([]reuseSample, reuseSamplerCap),
 		reuseIndex: temporal.NewLineIndex(reuseSamplerCap),
+		dueller:    &dueller{},
 	}
+}, func(p *Prefetcher) *recycle.Slot { return &p.rc })
+
+// New builds a Triangel prefetcher, reusing a Released one's storage when
+// available. A reused prefetcher is observably fresh: every PC, sample and
+// Set-Dueller stack is forgotten and every counter restarts from zero.
+func New(cfg Config) *Prefetcher {
+	if cfg.Degree <= 0 {
+		cfg.Degree = 1
+	}
+	p := engines.Get()
+	p.train.Reset()
+	clear(p.pcs)
+	clear(p.patRing)
+	p.patIndex.Clear()
+	clear(p.reuseRing)
+	p.reuseIndex.Clear()
 	if cfg.SetDueller {
-		p.dueller = newDueller(cfg.Table, cfg.MetaHitWeight)
+		p.dueller.reset(cfg.Table, cfg.MetaHitWeight)
+	}
+	*p = Prefetcher{
+		cfg:        cfg,
+		table:      temporal.NewTable(cfg.Table, cfg.Ways),
+		comp:       temporal.NewCompressor(),
+		train:      p.train,
+		pcs:        p.pcs,
+		scratch:    slices.Grow(p.scratch[:0], cfg.Degree),
+		patRing:    p.patRing,
+		patIndex:   p.patIndex,
+		reuseRing:  p.reuseRing,
+		reuseIndex: p.reuseIndex,
+		dueller:    p.dueller,
 	}
 	return p
 }
@@ -180,7 +251,7 @@ func (p *Prefetcher) OnAccess(ev temporal.AccessEvent) []mem.Line {
 	p.accessTick++
 	cur := p.comp.Index(ev.Line)
 
-	if p.dueller != nil {
+	if p.cfg.SetDueller {
 		p.dueller.observeLLC(ev.Line)
 	}
 	p.expireReuseSamples()
@@ -196,7 +267,7 @@ func (p *Prefetcher) OnAccess(ev temporal.AccessEvent) []mem.Line {
 			if st.patternConf >= p.cfg.PatternThreshold && st.reuseConf >= p.cfg.ReuseThreshold {
 				src := p.comp.Index(prev)
 				p.table.Insert(src, cur, 0)
-				if p.dueller != nil {
+				if p.cfg.SetDueller {
 					p.dueller.observeMeta(src)
 				}
 			}
@@ -354,7 +425,7 @@ func (p *Prefetcher) PrefetchUseless(trigger mem.Addr, _ mem.Line) {
 }
 
 func (p *Prefetcher) maybeResize() {
-	if p.dueller == nil {
+	if !p.cfg.SetDueller {
 		return
 	}
 	if p.accessTick%p.cfg.ResizeEpoch != 0 {
@@ -362,7 +433,7 @@ func (p *Prefetcher) maybeResize() {
 	}
 	ways := p.dueller.choose(p.table.Ways())
 	if ways != p.table.Ways() {
-		p.table.Resize(ways)
+		p.table.Resize(ways, nil)
 	}
 }
 
@@ -376,14 +447,15 @@ func (p *Prefetcher) TableStats() temporal.TableStats { return p.table.Stats() }
 func (p *Prefetcher) Table() *temporal.Table { return p.table }
 
 // Release returns the metadata table and the address compressor to their
-// pools, so the next engine built reuses their storage. The prefetcher (and
-// anything obtained through Table) must not be used after: Release drops
-// both references, so a later use panics instead of sharing storage with
-// another run.
+// shared pools and the prefetcher to its own, so the next engine built
+// reuses all of their storage. The prefetcher (and anything obtained
+// through Table) must not be used after, nor released again: the next New
+// may hand it to another run.
 func (p *Prefetcher) Release() {
 	p.table.Release()
 	p.comp.Release()
 	p.table, p.comp = nil, nil
+	engines.Put(p)
 }
 
 // PatternConf exposes a PC's confidence counter for tests and Figure 1.

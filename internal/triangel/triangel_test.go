@@ -1,6 +1,7 @@
 package triangel
 
 import (
+	"slices"
 	"testing"
 
 	"prophet/internal/mem"
@@ -150,5 +151,47 @@ func TestZeroPCIgnoredForTraining(t *testing.T) {
 	p.OnAccess(miss(0, 2))
 	if p.TableStats().Insertions != 0 {
 		t.Fatal("PC-less accesses must not train")
+	}
+}
+
+// TestRecycledEnginesStartFresh: New rebuilds a released engine with every
+// sampler, index, cursor and Set-Dueller stack and histogram emptied, so
+// nothing the last run learned reaches the next. A run's outcome shows
+// little of the sampler rings (their defensive checks absorb stale
+// entries), so this checks the state itself.
+func TestRecycledEnginesStartFresh(t *testing.T) {
+	cfg := Default()
+	cfg.ResizeEpoch = 1_000
+	p := New(cfg)
+	rng := mem.NewPRNG(3)
+	for i := range 50_000 {
+		pc := mem.Addr(0x400 + 4*(i%7))
+		p.OnAccess(miss(pc, mem.Line(rng.Intn(1<<16))))
+	}
+	d := p.dueller
+	if p.patIndex.Len() == 0 || p.reuseIndex.Len() == 0 || p.patHead == 0 || p.reuseTail == 0 ||
+		slices.Max(d.llcLen[:]) == 0 || slices.Max(d.metaLen[:]) == 0 || slices.Max(d.llcHist[:]) == 0 || slices.Max(d.metaHist) == 0 {
+		t.Fatal("the first run left a sampler or Set-Dueller monitor empty")
+	}
+	p.Release()
+	q := New(cfg)
+	defer q.Release()
+	if q != p {
+		t.Fatal("the released engine was not rebuilt")
+	}
+	if q.patHead != 0 || q.reuseHead != 0 || q.reuseTail != 0 || q.reuseCount != 0 || q.accessTick != 0 {
+		t.Errorf("ring cursors %d, %d, %d, count %d, tick %d", q.patHead, q.reuseHead, q.reuseTail, q.reuseCount, q.accessTick)
+	}
+	if q.patIndex.Len() != 0 || q.reuseIndex.Len() != 0 {
+		t.Errorf("sampler indexes hold %d and %d lines", q.patIndex.Len(), q.reuseIndex.Len())
+	}
+	if slices.ContainsFunc(q.patRing, func(s patternSample) bool { return s != patternSample{} }) ||
+		slices.ContainsFunc(q.reuseRing, func(s reuseSample) bool { return s != reuseSample{} }) ||
+		slices.ContainsFunc(q.pcs, func(s pcState) bool { return s != pcState{} }) {
+		t.Error("a sampler ring or the PC table kept an entry")
+	}
+	d = q.dueller
+	if slices.Max(d.llcLen[:]) != 0 || slices.Max(d.metaLen[:]) != 0 || slices.Max(d.llcHist[:]) != 0 || slices.Max(d.metaHist) != 0 {
+		t.Error("a Set-Dueller stack or histogram kept its contents")
 	}
 }

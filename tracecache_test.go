@@ -136,3 +136,47 @@ func TestCatalogSweepsHoldNoTraces(t *testing.T) {
 	}
 	check("Run")
 }
+
+// TestWarmSweepRecyclesEngines: once a process has run a sweep, a fresh
+// Evaluator's 2-worker sweep of sweep-temporal's 5 x 4 jobs allocates
+// almost nothing. Every per-run structure of the simulator and of the
+// temporal engines (tables, compressors, samplers, training units, victim
+// and hint buffers, generator storage) comes back from its pool; what is
+// left is each job's bookkeeping, about 150 KB. Before the engines were
+// recycled whole, such a sweep allocated 3 MB or more.
+func TestWarmSweepRecyclesEngines(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	var ws []Workload
+	for _, name := range []string{"mcf", "omnetpp", "soplex_pds-50", "sphinx3", "xalancbmk"} {
+		w, err := Find(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	jobs := Jobs(ws, Baseline, Triage, Triangel, Prophet)
+	sweep := func() []Result {
+		res, err := New(WithWorkers(2)).Sweep(context.Background(), jobs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := sweep()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	warm := sweep()
+	runtime.ReadMemStats(&after)
+	for i := range warm {
+		if warm[i].Err != nil || warm[i].Stats != cold[i].Stats {
+			t.Fatalf("%s/%s: warm sweep read %+v (err %v), cold %+v", warm[i].Job.Workload.Name, warm[i].Job.Scheme, warm[i].Stats, warm[i].Err, cold[i].Stats)
+		}
+	}
+	got, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if got >= 512<<10 {
+		t.Fatalf("warm sweep allocated %d bytes in %d mallocs, want under 512 KiB", got, mallocs)
+	}
+	t.Logf("warm sweep allocated %d bytes in %d mallocs", got, mallocs)
+}
